@@ -157,7 +157,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultStore:
     elif spec.kind == "chain":
         _run_chain_grid(spec, store, failures, jobs)
     elif spec.kind == "lean":
-        _run_lean(spec, store, failures, jobs)
+        _run_lean(spec, store, failures)
     else:
         _run_cluster_grid(spec, store, failures, jobs)
     store.write_manifest(spec, failures)
@@ -299,7 +299,7 @@ def _run_chain_grid(spec: ExperimentSpec, store: ResultStore, failures: list,
                   sorted(relative_rows, key=lambda r: (r[0], str(r[1]), r[2], r[3])))
 
 
-def _run_lean(spec: ExperimentSpec, store: ResultStore, failures: list, jobs: int) -> None:
+def _run_lean(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
     from .judge import build_lean_mixture, partition_by_lean
     from .metrics import lean_bins
 

@@ -10,7 +10,6 @@ import json
 import os
 import threading
 import time
-import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -126,20 +125,31 @@ def _cache_key(template: str, text: str, model: str) -> str:
 
 class _Cache:
     """Append-only JSONL cache of annotations keyed on
-    (prompt-template hash, text hash, model id)."""
+    (prompt-template hash, text hash, model id).
+
+    A crash mid-append can leave the last row without its newline. If that
+    row still parses it is kept, and the next append starts a new line; if
+    it does not, it is ignored, and the next append cuts it off first.
+    """
 
     def __init__(self, path: str | None):
         self._path = path
         self._lock = threading.Lock()
         self._mem: dict = {}
+        self._torn_at = None  # byte offset of an unparsable unfinished last row
+        self._lead = ""  # what the next append writes before its row
         if path and os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    row = json.loads(line)
-                    self._mem[row["key"]] = row
+            with open(path, "rb") as fh:
+                data = fh.read()
+            end = data.rfind(b"\n") + 1
+            rows = [json.loads(line) for line in data[:end].splitlines() if line.strip()]
+            if data[end:].strip():
+                try:
+                    rows.append(json.loads(data[end:]))
+                    self._lead = "\n"
+                except ValueError:
+                    self._torn_at = end
+            self._mem = {row["key"]: row for row in rows}
 
     def get(self, key: str):
         return self._mem.get(key)
@@ -157,7 +167,10 @@ class _Cache:
             self._mem[key] = row
             if self._path:
                 with open(self._path, "a") as fh:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                    if self._torn_at is not None:
+                        fh.truncate(self._torn_at)
+                    fh.write(self._lead + json.dumps(row, sort_keys=True) + "\n")
+                self._torn_at, self._lead = None, ""
 
 
 def _default_transport(url: str, payload: dict, timeout: float, token: str | None) -> str:
@@ -213,7 +226,7 @@ def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
         for _ in range(cfg.max_retries + 1):
             try:
                 raw = transport(cfg.endpoint, payload, cfg.timeout, cfg.auth_token)
-            except (OSError, urllib.error.URLError) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: a non-JSON or textless body
                 last_error = f"transport: {exc}"
                 continue
             try:

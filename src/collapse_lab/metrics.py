@@ -111,7 +111,7 @@ def knn_cosine_diversity(emb, k: int) -> float:
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def bleu(candidate: list[str], references: list[list[str]], max_n: int = 4,
@@ -161,10 +161,18 @@ def bleu(candidate: list[str], references: list[list[str]], max_n: int = 4,
 def self_bleu(texts: list[str], max_n: int = 4, smoothing: str = "add1",
               tokenizer=tokenize, max_texts: int = 250, seed: int = 0) -> float:
     """Mean BLEU of each text against all the others as references. High
-    values mean low lexical diversity.
+    values mean low lexical diversity. Texts with no tokens are neither
+    scored nor used as references.
 
-    Batches larger than ``max_texts`` are subsampled (seeded) to bound the
-    O(m^2) cost.
+    The value is bit-identical to calling ``bleu`` on each text with the
+    others as references, but each text's n-gram counts are built once. Per
+    n-gram the largest count over the batch, the text holding it and the
+    second-largest count are kept. Every other text's count is at most the
+    largest, so against the others a text loses clipped counts only on the
+    n-grams it holds the largest count of, down to the second-largest. The
+    cost is linear in the batch's tokens. Batches larger than ``max_texts``
+    are subsampled (seeded), which bounds that cost and fixes the size of the
+    reference set the score depends on.
     """
     if len(texts) < 2:
         raise InvalidInputError("self-BLEU needs at least 2 texts")
@@ -172,18 +180,58 @@ def self_bleu(texts: list[str], max_n: int = 4, smoothing: str = "add1",
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(texts), size=max_texts, replace=False)
         texts = [texts[i] for i in sorted(idx)]
-    token_lists = [tokenizer(t) for t in texts]
+    token_lists = [tokens for tokens in map(tokenizer, texts) if tokens]
+    if len(token_lists) < 2:
+        raise InvalidInputError("no scorable texts after tokenization")
+    if smoothing not in ("none", "add1"):
+        raise InvalidInputError(f"unknown smoothing {smoothing!r}")
+
+    # best[n - 1][ngram] = [largest count, text holding it, second-largest count]
+    best = [{} for _ in range(max_n)]
+    for i, tokens in enumerate(token_lists):
+        for n, table in enumerate(best, start=1):
+            for ngram, cnt in _ngram_counts(tokens, n).items():
+                slot = table.get(ngram)
+                if slot is None:
+                    table[ngram] = [cnt, i, 0]
+                elif cnt > slot[0]:
+                    slot[:] = [cnt, i, slot[0]]
+                elif cnt > slot[2]:
+                    slot[2] = cnt
+    # lost[i][n - 1]: text i's n-gram count minus its clipped count
+    lost = [[0] * max_n for _ in token_lists]
+    for n, table in enumerate(best):
+        for top, owner, second in table.values():
+            lost[owner][n] += top - second
+
+    lengths = Counter(map(len, token_lists))
     scores = []
     for i, cand in enumerate(token_lists):
-        if not cand:
-            continue
-        refs = [tok for j, tok in enumerate(token_lists) if j != i and tok]
-        if not refs:
-            continue
-        scores.append(bleu(cand, refs, max_n=max_n, smoothing=smoothing))
-    if not scores:
-        raise InvalidInputError("no scorable texts after tokenization")
+        c = len(cand)
+        r = min((L for L, k in lengths.items() if L != c or k > 1),
+                key=lambda L: (abs(L - c), L))
+        scores.append(_bleu_from_clips(c, r, lost[i], max_n, smoothing))
     return float(np.mean(scores))
+
+
+def _bleu_from_clips(c: int, r: int, lost: list[int], max_n: int, smoothing: str) -> float:
+    """``bleu`` of a c-token candidate, with the same operation order, given
+    its closest reference length r and, per n, its n-gram count minus its
+    clipped count."""
+    order = min(max_n, c)
+    log_sum = 0.0
+    for n in range(1, order + 1):
+        total = c - n + 1
+        clipped = total - lost[n - 1]
+        if clipped == 0:
+            if n == 1 or smoothing == "none":
+                return 0.0
+            p = 1.0 / (total + 1)
+        else:
+            p = clipped / total
+        log_sum += math.log(p) / order
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    return bp * math.exp(log_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def ols_fit(dm: DesignMatrix, y, intercept: bool = True) -> RegressionResult:
     X = np.column_stack([np.ones(dm.n), dm.X]) if intercept else dm.X
     names_full = (["(intercept)"] if intercept else []) + list(dm.names)
 
-    q, r, piv = _qr_with_rank_check(X, names_full)
+    q, r = _qr_with_rank_check(X, names_full)
     beta = np.linalg.solve(r, q.T @ y)
 
     fitted = X @ beta
@@ -160,7 +160,7 @@ def _qr_with_rank_check(X: np.ndarray, names: list[str]):
         rank = int(np.sum(np.abs(np.diag(rp)) > scale * max(X.shape) * np.finfo(float).eps * 10))
         dependent = [names[i] for i in piv[rank:]]
         raise RankError(dependent)
-    return q, r, None
+    return q, r
 
 
 def vif(dm: DesignMatrix) -> np.ndarray:

@@ -131,6 +131,69 @@ class TestCache:
         lean = annotate_lean(["t"], cfg(cache_path=path), transport=scripted(["90"]))
         assert lean.scores == [90]
 
+    @staticmethod
+    def _no_network(url, payload, timeout, token):
+        raise AssertionError("network must not be touched")
+
+    def test_torn_last_row_is_ignored_then_cut(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        annotate_quality(["kept", "torn"], cfg(cache_path=str(path), concurrency=1),
+                         transport=scripted(["11", "22"]))
+        data = path.read_bytes()
+        path.write_bytes(data[:-20])  # a crash mid-append of the second row
+
+        transport = scripted(["33"])
+        result = annotate_quality(["kept", "torn"], cfg(cache_path=str(path)),
+                                  transport=transport)
+        assert len(transport.calls) == 1
+        assert result.scores[1] == 33
+
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2
+        assert [json.loads(line)["score"] for line in lines] == [result.scores[0], 33]
+        again = annotate_quality(["kept", "torn"], cfg(cache_path=str(path)),
+                                 transport=self._no_network)
+        assert again.scores == result.scores
+
+    def test_row_missing_only_its_newline_is_kept(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        annotate_quality(["first"], cfg(cache_path=str(path)), transport=scripted(["44"]))
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+
+        annotate_quality(["second"], cfg(cache_path=str(path)), transport=scripted(["55"]))
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["score"] for line in lines] == [44, 55]
+        again = annotate_quality(["first", "second"], cfg(cache_path=str(path)),
+                                 transport=self._no_network)
+        assert again.scores == [44, 55]
+
+    def test_corrupt_inner_row_still_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key": \n{"key": "k"}\n')
+        with pytest.raises(json.JSONDecodeError):
+            annotate_quality(["x"], cfg(cache_path=str(path)), transport=scripted(["1"]))
+
+
+class TestTransportFaults:
+    def test_value_error_is_retried(self):
+        transport = scripted([json.JSONDecodeError("Expecting value", "<html>", 0),
+                              ValueError("response carries no text field"), "70"])
+        result = annotate_quality(["x"], cfg(max_retries=2), transport=transport)
+        assert result.scores == [70]
+        assert len(transport.calls) == 3
+
+    def test_value_error_fails_only_its_text(self):
+        def transport(url, payload, timeout, token):
+            if "bad" in payload["messages"][0]["content"]:
+                raise ValueError("response carries no text field")
+            return "12"
+
+        result = annotate_quality(["ok 1", "bad", "ok 2"], cfg(max_retries=1),
+                                  transport=transport)
+        assert result.scores == [12, None, 12]
+        [failure] = result.failures
+        assert failure.error == "transport: response carries no text field"
+
 
 class TestConcurrency:
     def test_in_flight_cap(self):
@@ -187,6 +250,37 @@ class TestDefaultTransportHttp:
             assert result.scores == [77]
         finally:
             server.shutdown()
+
+    def test_malformed_bodies_become_failures(self):
+        bodies = {"post-html": b"<html>busy</html>", "post-empty": b'{"choices": []}',
+                  "post-ok": b'{"text": "64"}'}
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                prompt = json.loads(self.rfile.read(length))["messages"][0]["content"]
+                out = next(b for key, b in bodies.items() if key in prompt)
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(out)))
+                self.end_headers()
+                self.wfile.write(out)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            c = JudgeConfig(endpoint=f"http://127.0.0.1:{port}/chat", model="m",
+                            max_retries=1, concurrency=1)
+            result = annotate_quality(list(bodies), c)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert result.scores == [None, None, 64]
+        assert [f.error.split(":")[0] for f in result.failures] == ["transport"] * 2
 
 
 class TestAnnotationValidation:

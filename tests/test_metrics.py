@@ -123,6 +123,78 @@ class TestSelfBleu:
         with pytest.raises(InvalidInputError):
             self_bleu(["one"])
 
+    @pytest.mark.parametrize("texts", [["", ""], ["...", "!!", "word"], ["a b", "?!"]])
+    def test_no_scorable_texts(self, texts):
+        with pytest.raises(InvalidInputError, match="no scorable texts"):
+            self_bleu(texts)
+
+    def test_unknown_smoothing(self):
+        with pytest.raises(InvalidInputError, match="unknown smoothing"):
+            self_bleu(["a b", "b c"], smoothing="add2")
+
+
+def _pairwise_self_bleu(texts, max_n=4, smoothing="add1", tokenizer=tokenize,
+                        max_texts=250, seed=0):
+    """Brute-force SelfBLEU: ``bleu`` of each text against all the others."""
+    if len(texts) < 2:
+        raise InvalidInputError("self-BLEU needs at least 2 texts")
+    if len(texts) > max_texts:
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(len(texts), size=max_texts, replace=False)
+        texts = [texts[i] for i in sorted(idx)]
+    token_lists = [tokenizer(t) for t in texts]
+    scores = []
+    for i, cand in enumerate(token_lists):
+        refs = [tok for j, tok in enumerate(token_lists) if j != i and tok]
+        if cand and refs:
+            scores.append(bleu(cand, refs, max_n=max_n, smoothing=smoothing))
+    if not scores:
+        raise InvalidInputError("no scorable texts after tokenization")
+    return float(np.mean(scores))
+
+
+# Few words and short texts, so n-grams repeat within and across texts, top
+# counts tie, texts fall below max_n and reference lengths tie; "!" and "..."
+# tokenize to nothing.
+_WORDS = ["a", "b", "c", "d", "a.", "!", "..."]
+_TEXT = st.lists(st.sampled_from(_WORDS), max_size=7).map(" ".join)
+# Drawing a batch from a smaller pool of texts makes duplicate texts common.
+_BATCH = st.lists(_TEXT, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=9))
+
+
+class TestSelfBleuOracle:
+    @given(_BATCH, st.sampled_from([1, 2, 4]), st.sampled_from(["none", "add1"]),
+           st.sampled_from([tokenize, str.split, list]), st.integers(2, 10),
+           st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_pairwise_bleu(self, texts, max_n, smoothing, tokenizer,
+                                  max_texts, seed):
+        kw = dict(max_n=max_n, smoothing=smoothing, tokenizer=tokenizer,
+                  max_texts=max_texts, seed=seed)
+        try:
+            expected = _pairwise_self_bleu(texts, **kw)
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError):
+                self_bleu(texts, **kw)
+            return
+        assert self_bleu(texts, **kw) == expected
+
+    def test_duplicates_share_the_top_count(self):
+        texts = ["a b a b", "a b a b", "a b c", "c c c"]
+        for max_n in (1, 2, 4):
+            for smoothing in ("none", "add1"):
+                assert (self_bleu(texts, max_n=max_n, smoothing=smoothing)
+                        == _pairwise_self_bleu(texts, max_n=max_n, smoothing=smoothing))
+
+    def test_subsampled_batch(self):
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(40)]
+        texts = [" ".join(rng.choice(words, size=rng.integers(1, 12))) for _ in range(60)]
+        for seed in (0, 1):
+            assert (self_bleu(texts, max_texts=25, seed=seed)
+                    == _pairwise_self_bleu(texts, max_texts=25, seed=seed))
+
 
 class TestWordEntropy:
     def test_single_type(self):
