@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 NOISE = -1
+# propagate_labels: relative gap below which the tree's two nearest count as
+# tied, and the float budget of one brute-force block over those queries
+_TIE_RTOL = 1e-9
+_TIE_BLOCK_VALUES = 1 << 20
 
 
 @dataclass
@@ -218,10 +222,18 @@ def dbscan(points, eps: float, min_pts: int) -> ClusterAssignment:
 
 
 def propagate_labels(sample_points, sample_labels, query_points,
-                     exclude_noise: bool = False, block: int = 2048) -> np.ndarray:
+                     exclude_noise: bool = False) -> np.ndarray:
     """Assign each query point the label of its nearest labeled point
     (Euclidean). Exact ties go to the lowest label value. With
-    ``exclude_noise`` the noise-labeled reference points are dropped first."""
+    ``exclude_noise`` the noise-labeled reference points are dropped first.
+
+    A k-d tree over the references finds each query's two nearest. Its
+    distances may differ from the direct ``((q - r) ** 2).sum()`` by a few
+    ulps, so its nearest is taken only when the second lies more than a
+    relative 1e-9 farther. Every other query (on duplicate or equidistant
+    references) is labeled by that direct expression over all references, in
+    blocks of bounded size.
+    """
     sample_points = _as_points(sample_points)
     sample_labels = np.asarray(sample_labels)
     query_points = _as_points(query_points)
@@ -239,12 +251,19 @@ def propagate_labels(sample_points, sample_labels, query_points,
     order = np.argsort(sample_labels, kind="stable")
     ref = sample_points[order]
     ref_labels = sample_labels[order]
+    if ref.shape[0] == 1:
+        return np.full(query_points.shape[0], ref_labels[0])
 
-    out = np.empty(query_points.shape[0], dtype=ref_labels.dtype)
-    for start in range(0, query_points.shape[0], block):
-        chunk = query_points[start:start + block]
-        d2 = ((chunk[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-        out[start:start + block] = ref_labels[d2.argmin(axis=1)]
+    dist, idx = cKDTree(ref).query(query_points, k=2)
+    out = ref_labels[idx[:, 0]]
+    unsure = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1 + _TIE_RTOL))
+    # rows per block, so that a block's difference array holds at most
+    # _TIE_BLOCK_VALUES floats however many references there are
+    step = max(1, _TIE_BLOCK_VALUES // ref.size)
+    for start in range(0, unsure.size, step):
+        rows = unsure[start:start + step]
+        d2 = ((query_points[rows, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+        out[rows] = ref_labels[d2.argmin(axis=1)]
     return out
 
 
@@ -364,11 +383,9 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
 
     candidates = []
     for assign in assignments:
+        if np.all(assign.labels == NOISE):
+            continue
         for exclude_noise in cfg.propagation_variants:
-            if exclude_noise and np.all(assign.labels == NOISE):
-                continue
-            if not exclude_noise and np.all(assign.labels == NOISE):
-                continue
             full = propagate_labels(sample, assign.labels, points,
                                     exclude_noise=exclude_noise)
             variant = dict(assign.params, exclude_noise=exclude_noise,

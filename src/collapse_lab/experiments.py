@@ -9,7 +9,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +31,13 @@ __all__ = [
 KINDS = ("toy", "chain", "cluster-regression", "mixed-domain", "lean")
 FIGURE_KINDS = ("evolution", "interaction-absolute", "interaction-relative",
                 "lean-evolution", "lean-in-out", "lean-stacked")
+# keys each params section may set; a toy cell takes its ratio, a chain cell
+# its ratio and seed, from the grid
+_PARAM_KEYS = {
+    "toy": {f.name for f in fields(toy.ToyConfig)} - {"ratio"},
+    "chain": {f.name for f in fields(ChainConfig)} - {"ratio", "seed"},
+    "lean": {"mixture_size", "left_fractions"},
+}
 
 
 @dataclass
@@ -54,6 +61,13 @@ class ExperimentSpec:
         for path in (self.corpus_path, self.cluster_manifest):
             if path is not None and not os.path.exists(path):
                 raise InvalidConfigError(f"referenced file does not exist: {path}")
+        for section, allowed in _PARAM_KEYS.items():
+            given = self.params.get(section, {})
+            if not isinstance(given, dict):
+                raise InvalidConfigError(f"params.{section} must be an object")
+            unknown = sorted(set(given) - allowed)
+            if unknown:
+                raise InvalidConfigError(f"unknown params.{section} keys: {', '.join(unknown)}")
 
     def canonical(self) -> dict:
         return {
@@ -164,27 +178,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultStore:
     return store
 
 
-def _toy_config(spec: ExperimentSpec, ratio: float) -> toy.ToyConfig:
-    p = spec.params.get("toy", {})
-    return toy.ToyConfig(
-        ratio=ratio,
-        support_size=p.get("support_size", 1000),
-        steps=p.get("steps", 20),
-        runs=p.get("runs", 50),
-        bias_period=p.get("bias_period", 2),
-        bias_strength=p.get("bias_strength", 4.0),
-        overlap=p.get("overlap", True),
-        accumulate=p.get("accumulate", True),
-        seed=p.get("seed", 0),
-        generation_prior=p.get("generation_prior", False),
-    )
-
-
 def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
     traces = []
     rows = []
     for ratio in spec.ratios:
-        cfg = _toy_config(spec, ratio)
+        cfg = toy.ToyConfig(ratio=ratio, **spec.params.get("toy", {}))
         trace = toy.run_toy_chain(cfg)
         traces.append(trace)
         for run in range(cfg.runs):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collapse_lab.clustering import (
     NOISE,
@@ -57,6 +61,30 @@ def propagate_reference(sample_points, sample_labels, query_points, exclude_nois
         candidates = sample_labels[d == best]
         out.append(candidates.min())
     return np.array(out)
+
+
+# integer and half-integer coordinates: equal distances are exact, so ties,
+# duplicate references and queries on references are common
+_HALF = st.integers(-6, 6).map(lambda v: v / 2)
+_POINT = st.tuples(_HALF, _HALF)
+
+
+@st.composite
+def _propagation_fixture(draw):
+    refs = draw(st.lists(_POINT, min_size=1, max_size=30))
+    labels = draw(st.lists(st.integers(-1, 3), min_size=len(refs), max_size=len(refs)))
+    if draw(st.booleans()):  # noise everywhere but one reference
+        labels = [NOISE] * len(refs)
+        labels[draw(st.integers(0, len(refs) - 1))] = draw(st.integers(0, 3))
+    for i in draw(st.lists(st.integers(0, len(refs) - 1), max_size=4)):
+        # a duplicate reference under another label
+        refs.append(refs[i])
+        labels.append(labels[i] + draw(st.integers(1, 3)))
+    if all(lab == NOISE for lab in labels):
+        labels[0] = 0
+    queries = (draw(st.lists(_POINT, min_size=1, max_size=30))
+               + draw(st.lists(st.sampled_from(refs), max_size=10)))
+    return np.array(refs), np.array(labels), np.array(queries)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +257,40 @@ class TestPropagateLabels:
                 mine = propagate_labels(refs, labels, queries, exclude_noise=exclude)
                 ref_out = propagate_reference(refs, labels, queries, exclude)
                 assert np.array_equal(mine, ref_out)
+
+    @given(_propagation_fixture())
+    @example((np.array([[1.0, 1.0]]), np.array([2]), np.array([[1.0, 1.0], [3.0, -2.5]])))
+    @example((np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), np.array([3, 1, NOISE]),
+              np.array([[0.0, 0.0], [0.5, 0.0], [-1.0, 0.0]])))
+    @example((np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+              np.array([3, 2, NOISE, 1]), np.array([[0.0, 0.0], [0.5, 0.5]])))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_lattice_ties(self, fixture):
+        refs, labels, queries = fixture
+        for exclude in (False, True):
+            mine = propagate_labels(refs, labels, queries, exclude_noise=exclude)
+            assert np.array_equal(mine, propagate_reference(refs, labels, queries, exclude))
+
+    def test_paper_scale(self):
+        # 90k queries from 45k references, as in a suite on the paper's
+        # projection sample: the references are half of the queries, and a
+        # hundred of them are duplicated under another label
+        rng = np.random.default_rng(11)
+        refs = rng.normal(size=(45_000, 2))
+        labels = rng.integers(-1, 25, size=45_000)
+        dup = rng.choice(45_000, size=100, replace=False)
+        refs = np.vstack([refs, refs[dup]])
+        labels = np.concatenate([labels, labels[dup] + 1])
+        queries = np.vstack([refs[:45_000], rng.normal(size=(45_000, 2))])
+        tracemalloc.start()
+        try:
+            out = propagate_labels(refs, labels, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        rows = np.union1d(rng.choice(len(queries), size=300, replace=False), dup[:20])
+        assert np.array_equal(out[rows], propagate_reference(refs, labels, queries[rows], False))
 
 
 class TestMergeClusters:

@@ -63,6 +63,19 @@ class TestSpecLoading:
         with pytest.raises(InvalidConfigError):
             spec.validate()
 
+    @pytest.mark.parametrize("kind, section, unknown", [
+        ("toy", {"runs": 4, "stpes": 3}, "stpes"),
+        ("chain", {"generations": 2, "eval_sampel": 10, "seed": 3}, "eval_sampel, seed"),
+        ("lean", {"mixture_sise": 40}, "mixture_sise"),
+    ])
+    def test_unknown_param_keys_rejected(self, tmp_path, kind, section, unknown):
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40, lean_mix=True)
+        spec = ExperimentSpec(kind=kind, ratios=[0.5], seeds=[0], corpus_path=corpus,
+                              out_dir=str(tmp_path / "run"), params={kind: section})
+        with pytest.raises(InvalidConfigError, match=f"params.{kind} keys: {unknown}$"):
+            run_experiment(spec)
+        assert not (tmp_path / "run").exists()
+
 
 class TestToyExperiment:
     def test_grid_shape_and_determinism(self, tmp_path):
