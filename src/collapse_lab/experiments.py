@@ -179,26 +179,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultStore:
 
 
 def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
-    traces = []
-    rows = []
-    for ratio in spec.ratios:
-        cfg = toy.ToyConfig(ratio=ratio, **spec.params.get("toy", {}))
-        trace = toy.run_toy_chain(cfg)
-        traces.append(trace)
-        for run in range(cfg.runs):
-            for step in range(cfg.steps):
-                rows.append([run, step, float(ratio),
-                             float(trace.support_fraction[run, step]),
-                             float(trace.shannon_entropy[run, step])])
-    store.add_csv("toy_trace.csv",
-                  ["run", "step", "r", "support_fraction", "shannon_entropy"], rows)
-    agg = []
-    for trace in traces:
-        msf, mse = trace.mean_support_fraction, trace.mean_shannon_entropy
-        for step in range(trace.config.steps):
-            agg.append([float(trace.config.ratio), step, float(msf[step]), float(mse[step])])
-    store.add_csv("toy_aggregate.csv",
-                  ["r", "step", "mean_support_fraction", "mean_shannon_entropy"], agg)
+    traces = [toy.run_toy_chain(toy.ToyConfig(ratio=ratio, **spec.params.get("toy", {})))
+              for ratio in spec.ratios]
+    store.add_csv("toy_trace.csv", toy.TRACE_HEADER, toy.trace_rows(traces))
+    store.add_csv("toy_aggregate.csv", toy.AGGREGATE_HEADER, toy.aggregate_rows(traces))
 
 
 def _chain_config(spec: ExperimentSpec, ratio: float, seed: int) -> ChainConfig:

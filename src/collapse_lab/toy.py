@@ -5,16 +5,25 @@ refit on a mixture of its own samples and fresh draws from the true
 distribution, with the histogram multiplied by a bias vector (favoring indices
 divisible by ``bias_period``) before normalization. Diversity of the fitted
 distribution is tracked per step.
+
+The chain only ever looks at the histogram of its samples, so it draws counts
+rather than samples. ``Generator.choice(..., p=probs)`` maps ``rng.random(k)``
+through ``cdf.searchsorted(u, side="right")``; counting how many of the same
+uniforms, sorted, fall below each CDF value gives that histogram without
+building the draws, scattering them with ``np.bincount`` or re-concatenating
+the pool. The chain consumes exactly the random stream the sample-based loop
+did, so its traces (and the CSVs written from them) are bit-identical to it.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
+from .io import write_csv
 
 __all__ = [
     "DiscreteDistribution",
@@ -44,8 +53,15 @@ class DiscreteDistribution:
         if np.any(probs < 0):
             raise InvalidInputError("probabilities must be non-negative")
         total = probs.sum()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
             raise InvalidInputError(f"probabilities must sum to 1 (got {total!r})")
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative probabilities, built as ``Generator.choice`` builds them."""
+        cdf = self.probs.cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
     @property
     def support_size(self) -> int:
@@ -86,17 +102,37 @@ def fit_biased_histogram(
         raise InvalidInputError("bias_period must be a positive integer")
     if samples.min() < 0 or samples.max() > n:
         raise InvalidInputError(f"samples must lie in [0, {n}]")
-    counts = np.bincount(samples, minlength=n + 1).astype(float)
-    weighted = counts.copy()
+    return _biased_histogram(np.bincount(samples, minlength=n + 1), bias_period, bias_strength)
+
+
+def _biased_histogram(counts: np.ndarray, bias_period: int,
+                      bias_strength: float) -> DiscreteDistribution:
+    """Integer counts over {0..n} times the bias vector, renormalized."""
+    weighted = counts.astype(float)
     weighted[::bias_period] *= bias_strength
     return DiscreteDistribution(weighted / weighted.sum())
 
 
 def sample_discrete(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws from ``dist``; deterministic given the rng state."""
+    """n i.i.d. draws from ``dist``; deterministic given the rng state.
+
+    The same draws as ``rng.choice(dist.support_size, size=n, p=dist.probs)``,
+    leaving ``rng`` in the same state."""
     if n < 1:
         raise InvalidInputError("sample size must be >= 1")
-    return rng.choice(dist.support_size, size=n, p=dist.probs)
+    return dist.cdf.searchsorted(rng.random(n), side="right")
+
+
+def _draw_counts(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``np.bincount(sample_discrete(dist, n, rng), minlength=dist.support_size)``,
+    consuming the same random stream."""
+    u = rng.random(n)
+    # sorted keys keep searchsorted's branches predictable
+    u.sort()
+    below = u.searchsorted(dist.cdf, side="left")  # draws below each CDF value
+    counts = below.copy()
+    counts[1:] -= below[:-1]
+    return counts
 
 
 def discrete_diversity(x, support_size: int | None = None) -> dict:
@@ -158,10 +194,6 @@ class ToyConfig:
             raise InvalidConfigError("bias_strength must be > 0")
         if self.support_size < self.bias_period:
             raise InvalidConfigError("support_size must be >= bias_period")
-        if not self.overlap:
-            # the excluded set must leave something to sample
-            if self.support_size + 1 <= 1 and self.bias_period == 1:
-                raise InvalidConfigError("exclusion leaves an empty support")
 
 
 @dataclass
@@ -188,36 +220,40 @@ class ToyTrace:
         return float(final.mean()), float(se)
 
 
-def _run_single(cfg: ToyConfig, run_index: int) -> tuple[np.ndarray, np.ndarray]:
+def _run_single(cfg: ToyConfig, run_index: int,
+                true: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng([cfg.seed, run_index])
     n = cfg.support_size
-    true = make_true_distribution(n, None if cfg.overlap else cfg.bias_period)
+    period, strength = cfg.bias_period, cfg.bias_strength
 
     n_syn = int(np.floor(cfg.ratio * n))
     n_hum = n - n_syn
+    # the generation prior maps draw i to i - i % period
+    lattice = np.arange(0, n + 1, period)
 
     support = np.empty(cfg.steps)
     entropy = np.empty(cfg.steps)
 
-    draws = sample_discrete(true, n, rng)
-    pool = [draws]
-    model = fit_biased_histogram(draws, n, cfg.bias_period, cfg.bias_strength)
+    pool = _draw_counts(true, n, rng)
+    model = _biased_histogram(pool, period, strength)
     d = discrete_diversity(model)
     support[0], entropy[0] = d["support_fraction"], d["shannon_entropy"]
 
     for step in range(1, cfg.steps):
-        parts = []
+        new = np.zeros(n + 1, dtype=np.intp)
         if n_syn:
-            syn = sample_discrete(model, n_syn, rng)
+            syn = _draw_counts(model, n_syn, rng)
             if cfg.generation_prior:
-                syn = syn - (syn % cfg.bias_period)
-            parts.append(syn)
+                new[lattice] = np.add.reduceat(syn, lattice)
+            else:
+                new += syn
         if n_hum:
-            parts.append(sample_discrete(true, n_hum, rng))
-        new = np.concatenate(parts)
-        pool.append(new)
-        fit_data = np.concatenate(pool) if cfg.accumulate else new
-        model = fit_biased_histogram(fit_data, n, cfg.bias_period, cfg.bias_strength)
+            new += _draw_counts(true, n_hum, rng)
+        if cfg.accumulate:
+            pool += new
+        else:
+            pool = new
+        model = _biased_histogram(pool, period, strength)
         d = discrete_diversity(model)
         support[step], entropy[step] = d["support_fraction"], d["shannon_entropy"]
 
@@ -230,41 +266,48 @@ def run_toy_chain(cfg: ToyConfig) -> ToyTrace:
     floor(r*N) model draws plus the human remainder, over the accumulated
     union (accumulate) or the current step only (replace)."""
     cfg.validate()
+    true = make_true_distribution(cfg.support_size, None if cfg.overlap else cfg.bias_period)
     support = np.empty((cfg.runs, cfg.steps))
     entropy = np.empty((cfg.runs, cfg.steps))
     for run in range(cfg.runs):
-        support[run], entropy[run] = _run_single(cfg, run)
+        support[run], entropy[run] = _run_single(cfg, run, true)
     return ToyTrace(config=cfg, support_fraction=support, shannon_entropy=entropy)
+
+
+TRACE_HEADER = ["run", "step", "r", "support_fraction", "shannon_entropy"]
+AGGREGATE_HEADER = ["r", "step", "mean_support_fraction", "mean_shannon_entropy"]
+
+
+def trace_rows(traces: list[ToyTrace]) -> list[list]:
+    """One row per (ratio, run, step), in the order of ``TRACE_HEADER``."""
+    rows = []
+    for trace in traces:
+        ratio = float(trace.config.ratio)
+        support, entropy = trace.support_fraction.tolist(), trace.shannon_entropy.tolist()
+        for run in range(trace.config.runs):
+            for step in range(trace.config.steps):
+                rows.append([run, step, ratio, support[run][step], entropy[run][step]])
+    return rows
+
+
+def aggregate_rows(traces: list[ToyTrace]) -> list[list]:
+    """Run-averaged curves, one row per (ratio, step), in the order of
+    ``AGGREGATE_HEADER``."""
+    rows = []
+    for trace in traces:
+        ratio = float(trace.config.ratio)
+        support = trace.mean_support_fraction.tolist()
+        entropy = trace.mean_shannon_entropy.tolist()
+        for step in range(trace.config.steps):
+            rows.append([ratio, step, support[step], entropy[step]])
+    return rows
 
 
 def write_trace_csv(trace: ToyTrace, path) -> None:
     """One row per (run, step): run,step,r,support_fraction,shannon_entropy."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "step", "r", "support_fraction", "shannon_entropy"])
-        for run in range(trace.config.runs):
-            for step in range(trace.config.steps):
-                w.writerow([
-                    run,
-                    step,
-                    repr(trace.config.ratio),
-                    repr(float(trace.support_fraction[run, step])),
-                    repr(float(trace.shannon_entropy[run, step])),
-                ])
+    write_csv(path, TRACE_HEADER, trace_rows([trace]))
 
 
 def write_aggregate_csv(traces: list[ToyTrace], path) -> None:
     """Run-averaged curves, one row per (r, step)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "step", "mean_support_fraction", "mean_shannon_entropy"])
-        for trace in traces:
-            msf = trace.mean_support_fraction
-            mse = trace.mean_shannon_entropy
-            for step in range(trace.config.steps):
-                w.writerow([
-                    repr(trace.config.ratio),
-                    step,
-                    repr(float(msf[step])),
-                    repr(float(mse[step])),
-                ])
+    write_csv(path, AGGREGATE_HEADER, aggregate_rows(traces))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -94,6 +95,32 @@ class TestToyExperiment:
                (tmp_path / "run2" / "toy_trace.csv").read_bytes()
         assert (tmp_path / "run1" / "toy_aggregate.csv").read_bytes() == \
                (tmp_path / "run2" / "toy_aggregate.csv").read_bytes()
+
+    # sha256 of the CSVs the sample-based toy chain wrote; a change to the toy
+    # model's random stream or to its CSV rows shows up here
+    RECORDED = {
+        "plain": ({},
+                  "df1b687d362a67fbe690682db6af4afc419e20a162eb089ce2ad45fb1f6c1520",
+                  "766667ce25954782d101f10b27a46c791bb6cb41858d79491aad20275221b96b"),
+        "generation_prior": ({"generation_prior": True},
+                             "893631c8f8abbb678b37545bcd2bd877b63da6777366b449a8fb479f9fbd0701",
+                             "201e6035b8d130facd7de52eb0db59551d886b2d56c67295382d464bcf110555"),
+        "no_overlap": ({"overlap": False},
+                       "b53f499f1d57cffe2035f3235fc422a3f4075e407153464b7182aeccd996dcec",
+                       "cb97eba3d75a70de11584440f895a997b4766e488b3fcb825e96f639bc88a107"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_csv_bytes_match_recorded_digests(self, tmp_path, name):
+        extra, trace_sha, aggregate_sha = self.RECORDED[name]
+        spec = ExperimentSpec(kind="toy", seeds=[0], out_dir=str(tmp_path),
+                              params={"toy": {"runs": 3, "steps": 5, "support_size": 200,
+                                              **extra}})
+        assert len(spec.ratios) == 7
+        run_experiment(spec)
+        digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                   for f in ("toy_trace.csv", "toy_aggregate.csv")]
+        assert digests == [trace_sha, aggregate_sha]
 
 
 class TestChainExperiment:

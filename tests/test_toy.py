@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from collapse_lab.errors import InvalidConfigError, InvalidInputError
@@ -23,6 +23,10 @@ class TestDiscreteDistribution:
     def test_rejects_bad_total(self):
         with pytest.raises(InvalidInputError):
             DiscreteDistribution(np.array([0.5, 0.4]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidInputError):
+            DiscreteDistribution(np.array([np.nan, 1.0]))
 
     def test_accepts_valid(self):
         d = DiscreteDistribution(np.array([0.25, 0.75]))
@@ -100,6 +104,20 @@ class TestSampleDiscrete:
         with pytest.raises(InvalidInputError):
             sample_discrete(make_true_distribution(3), 0, np.random.default_rng(0))
 
+    @given(st.lists(st.sampled_from([0.0, 0.0, 1e-12, 0.1, 1.0, 3.0, 7.5]), min_size=1,
+                    max_size=30).filter(lambda w: sum(w) > 0),
+           st.integers(1, 500), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_rng_choice(self, weights, n, seed):
+        w = np.array(weights)
+        dist = DiscreteDistribution(w / w.sum())
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_discrete(dist, n, ours)
+        want = theirs.choice(dist.support_size, size=n, p=dist.probs)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
 
 class TestDiscreteDiversity:
     def test_point_mass(self):
@@ -174,9 +192,82 @@ class TestRunToyChain:
         with pytest.raises(InvalidConfigError):
             run_toy_chain(ToyConfig(ratio=0.5, support_size=1, bias_period=2))
 
+    def test_exclusion_leaving_no_support_rejected(self):
+        # every index is divisible by 1, so the true distribution has no mass
+        with pytest.raises(InvalidConfigError, match="empty support"):
+            run_toy_chain(ToyConfig(ratio=0.5, support_size=50, bias_period=1, overlap=False))
+
+
+def _reference_single(cfg: ToyConfig, run_index: int):
+    """The sample-based chain: draws with ``rng.choice``, concatenates the
+    pool and refits its histogram each step."""
+    def fit(samples):
+        counts = np.bincount(samples, minlength=n + 1).astype(float)
+        weighted = counts.copy()
+        weighted[::cfg.bias_period] *= cfg.bias_strength
+        return DiscreteDistribution(weighted / weighted.sum())
+
+    def sample(dist, k):
+        return rng.choice(dist.support_size, size=k, p=dist.probs)
+
+    rng = np.random.default_rng([cfg.seed, run_index])
+    n = cfg.support_size
+    true = make_true_distribution(n, None if cfg.overlap else cfg.bias_period)
+
+    n_syn = int(np.floor(cfg.ratio * n))
+    n_hum = n - n_syn
+
+    support = np.empty(cfg.steps)
+    entropy = np.empty(cfg.steps)
+
+    draws = sample(true, n)
+    pool = [draws]
+    model = fit(draws)
+    d = discrete_diversity(model)
+    support[0], entropy[0] = d["support_fraction"], d["shannon_entropy"]
+
+    for step in range(1, cfg.steps):
+        parts = []
+        if n_syn:
+            syn = sample(model, n_syn)
+            if cfg.generation_prior:
+                syn = syn - (syn % cfg.bias_period)
+            parts.append(syn)
+        if n_hum:
+            parts.append(sample(true, n_hum))
+        new = np.concatenate(parts)
+        pool.append(new)
+        fit_data = np.concatenate(pool) if cfg.accumulate else new
+        model = fit(fit_data)
+        d = discrete_diversity(model)
+        support[step], entropy[step] = d["support_fraction"], d["shannon_entropy"]
+
+    return support, entropy
+
+
+class TestRunToyChainOracle:
+    @given(ratio=st.one_of(st.sampled_from([0.0, 1 / 16, 1 / 2, 15 / 16, 1.0]),
+                           st.floats(0.0, 1.0)),
+           support_size=st.sampled_from([7, 100]),
+           bias_period=st.sampled_from([1, 2, 3]),
+           bias_strength=st.sampled_from([0.5, 4.0]),
+           overlap=st.booleans(), accumulate=st.booleans(),
+           generation_prior=st.booleans(),
+           steps=st.integers(1, 6), runs=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sample_based_chain(self, **params):
+        cfg = ToyConfig(**params)
+        assume(cfg.overlap or cfg.bias_period > 1)
+        trace = run_toy_chain(cfg)
+        for run in range(cfg.runs):
+            support, entropy = _reference_single(cfg, run)
+            assert np.array_equal(trace.support_fraction[run], support)
+            assert np.array_equal(trace.shannon_entropy[run], entropy)
+
 
 class TestCsvEmission:
     def test_trace_csv_rows(self, tmp_path):
+        from collapse_lab.experiments import ExperimentSpec, run_experiment
         from collapse_lab.toy import write_aggregate_csv, write_trace_csv
 
         cfg = ToyConfig(ratio=0.25, support_size=100, steps=4, runs=3, seed=0)
@@ -191,3 +282,10 @@ class TestCsvEmission:
         write_aggregate_csv([trace], agg_path)
         lines = agg_path.read_text().strip().splitlines()
         assert len(lines) == 1 + cfg.steps
+
+        # the experiment runner writes the same rows
+        run_experiment(ExperimentSpec(
+            kind="toy", ratios=[cfg.ratio], seeds=[0], out_dir=str(tmp_path / "run"),
+            params={"toy": {"support_size": 100, "steps": 4, "runs": 3, "seed": 0}}))
+        assert (tmp_path / "run" / "toy_trace.csv").read_bytes() == trace_path.read_bytes()
+        assert (tmp_path / "run" / "toy_aggregate.csv").read_bytes() == agg_path.read_bytes()
