@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import clustering, metrics, regression
-from .experiments import ResultStore, emit_plot_data, load_spec, run_experiment
+from .experiments import FIGURE_KINDS, ResultStore, emit_plot_data, load_spec, run_experiment
 from .io import read_embeddings, read_records_jsonl, write_csv
 from .judge import JudgeConfig, annotate_lean, annotate_quality
 
@@ -32,7 +32,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(kind, help=f"run a {kind} experiment from a config file")
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
         if kind == "chain":
             p.add_argument("--ratio", type=float, default=None,
                            help="override the config's ratio list with one value")
@@ -68,9 +67,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("emit", help="emit plot data from a result directory")
     p.add_argument("--results", required=True)
-    p.add_argument("--figure", required=True,
-                   choices=["evolution", "interaction-absolute", "interaction-relative",
-                            "lean-evolution", "lean-in-out", "lean-stacked"])
+    p.add_argument("--figure", required=True, choices=FIGURE_KINDS)
     p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
@@ -89,7 +86,7 @@ def _dispatch(args) -> int:
                 spec.seeds = list(args.seeds)
             if args.generator is not None:
                 spec.params.setdefault("chain", {})["generator_kinds"] = [args.generator]
-        store = run_experiment(spec, jobs=args.jobs)
+        store = run_experiment(spec)
         print(f"results in {store.out_dir}")
         return 0
 

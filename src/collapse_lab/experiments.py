@@ -8,7 +8,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -28,9 +27,8 @@ __all__ = [
     "emit_plot_data",
 ]
 
-KINDS = ("toy", "chain", "cluster-regression", "mixed-domain", "lean")
-FIGURE_KINDS = ("evolution", "interaction-absolute", "interaction-relative",
-                "lean-evolution", "lean-in-out", "lean-stacked")
+KINDS = ("toy", "chain", "cluster-regression", "lean")
+FIGURE_KINDS = ("evolution", "interaction-absolute", "interaction-relative", "lean-stacked")
 # keys each params section may set; a toy cell takes its ratio, a chain cell
 # its ratio and seed, from the grid
 _PARAM_KEYS = {
@@ -38,6 +36,9 @@ _PARAM_KEYS = {
     "chain": {f.name for f in fields(ChainConfig)} - {"ratio", "seed"},
     "lean": {"mixture_size", "left_fractions"},
 }
+# ChainConfig's default without self_bleu: summary.csv stays byte-identical for
+# grid specs that leave eval_metrics unset, while a lone ChainConfig keeps self_bleu
+_GRID_EVAL_METRICS = ("distinct_count", "word_entropy", "type_token_ratio", "avg_text_length")
 
 
 @dataclass
@@ -61,6 +62,11 @@ class ExperimentSpec:
         for path in (self.corpus_path, self.cluster_manifest):
             if path is not None and not os.path.exists(path):
                 raise InvalidConfigError(f"referenced file does not exist: {path}")
+        if not isinstance(self.params, dict):
+            raise InvalidConfigError("params must be an object")
+        unknown = sorted(set(self.params) - set(_PARAM_KEYS))
+        if unknown:
+            raise InvalidConfigError(f"unknown params sections: {', '.join(unknown)}")
         for section, allowed in _PARAM_KEYS.items():
             given = self.params.get(section, {})
             if not isinstance(given, dict):
@@ -88,17 +94,15 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 def load_spec(path) -> ExperimentSpec:
     """Load a spec from a JSON config file. A top-level "include" list of
-    paths is merged first (later includes win), then the body's own keys."""
+    paths is merged first (later includes win), then the body's own keys. Any
+    other key than an ExperimentSpec field raises InvalidConfigError."""
     merged = _load_with_includes(path, seen=set())
-    known = {"kind", "ratios", "seeds", "out_dir", "corpus_path", "cluster_manifest", "params"}
-    extra = {k: v for k, v in merged.items() if k not in known}
-    kwargs = {k: v for k, v in merged.items() if k in known}
-    if extra:
-        kwargs.setdefault("params", {})
-        kwargs["params"] = {**extra, **kwargs["params"]}
-    if "kind" not in kwargs:
+    unknown = sorted(set(merged) - {f.name for f in fields(ExperimentSpec)})
+    if unknown:
+        raise InvalidConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    if "kind" not in merged:
         raise InvalidConfigError(f"{path}: config lacks an experiment kind")
-    spec = ExperimentSpec(**kwargs)
+    spec = ExperimentSpec(**merged)
     spec.validate()
     return spec
 
@@ -160,7 +164,7 @@ def _code_version() -> str:
 # runners
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultStore:
+def run_experiment(spec: ExperimentSpec) -> ResultStore:
     """Execute a spec's full grid. Per-cell failures are recorded without
     aborting the rest of the grid."""
     spec.validate()
@@ -169,11 +173,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultStore:
     if spec.kind == "toy":
         _run_toy(spec, store, failures)
     elif spec.kind == "chain":
-        _run_chain_grid(spec, store, failures, jobs)
+        _run_chain_grid(spec, store, failures)
     elif spec.kind == "lean":
         _run_lean(spec, store, failures)
     else:
-        _run_cluster_grid(spec, store, failures, jobs)
+        _run_cluster_grid(spec, store, failures)
     store.write_manifest(spec, failures)
     return store
 
@@ -186,22 +190,9 @@ def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
 
 
 def _chain_config(spec: ExperimentSpec, ratio: float, seed: int) -> ChainConfig:
-    p = spec.params.get("chain", {})
-    return ChainConfig(
-        ratio=ratio,
-        generations=p.get("generations", 20),
-        initial_human=p.get("initial_human", 8000),
-        per_gen_total=p.get("per_gen_total", 4000),
-        eval_sample=p.get("eval_sample", 250),
-        models_per_generation=p.get("models_per_generation", 1),
-        generator_kinds=tuple(p.get("generator_kinds", ("resampler",))),
-        rotation=p.get("rotation", "mixed"),
-        domains=tuple(p.get("domains", (None,))),
-        seed=seed,
-        eval_metrics=tuple(p.get("eval_metrics",
-                                 ("distinct_count", "word_entropy",
-                                  "type_token_ratio", "avg_text_length"))),
-    )
+    p = {k: tuple(v) if isinstance(v, list) else v
+         for k, v in spec.params.get("chain", {}).items()}
+    return ChainConfig(ratio=ratio, seed=seed, **{"eval_metrics": _GRID_EVAL_METRICS, **p})
 
 
 def _chain_cell(spec: ExperimentSpec, records, ratio: float, seed: int):
@@ -229,31 +220,21 @@ def _chain_cell(spec: ExperimentSpec, records, ratio: float, seed: int):
     return trace, rows, trace_lines
 
 
-def _run_chain_grid(spec: ExperimentSpec, store: ResultStore, failures: list,
-                    jobs: int) -> None:
+def _run_chain_grid(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
     if not spec.corpus_path:
         raise InvalidConfigError("chain experiments need corpus_path")
     records = read_records_jsonl(spec.corpus_path)
-    cells = [(r, s) for r in spec.ratios for s in spec.seeds]
-
-    def cell(args):
-        ratio, seed = args
-        try:
-            return args, _chain_cell(spec, records, ratio, seed), None
-        except Exception as exc:  # cell isolation by contract
-            return args, None, f"{type(exc).__name__}: {exc}"
-
-    results = _pool_map(cell, cells, jobs)
 
     summary = []
     relative_rows = []
     all_trace_lines = []
-    for args, payload, error in results:
-        ratio, seed = args
-        if error is not None:
-            failures.append({"cell": {"ratio": ratio, "seed": seed}, "error": error})
+    for ratio, seed in [(r, s) for r in spec.ratios for s in spec.seeds]:
+        try:
+            trace, rows, trace_lines = _chain_cell(spec, records, ratio, seed)
+        except Exception as exc:  # cell isolation by contract
+            failures.append({"cell": {"ratio": ratio, "seed": seed},
+                             "error": f"{type(exc).__name__}: {exc}"})
             continue
-        trace, rows, trace_lines = payload
         summary.extend(rows)
         all_trace_lines.extend(trace_lines)
         try:
@@ -315,10 +296,9 @@ def _run_lean(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
     store.add_csv("lean_mixtures.csv", header, rows)
 
 
-def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list,
-                      jobs: int) -> None:
-    """cluster-regression / mixed-domain: run chains per (cluster, ratio, seed)
-    and emit the observations table for the regression layer."""
+def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
+    """Run chains per (cluster, ratio, seed) and emit the observations table
+    for the regression layer."""
     from .metrics import (avg_text_length, self_bleu, type_token_ratio,
                           word_entropy)
 
@@ -332,14 +312,12 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list,
              for s in spec.seeds]
     by_id = {c["cluster_id"]: c for c in clusters}
 
-    def cell(args):
-        cluster_id, ratio, seed = args
+    rows = []
+    for cluster_id, ratio, seed in cells:
         try:
-            cluster = by_id[cluster_id]
-            members = [records[i] for i in cluster["record_indices"]]
-            cfg = _chain_config(spec, ratio, seed)
-            corpus = HumanCorpus(members, seed=seed)
-            trace = run_chain(cfg, corpus, default_factory)
+            members = [records[i] for i in by_id[cluster_id]["record_indices"]]
+            trace = run_chain(_chain_config(spec, ratio, seed),
+                              HumanCorpus(members, seed=seed), default_factory)
             rel = relative_metrics(trace)
             texts = [m.text for m in members]
             props = {
@@ -348,19 +326,10 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list,
                 "type_token_ratio": type_token_ratio(texts),
                 "text_length": avg_text_length(texts),
             }
-            return args, (props, rel), None
-        except Exception as exc:
-            return args, None, f"{type(exc).__name__}: {exc}"
-
-    results = _pool_map(cell, cells, jobs)
-    rows = []
-    for args, payload, error in results:
-        cluster_id, ratio, seed = args
-        if error is not None:
+        except Exception as exc:  # cell isolation by contract
             failures.append({"cell": {"cluster_id": cluster_id, "ratio": ratio,
-                                      "seed": seed}, "error": error})
+                                      "seed": seed}, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        props, rel = payload
         domain_rel = rel.get(None) or next(iter(rel.values()))
         rows.append([cluster_id, float(ratio), seed,
                      props["lexical_diversity"], props["word_entropy"],
@@ -376,13 +345,6 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list,
 
 def _or_blank(v):
     return "" if v is None else float(v)
-
-
-def _pool_map(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -415,28 +377,17 @@ def emit_plot_data(store: ResultStore, figure_kind: str, out_path=None) -> str:
         write_csv(out_path, ["ratio", "seed", "metric", "value"],
                   [[float(r["ratio"]), r["seed"], r["metric"],
                     float(r["value"]) if r["value"] != "" else ""] for r in rows])
-    elif figure_kind in ("lean-evolution", "lean-stacked", "lean-in-out"):
+    else:
         rows = _read_csv(store.path("lean_mixtures.csv"))
-        if figure_kind == "lean-in-out":
-            _require_columns(rows, ["left_fraction", "mean_lean", "seed"])
-            write_csv(out_path, ["initial_lean", "final_lean", "seed"],
-                      [[float(r["left_fraction"]), float(r["mean_lean"]), r["seed"]]
-                       for r in rows if r["mean_lean"] != ""])
-        elif figure_kind == "lean-evolution":
-            _require_columns(rows, ["left_fraction", "seed", "mean_lean"])
-            write_csv(out_path, ["left_fraction", "seed", "mean_lean"],
-                      [[float(r["left_fraction"]), r["seed"], float(r["mean_lean"])]
-                       for r in rows if r["mean_lean"] != ""])
-        else:
-            _require_columns(rows, ["left_fraction", "neutral_fraction",
-                                    "non_political_fraction"] + [f"bin_{i}" for i in range(8)])
-            write_csv(out_path,
-                      ["left_fraction", "seed"] + [f"bin_{i}" for i in range(8)]
-                      + ["neutral_fraction", "non_political_fraction"],
-                      [[float(r["left_fraction"]), r["seed"]]
-                       + [float(r[f"bin_{i}"]) for i in range(8)]
-                       + [float(r["neutral_fraction"]), float(r["non_political_fraction"])]
-                       for r in rows])
+        _require_columns(rows, ["left_fraction", "neutral_fraction",
+                                "non_political_fraction"] + [f"bin_{i}" for i in range(8)])
+        write_csv(out_path,
+                  ["left_fraction", "seed"] + [f"bin_{i}" for i in range(8)]
+                  + ["neutral_fraction", "non_political_fraction"],
+                  [[float(r["left_fraction"]), r["seed"]]
+                   + [float(r[f"bin_{i}"]) for i in range(8)]
+                   + [float(r["neutral_fraction"]), float(r["non_political_fraction"])]
+                   for r in rows])
     return out_path
 
 

@@ -4,14 +4,12 @@ adapter for remote text-generation endpoints.
 
 from __future__ import annotations
 
-import json
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, ProtocolError, TransportError
+from .judge import post_json
 
 __all__ = [
     "GeneratorModel",
@@ -112,12 +110,12 @@ class ExternalGenerator(GeneratorModel):
     response {"texts": [...]} with exactly the requested count.
 
     ``transport(url, payload, timeout) -> dict`` may be injected for testing;
-    the default posts over HTTP.
+    the default posts over HTTP with ``judge.post_json``.
     """
 
     def __init__(self, cfg: GeneratorEndpointConfig, transport=None):
         self._cfg = cfg
-        self._transport = transport or _http_transport
+        self._transport = transport or post_json
 
     def train(self, records) -> None:  # remote backends manage their own state
         return None
@@ -139,8 +137,10 @@ class ExternalGenerator(GeneratorModel):
             }
             try:
                 response = self._transport(cfg.endpoint, payload, cfg.timeout)
-            except (OSError, urllib.error.URLError) as exc:
+            except OSError as exc:
                 raise TransportError(f"generation request failed: {exc}") from exc
+            except ValueError as exc:  # a body that is not JSON
+                raise ProtocolError(f"endpoint returned a malformed body: {exc}") from exc
             texts = response.get("texts") if isinstance(response, dict) else None
             if not isinstance(texts, list) or len(texts) != count \
                     or not all(isinstance(t, str) for t in texts):
@@ -149,14 +149,6 @@ class ExternalGenerator(GeneratorModel):
             out.extend(texts)
             remaining -= count
         return out
-
-
-def _http_transport(url: str, payload: dict, timeout: float) -> dict:
-    data = json.dumps(payload).encode()
-    req = urllib.request.Request(url, data=data,
-                                 headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        return json.loads(resp.read().decode())
 
 
 def default_factory(kind: str, seed: int) -> GeneratorModel:

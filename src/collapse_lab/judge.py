@@ -173,13 +173,20 @@ class _Cache:
                 self._torn_at, self._lead = None, ""
 
 
-def _default_transport(url: str, payload: dict, timeout: float, token: str | None) -> str:
+def post_json(url: str, payload: dict, timeout: float, token: str | None = None):
+    """POST ``payload`` as JSON and return the parsed response body, sending a
+    bearer header only when ``token`` is given. A failed request raises
+    OSError; a body that is not JSON raises ValueError."""
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
     req = urllib.request.Request(url, data=json.dumps(payload).encode(), headers=headers)
     with urllib.request.urlopen(req, timeout=timeout) as resp:
-        body = json.loads(resp.read().decode())
+        return json.loads(resp.read().decode())
+
+
+def _default_transport(url: str, payload: dict, timeout: float, token: str | None) -> str:
+    body = post_json(url, payload, timeout, token)
     if isinstance(body, dict):
         if isinstance(body.get("text"), str):
             return body["text"]

@@ -1,3 +1,7 @@
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
 import numpy as np
 import pytest
 
@@ -300,6 +304,36 @@ class TestExternalGenerator:
         ExternalGenerator(cfg, transport=transport).generate(1)
         assert seen["temperature"] == 1.5
         assert seen["min_p"] == 0.2
+
+    def test_default_transport_against_local_server(self):
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                if payload["domain"] == "html":
+                    out = b"<html>busy</html>"
+                else:
+                    out = json.dumps({"texts": [f"t{i}" for i in range(payload["n"])]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(out)))
+                self.end_headers()
+                self.wfile.write(out)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            cfg = GeneratorEndpointConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}",
+                                          model="m", batch_size=2)
+            gen = ExternalGenerator(cfg)
+            assert gen.generate(3, domain="news") == ["t0", "t1", "t0"]
+            with pytest.raises(ProtocolError):
+                gen.generate(1, domain="html")
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 class TestMixedClusterAndPartition:

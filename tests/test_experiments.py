@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,26 @@ def write_corpus(path, n=400, lean_mix=False):
     return path
 
 
+def write_word_corpus(path, n):
+    rng = np.random.default_rng(1)
+    words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
+    write_records_jsonl([TextRecord(text=" ".join(rng.choice(words, size=8)) + f" item {i}")
+                         for i in range(n)], path)
+    return path
+
+
+def write_cluster_grid(tmp_path):
+    """A 300-text word corpus split into two 150-text clusters."""
+    corpus_path = write_word_corpus(str(tmp_path / "corpus.jsonl"), n=300)
+    manifest_path = str(tmp_path / "clusters.jsonl")
+    with open(manifest_path, "w") as fh:
+        for cid in range(2):
+            idx = list(range(cid * 150, (cid + 1) * 150))
+            fh.write(json.dumps({"cluster_id": cid, "method": "kmeans",
+                                 "params": {}, "record_indices": idx}) + "\n")
+    return corpus_path, manifest_path
+
+
 class TestSpecLoading:
     def test_hash_invariant_to_key_order(self, tmp_path):
         a = tmp_path / "a.json"
@@ -55,9 +76,22 @@ class TestSpecLoading:
 
     def test_unknown_kind_rejected(self, tmp_path):
         f = tmp_path / "bad.json"
-        f.write_text(json.dumps({"kind": "nope"}))
-        with pytest.raises(InvalidConfigError):
-            load_spec(f)
+        for kind in ("nope", "mixed-domain"):
+            f.write_text(json.dumps({"kind": kind, "out_dir": str(tmp_path / "run")}))
+            with pytest.raises(InvalidConfigError, match=f"unknown experiment kind '{kind}'"):
+                run_experiment(load_spec(f))
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ({"ratio": [0.5]}, "unknown config keys: ratio$"),
+        ({"params": {"toy": {"runs": 4}, "tyo": {"runs": 4}}}, "unknown params sections: tyo$"),
+    ])
+    def test_unknown_spec_keys_rejected(self, tmp_path, body, message):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"kind": "toy", "out_dir": str(tmp_path / "run"), **body}))
+        with pytest.raises(InvalidConfigError, match=message):
+            run_experiment(load_spec(f))
+        assert not (tmp_path / "run").exists()
 
     def test_missing_reference_rejected(self, tmp_path):
         spec = ExperimentSpec(kind="chain", corpus_path=str(tmp_path / "absent.jsonl"))
@@ -170,10 +204,10 @@ class TestChainExperiment:
         spec = self._spec(tmp_path, out="c4")
         store = run_experiment(spec)
         path = emit_plot_data(store, "evolution")
-        header = open(path).readline().strip()
+        header = Path(path).read_text().splitlines()[0]
         assert header == "generation,ratio,seed,metric,value"
         path = emit_plot_data(store, "interaction-relative")
-        assert open(path).readline().strip() == "ratio,seed,metric,value"
+        assert Path(path).read_text().splitlines()[0] == "ratio,seed,metric,value"
 
     def test_emit_missing_artifact(self, tmp_path):
         store = ResultStore(str(tmp_path / "empty"))
@@ -191,10 +225,8 @@ class TestLeanExperiment:
         rows = (tmp_path / "lean_run" / "lean_mixtures.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 5 * 2  # fractions x seeds
         store = ResultStore(str(tmp_path / "lean_run"))
-        path = emit_plot_data(store, "lean-in-out")
-        assert open(path).readline().strip() == "initial_lean,final_lean,seed"
         path = emit_plot_data(store, "lean-stacked")
-        assert "bin_0" in open(path).readline()
+        assert "bin_0" in Path(path).read_text().splitlines()[0]
 
 
 class TestEmbeddingIo:
@@ -228,22 +260,7 @@ class TestEmbeddingIo:
 
 class TestClusterRegressionExperiment:
     def test_observations_csv(self, tmp_path):
-        corpus_path = str(tmp_path / "corpus.jsonl")
-        rng = np.random.default_rng(1)
-        words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
-        records = []
-        for i in range(300):
-            text = " ".join(rng.choice(words, size=8)) + f" item {i}"
-            records.append(TextRecord(text=text))
-        write_records_jsonl(records, corpus_path)
-
-        manifest_path = str(tmp_path / "clusters.jsonl")
-        with open(manifest_path, "w") as fh:
-            for cid in range(2):
-                idx = list(range(cid * 150, (cid + 1) * 150))
-                fh.write(json.dumps({"cluster_id": cid, "method": "kmeans",
-                                     "params": {}, "record_indices": idx}) + "\n")
-
+        corpus_path, manifest_path = write_cluster_grid(tmp_path)
         spec = ExperimentSpec(
             kind="cluster-regression", ratios=[0.5], seeds=[0],
             out_dir=str(tmp_path / "cr"), corpus_path=corpus_path,
@@ -255,3 +272,35 @@ class TestClusterRegressionExperiment:
         rows = (tmp_path / "cr" / "observations.csv").read_text().strip().splitlines()
         assert rows[0].startswith("cluster_id,ratio,seed,lexical_diversity")
         assert len(rows) == 1 + 2  # clusters x ratios x seeds
+
+
+class TestGridArtifactBytes:
+    """Neither spec sets eval_metrics, so these digests pin the grid's default
+    evaluation metrics and every other ChainConfig default a grid cell takes."""
+
+    CHAIN = {"summary.csv": "0c3f440c9a0edeb4ce7455de3c2a9930143ed4d010a0990fad3488b44ab804de",
+             "relative.csv": "ff2c67b853dd40070bcc9304ebaf5086b0e878360f1cd759042dce7b5cf41378",
+             "trace.jsonl": "8e93e5a362d0456fda8f246a95e203ac845b33684377d1e41cd8951456f70e24"}
+    OBSERVATIONS = "312b85d86d59819274841c0c4f3693b8bcb07068a503a80768376d1e372f6557"
+
+    def test_chain_grid(self, tmp_path):
+        spec = ExperimentSpec(
+            kind="chain", ratios=[0.0, 0.5, 1.0], seeds=[0, 1], out_dir=str(tmp_path / "run"),
+            corpus_path=write_word_corpus(str(tmp_path / "corpus.jsonl"), n=300),
+            params={"chain": {"generations": 3, "initial_human": 60,
+                              "per_gen_total": 30, "eval_sample": 10}})
+        run_experiment(spec)
+        assert {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+                for name in self.CHAIN} == self.CHAIN
+
+    def test_cluster_regression_grid(self, tmp_path):
+        corpus_path, manifest_path = write_cluster_grid(tmp_path)
+        spec = ExperimentSpec(
+            kind="cluster-regression", ratios=[0.25, 0.5], seeds=[0, 1],
+            out_dir=str(tmp_path / "run"), corpus_path=corpus_path,
+            cluster_manifest=manifest_path,
+            params={"chain": {"generations": 2, "initial_human": 40,
+                              "per_gen_total": 20, "eval_sample": 5}})
+        run_experiment(spec)
+        observations = (tmp_path / "run" / "observations.csv").read_bytes()
+        assert hashlib.sha256(observations).hexdigest() == self.OBSERVATIONS

@@ -250,6 +250,7 @@ class TestDefaultTransportHttp:
             assert result.scores == [77]
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_malformed_bodies_become_failures(self):
         bodies = {"post-html": b"<html>busy</html>", "post-empty": b'{"choices": []}',
