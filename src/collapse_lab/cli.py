@@ -17,10 +17,12 @@ import numpy as np
 
 from . import clustering, metrics, regression
 from .experiments import FIGURE_KINDS, ResultStore, emit_plot_data, load_spec, run_experiment
-from .io import read_embeddings, read_records_jsonl, write_csv
+from .io import read_csv, read_embeddings, read_records_jsonl, write_csv, write_jsonl
 from .judge import JudgeConfig, annotate_lean, annotate_quality
 
 ENV_TOKEN = "COLLAPSE_LAB_JUDGE_TOKEN"
+# observation columns that name a cell rather than measure it
+_IDENTIFIERS = ("cluster_id", "dataset", "domain", "ratio", "seed")
 
 
 def main(argv=None) -> int:
@@ -30,6 +32,7 @@ def main(argv=None) -> int:
 
     for kind in ("toy", "chain", "lean"):
         p = sub.add_parser(kind, help=f"run a {kind} experiment from a config file")
+        p.set_defaults(func=_cmd_run, ratio=None, seeds=None, generator=None)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         if kind == "chain":
@@ -39,12 +42,14 @@ def main(argv=None) -> int:
             p.add_argument("--generator", default=None)
 
     p = sub.add_parser("metrics", help="compute the metric suite over a JSONL batch")
+    p.set_defaults(func=_cmd_metrics)
     p.add_argument("--records", required=True)
     p.add_argument("--embeddings", default=None)
     p.add_argument("--knn-k", type=int, default=50)
     p.add_argument("--out", default="metrics.csv")
 
     p = sub.add_parser("cluster", help="build the cluster suite from a 2-D projection")
+    p.set_defaults(func=_cmd_cluster)
     p.add_argument("--projection", required=True)
     p.add_argument("--records", required=True)
     p.add_argument("--out", default="clusters.jsonl")
@@ -52,12 +57,14 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("regress", help="grouped property-shift regressions over an observations CSV")
+    p.set_defaults(func=_cmd_regress)
     p.add_argument("--observations", required=True)
     p.add_argument("--grouping", default="all",
                    choices=["all", "per-dataset-per-ratio", "cross-domain-18"])
     p.add_argument("--out", default="regression.csv")
 
     p = sub.add_parser("annotate", help="judge-annotate texts for quality or lean")
+    p.set_defaults(func=_cmd_annotate)
     p.add_argument("--kind", required=True, choices=["quality", "lean"])
     p.add_argument("--records", required=True)
     p.add_argument("--endpoint", required=True)
@@ -66,44 +73,33 @@ def main(argv=None) -> int:
     p.add_argument("--out", default="annotations.jsonl")
 
     p = sub.add_parser("emit", help="emit plot data from a result directory")
+    p.set_defaults(func=_cmd_emit)
     p.add_argument("--results", required=True)
     p.add_argument("--figure", required=True, choices=FIGURE_KINDS)
     p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    return _dispatch(args)
+    return args.func(args)
 
 
-def _dispatch(args) -> int:
-    if args.command in ("toy", "chain", "lean"):
-        spec = load_spec(args.config)
-        if args.out:
-            spec.out_dir = args.out
-        if args.command == "chain":
-            if args.ratio is not None:
-                spec.ratios = [args.ratio]
-            if args.seeds is not None:
-                spec.seeds = list(args.seeds)
-            if args.generator is not None:
-                spec.params.setdefault("chain", {})["generator_kinds"] = [args.generator]
-        store = run_experiment(spec)
-        print(f"results in {store.out_dir}")
-        return 0
+def _cmd_run(args) -> int:
+    spec = load_spec(args.config)
+    if args.out:
+        spec.out_dir = args.out
+    if args.ratio is not None:
+        spec.ratios = [args.ratio]
+    if args.seeds is not None:
+        spec.seeds = list(args.seeds)
+    if args.generator is not None:
+        spec.params.setdefault("chain", {})["generator_kinds"] = [args.generator]
+    store = run_experiment(spec)
+    print(f"results in {store.out_dir}")
+    return 0
 
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "regress":
-        return _cmd_regress(args)
-    if args.command == "annotate":
-        return _cmd_annotate(args)
-    if args.command == "emit":
-        store = ResultStore(args.results)
-        path = emit_plot_data(store, args.figure, args.out)
-        print(path)
-        return 0
-    return 2
+
+def _cmd_emit(args) -> int:
+    print(emit_plot_data(ResultStore(args.results), args.figure, args.out))
+    return 0
 
 
 def _cmd_metrics(args) -> int:
@@ -159,23 +155,21 @@ def _cmd_cluster(args) -> int:
         return 2
     cfg = clustering.ClusterSuiteConfig(final_count=args.final_count, seed=args.seed)
     suite = clustering.build_cluster_suite(points, cfg)
-    with open(args.out, "w") as fh:
-        for spec in suite:
-            fh.write(json.dumps({
-                "cluster_id": spec["cluster_id"],
-                "method": spec["method"],
-                "params": spec["params"],
-                "record_indices": np.asarray(spec["record_indices"]).tolist(),
-            }, sort_keys=True) + "\n")
+    write_jsonl(args.out, [{"cluster_id": spec["cluster_id"], "method": spec["method"],
+                            "params": spec["params"],
+                            "record_indices": np.asarray(spec["record_indices"]).tolist()}
+                           for spec in suite])
     print(args.out)
     return 0
 
 
 def _cmd_regress(args) -> int:
-    import csv as _csv
-
-    with open(args.observations, newline="") as fh:
-        raw = list(_csv.DictReader(fh))
+    """Dependents are the rel_* columns and predictors every other column that
+    is not an identifier; a "<column>:<domain>" column counts as its column."""
+    raw = read_csv(args.observations)
+    if not raw:
+        print(f"{args.observations} has no observations", file=sys.stderr)
+        return 1
     observations = []
     for r in raw:
         obs = {}
@@ -189,8 +183,9 @@ def _cmd_regress(args) -> int:
                     obs[k] = v
         obs.setdefault("dataset", obs.get("domain", "all"))
         observations.append(obs)
-    dependents = tuple(k for k in ("rel_diversity", "rel_quality") if k in observations[0])
-    prop_keys = tuple(k for k in regression.PROPERTY_KEYS if k in observations[0])
+    columns = list(dict.fromkeys(k.split(":", 1)[0] for k in raw[0]))
+    dependents = tuple(k for k in columns if k.startswith("rel_"))
+    prop_keys = tuple(k for k in columns if k not in _IDENTIFIERS and k not in dependents)
     fits = regression.property_shift_regression(
         observations, grouping=args.grouping, dependents=dependents,
         property_keys=prop_keys)
@@ -211,7 +206,7 @@ def _cmd_regress(args) -> int:
                          "r_squared"], rows)
     print(regression.render_table(fits))
     print(args.out)
-    return 0
+    return 0 if rows else 1
 
 
 def _cmd_annotate(args) -> int:
@@ -220,14 +215,10 @@ def _cmd_annotate(args) -> int:
                       cache_path=args.cache, auth_token=os.environ.get(ENV_TOKEN))
     fn = annotate_quality if args.kind == "quality" else annotate_lean
     result = fn([r.text for r in records], cfg)
-    with open(args.out, "w") as fh:
-        for entry in result.entries:
-            if hasattr(entry, "score"):
-                fh.write(json.dumps({"text_hash": entry.text_hash, "kind": entry.kind,
-                                     "score": entry.score}, sort_keys=True) + "\n")
-            else:
-                fh.write(json.dumps({"text_hash": entry.text_hash, "kind": entry.kind,
-                                     "error": entry.error}, sort_keys=True) + "\n")
+    write_jsonl(args.out, [
+        {"text_hash": e.text_hash, "kind": e.kind,
+         **({"score": e.score} if hasattr(e, "score") else {"error": e.error})}
+        for e in result.entries])
     n_fail = len(result.failures)
     print(f"{len(result.annotations)} annotated, {n_fail} failed -> {args.out}")
     return 0 if n_fail == 0 else 1

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import toy
 from .chain import ChainConfig, HumanCorpus, relative_metrics, run_chain
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, InvalidTraceError
 from .generators import default_factory
-from .io import read_records_jsonl, write_csv
+from .io import read_csv, read_jsonl, read_records_jsonl, write_csv, write_jsonl
 
 __all__ = [
     "ExperimentSpec",
@@ -27,8 +27,9 @@ __all__ = [
     "emit_plot_data",
 ]
 
-KINDS = ("toy", "chain", "cluster-regression", "lean")
-FIGURE_KINDS = ("evolution", "interaction-absolute", "interaction-relative", "lean-stacked")
+# spec fields a kind reads its inputs from; validate checks them before any output
+_REQUIRED = {"chain": ("corpus_path",), "lean": ("corpus_path",),
+             "cluster-regression": ("corpus_path", "cluster_manifest")}
 # keys each params section may set; a toy cell takes its ratio, a chain cell
 # its ratio and seed, from the grid
 _PARAM_KEYS = {
@@ -39,6 +40,20 @@ _PARAM_KEYS = {
 # ChainConfig's default without self_bleu: summary.csv stays byte-identical for
 # grid specs that leave eval_metrics unset, while a lone ChainConfig keeps self_bleu
 _GRID_EVAL_METRICS = ("distinct_count", "word_entropy", "type_token_ratio", "avg_text_length")
+_BINS = [f"bin_{i}" for i in range(8)]
+# figure: (source artifact, columns, numeric columns, last generation only)
+_FIGURES = {
+    "evolution": ("summary.csv", ["generation", "ratio", "seed", "metric", "value"],
+                  {"ratio", "value"}, False),
+    "interaction-absolute": ("summary.csv", ["ratio", "seed", "metric", "value"],
+                             {"ratio", "value"}, True),
+    "interaction-relative": ("relative.csv", ["ratio", "seed", "metric", "value"],
+                             {"ratio", "value"}, False),
+    "lean-stacked": ("lean_mixtures.csv",
+                     ["left_fraction", "seed", *_BINS, "neutral_fraction", "non_political_fraction"],
+                     {"left_fraction", *_BINS, "neutral_fraction", "non_political_fraction"}, False),
+}
+FIGURE_KINDS = tuple(_FIGURES)
 
 
 @dataclass
@@ -54,6 +69,9 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise InvalidConfigError(f"unknown experiment kind {self.kind!r}")
+        missing = [name for name in _REQUIRED.get(self.kind, ()) if not getattr(self, name)]
+        if missing:
+            raise InvalidConfigError(f"{self.kind} experiments need {' and '.join(missing)}")
         for r in self.ratios:
             if not 0.0 <= r <= 1.0:
                 raise InvalidConfigError(f"ratio {r} outside [0, 1]")
@@ -112,12 +130,18 @@ def _load_with_includes(path, seen) -> dict:
     if real in seen:
         raise InvalidConfigError(f"circular include at {path}")
     seen.add(real)
-    with open(path) as fh:
-        body = json.load(fh)
+    try:
+        with open(path) as fh:
+            body = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InvalidConfigError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise InvalidConfigError(f"{path}: config must be a JSON object")
+    includes = body.pop("include", [])
+    if not (isinstance(includes, list) and all(isinstance(inc, str) for inc in includes)):
+        raise InvalidConfigError(f"{path}: include must be a list of paths")
     merged: dict = {}
-    for inc in body.pop("include", []):
+    for inc in includes:
         inc_path = inc if os.path.isabs(inc) else os.path.join(os.path.dirname(path), inc)
         merged.update(_load_with_includes(inc_path, seen))
     merged.update(body)
@@ -153,6 +177,12 @@ class ResultStore:
         self.artifacts[name] = path
         return path
 
+    def add_jsonl(self, name: str, rows) -> str:
+        path = self.path(name)
+        write_jsonl(path, rows)
+        self.artifacts[name] = path
+        return path
+
 
 def _code_version() -> str:
     from . import __version__
@@ -170,16 +200,22 @@ def run_experiment(spec: ExperimentSpec) -> ResultStore:
     spec.validate()
     store = ResultStore(spec.out_dir)
     failures: list = []
-    if spec.kind == "toy":
-        _run_toy(spec, store, failures)
-    elif spec.kind == "chain":
-        _run_chain_grid(spec, store, failures)
-    elif spec.kind == "lean":
-        _run_lean(spec, store, failures)
-    else:
-        _run_cluster_grid(spec, store, failures)
+    _RUNNERS[spec.kind](spec, store, failures)
     store.write_manifest(spec, failures)
     return store
+
+
+def _run_cells(cells: list[dict], run_cell, failures: list) -> list:
+    """Call ``run_cell(**cell)`` for each cell in order and return the
+    results of those that finish. A cell that raises is recorded in
+    ``failures`` and the grid goes on (cell isolation by contract)."""
+    results = []
+    for cell in cells:
+        try:
+            results.append(run_cell(**cell))
+        except Exception as exc:
+            failures.append({"cell": cell, "error": f"{type(exc).__name__}: {exc}"})
+    return results
 
 
 def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
@@ -195,65 +231,48 @@ def _chain_config(spec: ExperimentSpec, ratio: float, seed: int) -> ChainConfig:
     return ChainConfig(ratio=ratio, seed=seed, **{"eval_metrics": _GRID_EVAL_METRICS, **p})
 
 
-def _chain_cell(spec: ExperimentSpec, records, ratio: float, seed: int):
-    cfg = _chain_config(spec, ratio, seed)
-    corpus = HumanCorpus(records, seed=seed)
-    trace = run_chain(cfg, corpus, default_factory)
-    rows = []
-    trace_lines = []
-    for g, per_domain in enumerate(trace.reports):
-        for domain, report in per_domain.items():
-            domain_name = domain if domain is not None else ""
-            if report is None:
-                trace_lines.append({"seed": seed, "ratio": ratio, "generation": g,
-                                    "domain": domain_name, "skipped": True})
-                continue
-            trace_lines.append({
-                "seed": seed, "ratio": ratio, "generation": g,
-                "domain": domain_name, "kind": trace.kinds[g],
-                "sample_size": report.sample_size,
-                "metrics": {k: float(v) for k, v in report.values.items()},
-                "whole_batch": bool(report.params.get("whole_batch", False)),
-            })
-            for metric, value in report.values.items():
-                rows.append([seed, g, domain_name, float(ratio), metric, float(value)])
-    return trace, rows, trace_lines
-
-
 def _run_chain_grid(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
-    if not spec.corpus_path:
-        raise InvalidConfigError("chain experiments need corpus_path")
     records = read_records_jsonl(spec.corpus_path)
 
-    summary = []
-    relative_rows = []
-    all_trace_lines = []
-    for ratio, seed in [(r, s) for r in spec.ratios for s in spec.seeds]:
-        try:
-            trace, rows, trace_lines = _chain_cell(spec, records, ratio, seed)
-        except Exception as exc:  # cell isolation by contract
-            failures.append({"cell": {"ratio": ratio, "seed": seed},
-                             "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        summary.extend(rows)
-        all_trace_lines.extend(trace_lines)
+    def run_cell(ratio, seed):
+        """The cell's summary rows, relative rows and trace lines."""
+        trace = run_chain(_chain_config(spec, ratio, seed), HumanCorpus(records, seed=seed),
+                          default_factory)
+        rows, rel_rows, trace_lines = [], [], []
+        for g, per_domain in enumerate(trace.reports):
+            for domain, report in per_domain.items():
+                domain_name = domain if domain is not None else ""
+                if report is None:
+                    trace_lines.append({"seed": seed, "ratio": ratio, "generation": g,
+                                        "domain": domain_name, "skipped": True})
+                    continue
+                trace_lines.append({
+                    "seed": seed, "ratio": ratio, "generation": g,
+                    "domain": domain_name, "kind": trace.kinds[g],
+                    "sample_size": report.sample_size,
+                    "metrics": {k: float(v) for k, v in report.values.items()},
+                    "whole_batch": bool(report.params.get("whole_batch", False)),
+                })
+                for metric, value in report.values.items():
+                    rows.append([seed, g, domain_name, float(ratio), metric, float(value)])
         try:
             rel = relative_metrics(trace)
-        except Exception:
-            rel = None
-        if rel:
-            for domain, metric_map in rel.items():
-                for metric, value in metric_map.items():
-                    relative_rows.append([
-                        seed, domain if domain is not None else "", float(ratio),
-                        metric, "" if value is None else float(value)])
-    trace_path = store.path("trace.jsonl")
-    all_trace_lines.sort(key=lambda L: (L["ratio"], L["seed"], L["generation"],
-                                        L["domain"]))
-    with open(trace_path, "w") as fh:
-        for line in all_trace_lines:
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
-    store.artifacts["trace.jsonl"] = trace_path
+        except InvalidTraceError:  # fewer than two evaluated generations
+            rel = {}
+        for domain, metric_map in rel.items():
+            for metric, value in metric_map.items():
+                rel_rows.append([seed, domain if domain is not None else "", float(ratio),
+                                 metric, _or_blank(value)])
+        return rows, rel_rows, trace_lines
+
+    cells = [{"ratio": r, "seed": s} for r in spec.ratios for s in spec.seeds]
+    summary, relative_rows, trace_lines = [], [], []
+    for rows, rel_rows, lines in _run_cells(cells, run_cell, failures):
+        summary += rows
+        relative_rows += rel_rows
+        trace_lines += lines
+    store.add_jsonl("trace.jsonl", sorted(
+        trace_lines, key=lambda L: (L["ratio"], L["seed"], L["generation"], L["domain"])))
     store.add_csv("summary.csv",
                   ["seed", "generation", "domain", "ratio", "metric", "value"],
                   sorted(summary, key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4])))
@@ -266,34 +285,25 @@ def _run_lean(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
     from .judge import build_lean_mixture, partition_by_lean
     from .metrics import lean_bins
 
-    if not spec.corpus_path:
-        raise InvalidConfigError("lean experiments need corpus_path")
-    records = read_records_jsonl(spec.corpus_path)
-    left, right = partition_by_lean(records)
+    left, right = partition_by_lean(read_records_jsonl(spec.corpus_path))
     p = spec.params.get("lean", {})
     size = p.get("mixture_size", min(len(left), len(right)))
     fractions = p.get("left_fractions", [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    rows = []
-    for frac in fractions:
-        for seed in spec.seeds:
-            try:
-                mix = build_lean_mixture(left, right, frac, size, seed=seed)
-            except Exception as exc:
-                failures.append({"cell": {"left_fraction": frac, "seed": seed},
-                                 "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            scores = [r.annotations["lean"] for r in mix]
-            bins = lean_bins(scores)
-            political = [s for s in scores if s != -1]
-            mean_lean = float(np.mean(political)) if political else ""
-            rows.append([float(frac), seed, mean_lean,
-                         float(bins["neutral_fraction"]),
-                         float(bins["non_political_fraction"])]
-                        + [float(x) for x in bins["proportions"]])
+    def run_cell(left_fraction, seed):
+        mix = build_lean_mixture(left, right, left_fraction, size, seed=seed)
+        scores = [r.annotations["lean"] for r in mix]
+        bins = lean_bins(scores)
+        political = [s for s in scores if s != -1]
+        mean_lean = float(np.mean(political)) if political else ""
+        return ([float(left_fraction), seed, mean_lean, float(bins["neutral_fraction"]),
+                 float(bins["non_political_fraction"])]
+                + [float(x) for x in bins["proportions"]])
+
+    cells = [{"left_fraction": f, "seed": s} for f in fractions for s in spec.seeds]
     header = (["left_fraction", "seed", "mean_lean", "neutral_fraction",
-               "non_political_fraction"] + [f"bin_{i}" for i in range(8)])
-    store.add_csv("lean_mixtures.csv", header, rows)
+               "non_political_fraction"] + _BINS)
+    store.add_csv("lean_mixtures.csv", header, _run_cells(cells, run_cell, failures))
 
 
 def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
@@ -302,49 +312,40 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
     from .metrics import (avg_text_length, self_bleu, type_token_ratio,
                           word_entropy)
 
-    if not spec.corpus_path or not spec.cluster_manifest:
-        raise InvalidConfigError("cluster experiments need corpus_path and cluster_manifest")
     records = read_records_jsonl(spec.corpus_path)
-    with open(spec.cluster_manifest) as fh:
-        clusters = [json.loads(line) for line in fh if line.strip()]
+    clusters = read_jsonl(spec.cluster_manifest, required=("cluster_id", "record_indices"))
+    indices = {c["cluster_id"]: c["record_indices"] for c in clusters}
 
-    cells = [(c["cluster_id"], r, s) for c in clusters for r in spec.ratios
-             for s in spec.seeds]
-    by_id = {c["cluster_id"]: c for c in clusters}
-
-    rows = []
-    for cluster_id, ratio, seed in cells:
-        try:
-            members = [records[i] for i in by_id[cluster_id]["record_indices"]]
-            trace = run_chain(_chain_config(spec, ratio, seed),
-                              HumanCorpus(members, seed=seed), default_factory)
-            rel = relative_metrics(trace)
-            texts = [m.text for m in members]
-            props = {
-                "lexical_diversity": self_bleu(texts, seed=seed),
-                "word_entropy": word_entropy(texts),
-                "type_token_ratio": type_token_ratio(texts),
-                "text_length": avg_text_length(texts),
-            }
-        except Exception as exc:  # cell isolation by contract
-            failures.append({"cell": {"cluster_id": cluster_id, "ratio": ratio,
-                                      "seed": seed}, "error": f"{type(exc).__name__}: {exc}"})
-            continue
+    def run_cell(cluster_id, ratio, seed):
+        members = [records[i] for i in indices[cluster_id]]
+        trace = run_chain(_chain_config(spec, ratio, seed),
+                          HumanCorpus(members, seed=seed), default_factory)
+        rel = relative_metrics(trace)
         domain_rel = rel.get(None) or next(iter(rel.values()))
-        rows.append([cluster_id, float(ratio), seed,
-                     props["lexical_diversity"], props["word_entropy"],
-                     props["type_token_ratio"], props["text_length"],
-                     _or_blank(domain_rel.get("distinct_count")),
-                     _or_blank(domain_rel.get("word_entropy"))])
+        texts = [m.text for m in members]
+        return [cluster_id, float(ratio), seed,
+                self_bleu(texts, seed=seed), word_entropy(texts),
+                type_token_ratio(texts), avg_text_length(texts),
+                _or_blank(domain_rel.get("distinct_count")),
+                _or_blank(domain_rel.get("word_entropy"))]
+
+    cells = [{"cluster_id": c["cluster_id"], "ratio": r, "seed": s}
+             for c in clusters for r in spec.ratios for s in spec.seeds]
     store.add_csv("observations.csv",
                   ["cluster_id", "ratio", "seed", "lexical_diversity",
                    "word_entropy", "type_token_ratio", "text_length",
                    "rel_distinct_count", "rel_word_entropy"],
-                  sorted(rows, key=lambda r: (r[0], r[1], r[2])))
+                  sorted(_run_cells(cells, run_cell, failures),
+                         key=lambda r: (r[0], r[1], r[2])))
 
 
 def _or_blank(v):
     return "" if v is None else float(v)
+
+
+_RUNNERS = {"toy": _run_toy, "chain": _run_chain_grid,
+            "cluster-regression": _run_cluster_grid, "lean": _run_lean}
+KINDS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -353,56 +354,21 @@ def _or_blank(v):
 
 def emit_plot_data(store: ResultStore, figure_kind: str, out_path=None) -> str:
     """Reshape stored results into the tidy CSV a named figure consumes."""
-    if figure_kind not in FIGURE_KINDS:
+    if figure_kind not in _FIGURES:
         raise InvalidInputError(f"unknown figure kind {figure_kind!r}")
-    out_path = out_path or store.path(f"plot_{figure_kind}.csv")
-
-    if figure_kind == "evolution":
-        rows = _read_csv(store.path("summary.csv"))
-        _require_columns(rows, ["generation", "ratio", "seed", "metric", "value"])
-        write_csv(out_path, ["generation", "ratio", "seed", "metric", "value"],
-                  [[r["generation"], float(r["ratio"]), r["seed"], r["metric"],
-                    float(r["value"])] for r in rows])
-    elif figure_kind == "interaction-absolute":
-        rows = _read_csv(store.path("summary.csv"))
-        _require_columns(rows, ["generation", "ratio", "seed", "metric", "value"])
-        last_gen = max(int(r["generation"]) for r in rows)
-        keep = [r for r in rows if int(r["generation"]) == last_gen]
-        write_csv(out_path, ["ratio", "seed", "metric", "value"],
-                  [[float(r["ratio"]), r["seed"], r["metric"], float(r["value"])]
-                   for r in keep])
-    elif figure_kind == "interaction-relative":
-        rows = _read_csv(store.path("relative.csv"))
-        _require_columns(rows, ["ratio", "seed", "metric", "value"])
-        write_csv(out_path, ["ratio", "seed", "metric", "value"],
-                  [[float(r["ratio"]), r["seed"], r["metric"],
-                    float(r["value"]) if r["value"] != "" else ""] for r in rows])
-    else:
-        rows = _read_csv(store.path("lean_mixtures.csv"))
-        _require_columns(rows, ["left_fraction", "neutral_fraction",
-                                "non_political_fraction"] + [f"bin_{i}" for i in range(8)])
-        write_csv(out_path,
-                  ["left_fraction", "seed"] + [f"bin_{i}" for i in range(8)]
-                  + ["neutral_fraction", "non_political_fraction"],
-                  [[float(r["left_fraction"]), r["seed"]]
-                   + [float(r[f"bin_{i}"]) for i in range(8)]
-                   + [float(r["neutral_fraction"]), float(r["non_political_fraction"])]
-                   for r in rows])
-    return out_path
-
-
-def _read_csv(path) -> list[dict]:
-    import csv as _csv
-
-    if not os.path.exists(path):
-        raise InvalidInputError(f"required artifact missing: {path}")
-    with open(path, newline="") as fh:
-        return list(_csv.DictReader(fh))
-
-
-def _require_columns(rows: list[dict], needed: list[str]) -> None:
+    source, columns, numeric, last_generation = _FIGURES[figure_kind]
+    rows = read_csv(store.path(source))
     if not rows:
-        raise InvalidInputError("artifact has no rows")
-    missing = [c for c in needed if c not in rows[0]]
+        raise InvalidInputError(f"{source} has no rows")
+    missing = [c for c in columns + ["generation"] * last_generation if c not in rows[0]]
     if missing:
-        raise InvalidInputError(f"artifact lacks required columns: {missing}")
+        raise InvalidInputError(f"{source} lacks required columns: {missing}")
+    if last_generation:
+        last = max(int(r["generation"]) for r in rows)
+        rows = [r for r in rows if int(r["generation"]) == last]
+    out_path = out_path or store.path(f"plot_{figure_kind}.csv")
+    # a blank numeric cell (an undefined relative metric) stays blank
+    write_csv(out_path, columns,
+              [[(float(r[c]) if r[c] != "" else "") if c in numeric else r[c] for c in columns]
+               for r in rows])
+    return out_path

@@ -1,5 +1,6 @@
-"""File formats: JSONL record corpora, the EMB1 binary embedding container,
-CSV embeddings, and tidy CSV writing with round-trip float formatting.
+"""File formats: JSONL rows and record corpora, the EMB1 binary embedding
+container, CSV embeddings, and tidy CSV reading and writing with round-trip
+float formatting.
 """
 
 from __future__ import annotations
@@ -14,20 +15,24 @@ from .chain import TextRecord
 from .errors import InvalidInputError
 
 __all__ = [
+    "read_jsonl",
+    "write_jsonl",
     "read_records_jsonl",
     "write_records_jsonl",
     "read_embeddings",
     "write_embeddings_emb1",
+    "read_csv",
     "write_csv",
 ]
 
 _EMB1_MAGIC = b"EMB1"
 
 
-def read_records_jsonl(path) -> list[TextRecord]:
-    """One record per line: {"text": str, "domain"?: str, "quality"?: int,
-    "lean"?: int, "positivity"?: float}."""
-    records = []
+def read_jsonl(path, required=()) -> list:
+    """One JSON value per non-blank line. A line that is not JSON, or not an
+    object holding every ``required`` key, raises InvalidInputError naming
+    ``path:line``."""
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -37,32 +42,50 @@ def read_records_jsonl(path) -> list[TextRecord]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InvalidInputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if "text" not in row:
-                raise InvalidInputError(f"{path}:{lineno}: record lacks a text field")
-            annotations = {k: row[k] for k in ("quality", "lean", "positivity") if k in row}
-            records.append(TextRecord(
-                text=row["text"],
-                source=row.get("source", "human"),
-                generation=row.get("generation", -1 if row.get("source", "human") == "human" else 0),
-                domain=row.get("domain"),
-                annotations=annotations or None,
-            ))
+            if required and not (isinstance(row, dict) and all(k in row for k in required)):
+                raise InvalidInputError(
+                    f"{path}:{lineno}: not an object with {', '.join(required)}")
+            rows.append(row)
+    return rows
+
+
+def write_jsonl(path, rows) -> None:
+    """One JSON object per line, keys sorted, so reruns are byte-identical."""
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def read_records_jsonl(path) -> list[TextRecord]:
+    """One record per line: {"text": str, "domain"?: str, "quality"?: int,
+    "lean"?: int, "positivity"?: float}."""
+    records = []
+    for row in read_jsonl(path, required=("text",)):
+        annotations = {k: row[k] for k in ("quality", "lean", "positivity") if k in row}
+        records.append(TextRecord(
+            text=row["text"],
+            source=row.get("source", "human"),
+            generation=row.get("generation", -1 if row.get("source", "human") == "human" else 0),
+            domain=row.get("domain"),
+            annotations=annotations or None,
+        ))
     return records
 
 
 def write_records_jsonl(records, path) -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            row = {"text": r.text}
-            if r.source != "human":
-                row["source"] = r.source
-                row["generation"] = r.generation
-            if r.domain is not None:
-                row["domain"] = r.domain
-            for k in ("quality", "lean", "positivity"):
-                if r.annotations and k in r.annotations:
-                    row[k] = r.annotations[k]
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    rows = []
+    for r in records:
+        row = {"text": r.text}
+        if r.source != "human":
+            row["source"] = r.source
+            row["generation"] = r.generation
+        if r.domain is not None:
+            row["domain"] = r.domain
+        for k in ("quality", "lean", "positivity"):
+            if r.annotations and k in r.annotations:
+                row[k] = r.annotations[k]
+        rows.append(row)
+    write_jsonl(path, rows)
 
 
 def write_embeddings_emb1(matrix: np.ndarray, path) -> None:
@@ -109,6 +132,16 @@ def _is_float(s: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def read_csv(path) -> list[dict]:
+    """Rows of a CSV with a header line, as dicts of strings. A missing file
+    raises InvalidInputError."""
+    try:
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(fh))
+    except FileNotFoundError as exc:
+        raise InvalidInputError(f"required file missing: {path}") from exc
 
 
 def write_csv(path, header: list[str], rows) -> None:

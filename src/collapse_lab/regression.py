@@ -188,18 +188,18 @@ def vif(dm: DesignMatrix) -> np.ndarray:
 
 def property_shift_regression(observations, grouping: str = "all",
                               dependents: tuple = ("rel_diversity", "rel_quality"),
-                              property_keys: tuple = PROPERTY_KEYS,
-                              standardize_predictors: bool = True,
-                              domains: tuple | None = None) -> list[dict]:
-    """Grouped regressions of relative shift magnitudes on data properties.
+                              property_keys: tuple = PROPERTY_KEYS) -> list[dict]:
+    """Grouped regressions of relative shift magnitudes on standardized data
+    properties.
 
     ``observations`` is a list of dicts with keys: cluster_id, dataset, ratio,
-    the six property values, and the dependent variables. Grouping:
+    the property values, and the dependent variables. Grouping:
 
     - "all": one regression per dependent over every observation
     - "per-dataset-per-ratio": one per (dataset, ratio) pair per dependent
     - "cross-domain-18": observations carry per-domain properties named
       "<property>:<domain>" plus per-domain dependents "<dep>:<domain>";
+      the domains are the suffixes of the dependents' columns, and there is
       one regression per (dependent, domain) with all domain-tagged
       properties as predictors.
 
@@ -211,16 +211,17 @@ def property_shift_regression(observations, grouping: str = "all",
     out = []
 
     if grouping == "cross-domain-18":
+        prefixes = tuple(f"{dep}:" for dep in dependents)
+        domains = list(dict.fromkeys(k.split(":", 1)[1] for o in observations for k in o
+                                     if k.startswith(prefixes)))
         if not domains:
-            raise InvalidInputError("cross-domain grouping requires the domain list")
+            raise InvalidInputError("cross-domain grouping needs <dependent>:<domain> columns")
         pred_names = [f"{p}:{d}" for d in domains for p in property_keys]
         for dep in dependents:
             for dom in domains:
                 key = f"{dep}:{dom}"
                 rows = [o for o in observations if key in o]
-                out.append(_fit_group(rows, pred_names, key,
-                                      group=f"domain={dom}",
-                                      standardize_predictors=standardize_predictors))
+                out.append(_fit_group(rows, pred_names, key, group=f"domain={dom}"))
         return out
 
     def groups():
@@ -235,21 +236,18 @@ def property_shift_regression(observations, grouping: str = "all",
 
     for label, rows in groups():
         for dep in dependents:
-            out.append(_fit_group(rows, list(property_keys), dep, group=label,
-                                  standardize_predictors=standardize_predictors))
+            out.append(_fit_group(rows, list(property_keys), dep, group=label))
     return out
 
 
-def _fit_group(rows, pred_names, dep_key, group, standardize_predictors):
+def _fit_group(rows, pred_names, dep_key, group):
     needed = len(pred_names) + 2
     if len(rows) <= needed:
         return {"group": group, "dependent": dep_key, "skipped":
                 f"group has {len(rows)} observations, needs > {needed}"}
     X = np.array([[float(o[p]) for p in pred_names] for o in rows])
     y = np.array([float(o[dep_key]) for o in rows])
-    dm = DesignMatrix(X, pred_names)
-    if standardize_predictors:
-        dm = standardize(dm)
+    dm = standardize(DesignMatrix(X, pred_names))
     result = ols_fit(dm, y, intercept=True)
     result.vif = vif(dm)
     result.meta["bonferroni"] = np.minimum(result.p_values * len(pred_names), 1.0)

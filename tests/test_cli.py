@@ -4,7 +4,8 @@ import numpy as np
 
 from collapse_lab.chain import TextRecord
 from collapse_lab.cli import main
-from collapse_lab.io import write_embeddings_emb1, write_records_jsonl
+from collapse_lab.experiments import ExperimentSpec, run_experiment
+from collapse_lab.io import read_csv, write_embeddings_emb1, write_jsonl, write_records_jsonl
 
 
 def test_toy_subcommand(tmp_path, capsys):
@@ -98,6 +99,58 @@ def test_regress_subcommand(tmp_path, capsys):
     assert "r_squared" in out.read_text().splitlines()[0]
     printed = capsys.readouterr().out
     assert "R^2" in printed
+
+
+def test_regress_on_grid_observations(tmp_path, capsys):
+    """regress fits the grid's own rel_* columns on its property columns."""
+    rng = np.random.default_rng(3)
+    words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
+    write_records_jsonl([TextRecord(text=" ".join(rng.choice(words[:3 + i // 60],
+                                                             size=4 + i // 60)))
+                         for i in range(8 * 60)], tmp_path / "corpus.jsonl")
+    write_jsonl(tmp_path / "clusters.jsonl",
+                [{"cluster_id": c, "method": "kmeans", "params": {},
+                  "record_indices": list(range(c * 60, (c + 1) * 60))} for c in range(8)])
+    run_experiment(ExperimentSpec(
+        kind="cluster-regression", ratios=[0.5], seeds=[0], out_dir=str(tmp_path / "grid"),
+        corpus_path=str(tmp_path / "corpus.jsonl"),
+        cluster_manifest=str(tmp_path / "clusters.jsonl"),
+        params={"chain": {"generations": 3, "initial_human": 20, "per_gen_total": 20,
+                          "eval_sample": 10}}))
+    out = tmp_path / "reg.csv"
+    assert main(["regress", "--observations", str(tmp_path / "grid" / "observations.csv"),
+                 "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert sorted({(r["dependent"], r["predictor"]) for r in rows}) == sorted(
+        (dep, pred) for dep in ("rel_distinct_count", "rel_word_entropy")
+        for pred in ("lexical_diversity", "word_entropy", "type_token_ratio", "text_length"))
+
+
+def test_regress_cross_domain_columns(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    domains = ("twitter", "reddit")
+    header = ["cluster_id", "ratio"] + [f"{c}:{d}" for d in domains for c in (
+        "quality", "text_length", "rel_diversity")]
+    rows = [",".join(header)]
+    for c in range(20):
+        rows.append(",".join([str(c), "0.25"] + [f"{v:.6f}" for v in rng.normal(size=6)]))
+    (tmp_path / "obs.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "reg.csv"
+    assert main(["regress", "--observations", str(tmp_path / "obs.csv"),
+                 "--grouping", "cross-domain-18", "--out", str(out)]) == 0
+    fits = read_csv(out)
+    assert sorted({r["dependent"] for r in fits}) == ["rel_diversity:reddit",
+                                                       "rel_diversity:twitter"]
+    assert len(fits) == 2 * 4  # dependents x (properties x domains)
+
+
+def test_regress_without_fits_exits_nonzero(tmp_path, capsys):
+    obs = tmp_path / "observations.csv"
+    args = ["regress", "--observations", str(obs), "--out", str(tmp_path / "reg.csv")]
+    obs.write_text("")
+    assert main(args) == 1
+    obs.write_text("cluster_id,ratio,text_length,rel_word_entropy\n0,0.5,10.0,0.9\n")
+    assert main(args) == 1  # one row: the group is skipped
 
 
 def test_emit_subcommand(tmp_path):

@@ -7,7 +7,9 @@ import pytest
 
 from collapse_lab.chain import TextRecord
 from collapse_lab.errors import InvalidConfigError, InvalidInputError
+from collapse_lab.cli import main
 from collapse_lab.experiments import (
+    FIGURE_KINDS,
     ExperimentSpec,
     ResultStore,
     emit_plot_data,
@@ -85,18 +87,33 @@ class TestSpecLoading:
     @pytest.mark.parametrize("body, message", [
         ({"ratio": [0.5]}, "unknown config keys: ratio$"),
         ({"params": {"toy": {"runs": 4}, "tyo": {"runs": 4}}}, "unknown params sections: tyo$"),
+        ({"include": "shared.json"}, "include must be a list of paths$"),
+        ('{"kind": "toy", "seeds": [0]', "config is not valid JSON"),
     ])
     def test_unknown_spec_keys_rejected(self, tmp_path, body, message):
+        """A dict body is merged into a toy config; a string is the whole file."""
+        (tmp_path / "shared.json").write_text(json.dumps({"seeds": [7]}))
         f = tmp_path / "bad.json"
-        f.write_text(json.dumps({"kind": "toy", "out_dir": str(tmp_path / "run"), **body}))
+        f.write_text(body if isinstance(body, str) else
+                     json.dumps({"kind": "toy", "out_dir": str(tmp_path / "run"), **body}))
         with pytest.raises(InvalidConfigError, match=message):
             run_experiment(load_spec(f))
         assert not (tmp_path / "run").exists()
 
     def test_missing_reference_rejected(self, tmp_path):
-        spec = ExperimentSpec(kind="chain", corpus_path=str(tmp_path / "absent.jsonl"))
-        with pytest.raises(InvalidConfigError):
-            spec.validate()
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=10)
+        for kind, paths, message in [
+            ("chain", {"corpus_path": str(tmp_path / "absent.jsonl")},
+             "referenced file does not exist"),
+            ("chain", {}, "chain experiments need corpus_path$"),
+            ("lean", {}, "lean experiments need corpus_path$"),
+            ("cluster-regression", {}, "need corpus_path and cluster_manifest$"),
+            ("cluster-regression", {"corpus_path": corpus}, "need cluster_manifest$"),
+        ]:
+            spec = ExperimentSpec(kind=kind, out_dir=str(tmp_path / "run"), **paths)
+            with pytest.raises(InvalidConfigError, match=message):
+                run_experiment(spec)
+            assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("kind, section, unknown", [
         ("toy", {"runs": 4, "stpes": 3}, "stpes"),
@@ -229,6 +246,27 @@ class TestLeanExperiment:
         assert "bin_0" in Path(path).read_text().splitlines()[0]
 
 
+    def test_failing_mixture_cells_isolated(self, tmp_path):
+        """Record 1 carries an out-of-range lean of 150; every mixture that
+        draws it fails in lean_bins, and the other cells are still written."""
+        records = [TextRecord(text=f"item {i}", annotations={"lean": [10, 90][i % 2]})
+                   for i in range(40)]
+        records[1] = TextRecord(text="item 1", annotations={"lean": 150})
+        write_records_jsonl(records, tmp_path / "lean.jsonl")
+        spec = ExperimentSpec(kind="lean", seeds=[0, 1, 2], out_dir=str(tmp_path / "run"),
+                              corpus_path=str(tmp_path / "lean.jsonl"),
+                              params={"lean": {"mixture_size": 8}})
+        run_experiment(spec)
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        failures = manifest["failures"]
+        assert failures and all(f["error"] == "InvalidInputError: lean scores must be -1 "
+                                              "or in [0, 100]" for f in failures)
+        assert all(f["cell"]["left_fraction"] < 1.0 for f in failures)
+        rows = (tmp_path / "run" / "lean_mixtures.csv").read_text().strip().splitlines()
+        assert len(rows) - 1 + len(failures) == 5 * 3
+        assert any(row.startswith("1.0,") for row in rows)
+
+
 class TestEmbeddingIo:
     def test_emb1_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -273,6 +311,16 @@ class TestClusterRegressionExperiment:
         assert rows[0].startswith("cluster_id,ratio,seed,lexical_diversity")
         assert len(rows) == 1 + 2  # clusters x ratios x seeds
 
+    def test_malformed_manifest_line_named(self, tmp_path):
+        corpus_path, manifest_path = write_cluster_grid(tmp_path)
+        with open(manifest_path, "a") as fh:
+            fh.write('{"cluster_id": 2, "record_indices": [0, 1\n')
+        spec = ExperimentSpec(kind="cluster-regression", ratios=[0.5], seeds=[0],
+                              out_dir=str(tmp_path / "cr"), corpus_path=corpus_path,
+                              cluster_manifest=manifest_path)
+        with pytest.raises(InvalidInputError, match=f"^{manifest_path}:3: invalid JSON"):
+            run_experiment(spec)
+
 
 class TestGridArtifactBytes:
     """Neither spec sets eval_metrics, so these digests pin the grid's default
@@ -283,13 +331,16 @@ class TestGridArtifactBytes:
              "trace.jsonl": "8e93e5a362d0456fda8f246a95e203ac845b33684377d1e41cd8951456f70e24"}
     OBSERVATIONS = "312b85d86d59819274841c0c4f3693b8bcb07068a503a80768376d1e372f6557"
 
-    def test_chain_grid(self, tmp_path):
-        spec = ExperimentSpec(
+    @staticmethod
+    def _chain_grid(tmp_path) -> ResultStore:
+        return run_experiment(ExperimentSpec(
             kind="chain", ratios=[0.0, 0.5, 1.0], seeds=[0, 1], out_dir=str(tmp_path / "run"),
             corpus_path=write_word_corpus(str(tmp_path / "corpus.jsonl"), n=300),
             params={"chain": {"generations": 3, "initial_human": 60,
-                              "per_gen_total": 30, "eval_sample": 10}})
-        run_experiment(spec)
+                              "per_gen_total": 30, "eval_sample": 10}}))
+
+    def test_chain_grid(self, tmp_path):
+        self._chain_grid(tmp_path)
         assert {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
                 for name in self.CHAIN} == self.CHAIN
 
@@ -304,3 +355,65 @@ class TestGridArtifactBytes:
         run_experiment(spec)
         observations = (tmp_path / "run" / "observations.csv").read_bytes()
         assert hashlib.sha256(observations).hexdigest() == self.OBSERVATIONS
+
+    LEAN_MIXTURES = "f11a79fb015ee25d663b7ab9b7dc8bcb93665c9d8a71a756d1adbed9b5763ff4"
+    PLOTS = {"evolution": "2f581258d3912e66729296ce791a7628f59b213b649b3d9f64603ed6274d5b31",
+             "interaction-absolute":
+                 "7986cc6092f8d2994f0b6362749f493b0b916f03fd56203e7835d639ff849c37",
+             "interaction-relative":
+                 "fad7a63401b0ad95b70213d3f4d3dafb4859cf063bdb17bd9160a154ff08fee0",
+             "lean-stacked": "b32d0bc72b8187cb98528d9089c16fcf5610d1b5e1c693f28bd693afe119b6b6"}
+    FAILURES = "ae30e359515cb6020fb11c0a6da8ecee0a82a032c1937dd4d4563bd64b177a16"
+    CLUSTERS = "7e3765597b8d266c8d00d2d88731eee5783a48d4fbaf33965fd0489fa14d38f4"
+
+    @staticmethod
+    def _sha(path) -> str:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    @staticmethod
+    def _lean_grid(tmp_path) -> ResultStore:
+        corpus = write_corpus(str(tmp_path / "lean.jsonl"), n=400, lean_mix=True)
+        return run_experiment(ExperimentSpec(
+            kind="lean", seeds=[0, 1], out_dir=str(tmp_path / "run"), corpus_path=corpus,
+            params={"lean": {"mixture_size": 40}}))
+
+    def test_lean_mixtures(self, tmp_path):
+        store = self._lean_grid(tmp_path)
+        assert self._sha(store.path("lean_mixtures.csv")) == self.LEAN_MIXTURES
+
+    @pytest.mark.parametrize("figure", FIGURE_KINDS)
+    def test_plot_data(self, tmp_path, figure):
+        grid = self._lean_grid if figure == "lean-stacked" else self._chain_grid
+        store = grid(tmp_path)
+        assert self._sha(emit_plot_data(store, figure)) == self.PLOTS[figure]
+
+    def test_manifest_failures(self, tmp_path):
+        """A third cluster of 10 texts cannot seed 40 initial human texts, so
+        each of its cells fails with the same DataExhaustedError."""
+        corpus_path, manifest_path = write_cluster_grid(tmp_path)
+        with open(manifest_path, "a") as fh:
+            fh.write(json.dumps({"cluster_id": 2, "method": "kmeans", "params": {},
+                                 "record_indices": list(range(10))}) + "\n")
+        run_experiment(ExperimentSpec(
+            kind="cluster-regression", ratios=[0.25, 0.5], seeds=[0, 1],
+            out_dir=str(tmp_path / "run"), corpus_path=corpus_path,
+            cluster_manifest=manifest_path,
+            params={"chain": {"generations": 2, "initial_human": 40,
+                              "per_gen_total": 20, "eval_sample": 5}}))
+        failures = json.loads((tmp_path / "run" / "manifest.json").read_text())["failures"]
+        assert len(failures) == 4
+        blob = json.dumps(failures, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.FAILURES
+
+    def test_cli_cluster(self, tmp_path):
+        rng = np.random.default_rng(1)
+        points = np.vstack([rng.normal(loc=(0, 0), size=(150, 2)),
+                            rng.normal(loc=(9, 0), size=(150, 2))]).astype(np.float32)
+        write_embeddings_emb1(points, tmp_path / "proj.bin")
+        write_records_jsonl([TextRecord(text=f"t{i}") for i in range(300)],
+                            tmp_path / "records.jsonl")
+        out = tmp_path / "clusters.jsonl"
+        assert main(["cluster", "--projection", str(tmp_path / "proj.bin"),
+                     "--records", str(tmp_path / "records.jsonl"), "--out", str(out),
+                     "--final-count", "6"]) == 0
+        assert self._sha(out) == self.CLUSTERS

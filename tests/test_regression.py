@@ -201,7 +201,7 @@ class TestPropertyShiftRegression:
                 row[f"rel_diversity:{d}"] = float(rng.normal())
                 row[f"rel_quality:{d}"] = float(rng.normal())
             obs.append(row)
-        fits = property_shift_regression(obs, grouping="cross-domain-18", domains=domains)
+        fits = property_shift_regression(obs, grouping="cross-domain-18")
         assert len(fits) == 6  # 2 dependents x 3 domains
         for f in fits:
             assert len(f["result"].names) == 18
