@@ -1,7 +1,7 @@
 """collapse-lab: a generator-agnostic laboratory for studying distribution
 shift under recursive training.
 
-Subpackages:
+Modules:
 
 - ``toy``         histogram toy model of biased recursive fitting
 - ``chain``       the iterative chain over an accumulation pool
@@ -11,19 +11,9 @@ Subpackages:
 - ``regression``  standardized OLS, VIF, grouped shift regressions
 - ``judge``       quality and political-lean annotation client
 - ``experiments`` sweep orchestration, result store, plot data
+
+Importing the package loads none of them; import one by name, as in
+``from collapse_lab import toy``.
 """
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    chain,
-    clustering,
-    errors,
-    experiments,
-    generators,
-    io,
-    judge,
-    metrics,
-    regression,
-    toy,
-)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import clustering, metrics, regression
+from . import metrics
 from .experiments import FIGURE_KINDS, ResultStore, emit_plot_data, load_spec, run_experiment
 from .io import read_csv, read_embeddings, read_records_jsonl, write_csv, write_jsonl
 from .judge import JudgeConfig, annotate_lean, annotate_quality
@@ -147,6 +147,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    from . import clustering
+
     points = read_embeddings(args.projection)
     records = read_records_jsonl(args.records)
     if points.shape[0] != len(records):
@@ -165,7 +167,10 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_regress(args) -> int:
     """Dependents are the rel_* columns and predictors every other column that
-    is not an identifier; a "<column>:<domain>" column counts as its column."""
+    is not an identifier; a "<column>:<domain>" column counts as its column.
+    A blank dependent cell is missing: that row sits out that dependent's fits."""
+    from . import regression
+
     raw = read_csv(args.observations)
     if not raw:
         print(f"{args.observations} has no observations", file=sys.stderr)
@@ -176,7 +181,7 @@ def _cmd_regress(args) -> int:
         for k, v in r.items():
             if k in ("cluster_id", "dataset", "domain"):
                 obs[k] = v
-            else:
+            elif v != "":
                 try:
                     obs[k] = float(v)
                 except (TypeError, ValueError):

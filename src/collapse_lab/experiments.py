@@ -133,6 +133,8 @@ def _load_with_includes(path, seen) -> dict:
     try:
         with open(path) as fh:
             body = json.load(fh)
+    except OSError as exc:
+        raise InvalidConfigError(f"{path}: cannot read config: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(body, dict):

@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .errors import DegenerateInputError, InvalidInputError
 
@@ -303,6 +301,9 @@ def kl_entropy(points, k: int, jitter_seed: int = 0) -> float:
     Duplicate points get a seeded uniform jitter of 1e-9 scale before the
     distance queries; remaining zero distances are an error.
     """
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
     points = _validate_projection(points, min_rows=2)
     n = points.shape[0]
     if k < 1 or k >= n:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .errors import InvalidInputError, RankError
 
@@ -130,7 +130,7 @@ def ols_fit(dm: DesignMatrix, y, intercept: bool = True) -> RegressionResult:
         se = np.sqrt(np.diag(cov))
         with np.errstate(divide="ignore"):
             t = beta / se
-        p = 2.0 * stats.t.sf(np.abs(t), df)
+        p = 2.0 * stdtr(df, -np.abs(t))
 
     off = 1 if intercept else 0
     return RegressionResult(
@@ -203,7 +203,9 @@ def property_shift_regression(observations, grouping: str = "all",
       one regression per (dependent, domain) with all domain-tagged
       properties as predictors.
 
-    Undersized groups are skipped with an explicit notice in the output.
+    An observation without a dependent's key is left out of that dependent's
+    fits only. Undersized groups are skipped with an explicit notice in the
+    output.
     Returns a list of {"group", "dependent", "result" | "skipped"}.
     """
     if grouping not in ("all", "per-dataset-per-ratio", "cross-domain-18"):
@@ -219,9 +221,8 @@ def property_shift_regression(observations, grouping: str = "all",
         pred_names = [f"{p}:{d}" for d in domains for p in property_keys]
         for dep in dependents:
             for dom in domains:
-                key = f"{dep}:{dom}"
-                rows = [o for o in observations if key in o]
-                out.append(_fit_group(rows, pred_names, key, group=f"domain={dom}"))
+                out.append(_fit_group(observations, pred_names, f"{dep}:{dom}",
+                                      group=f"domain={dom}"))
         return out
 
     def groups():
@@ -241,6 +242,7 @@ def property_shift_regression(observations, grouping: str = "all",
 
 
 def _fit_group(rows, pred_names, dep_key, group):
+    rows = [o for o in rows if dep_key in o]
     needed = len(pred_names) + 2
     if len(rows) <= needed:
         return {"group": group, "dependent": dep_key, "skipped":

@@ -144,6 +144,30 @@ def test_regress_cross_domain_columns(tmp_path, capsys):
     assert len(fits) == 2 * 4  # dependents x (properties x domains)
 
 
+def test_regress_blank_dependent_cell_sits_out_that_fit(tmp_path, capsys):
+    """A blank rel_* cell drops its row from that dependent's fit only."""
+    rng = np.random.default_rng(5)
+    header = "cluster_id,ratio,text_length,word_entropy,rel_distinct_count,rel_word_entropy"
+    rows = [[str(c), "0.5"] + [f"{v:.6f}" for v in rng.normal(size=4)] for c in range(8)]
+    rows[3][-1] = ""
+
+    def regress(name, rows):
+        obs = tmp_path / f"{name}.csv"
+        obs.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        out = tmp_path / f"{name}_reg.csv"
+        assert main(["regress", "--observations", str(obs), "--out", str(out)]) == 0
+        return {r["dependent"]: r for r in read_csv(out)}
+
+    fits = regress("blank", rows)
+    assert fits["rel_distinct_count"] == regress("full", [r[:-1] + ["0"] for r in rows])[
+        "rel_distinct_count"]
+    assert fits["rel_word_entropy"] == regress("dropped", rows[:3] + rows[4:])[
+        "rel_word_entropy"]
+    capsys.readouterr()
+    assert set(regress("small", rows[:5])) == {"rel_distinct_count"}
+    assert "rel_word_entropy: group has 4 observations, needs > 4" in capsys.readouterr().out
+
+
 def test_regress_without_fits_exits_nonzero(tmp_path, capsys):
     obs = tmp_path / "observations.csv"
     args = ["regress", "--observations", str(obs), "--out", str(tmp_path / "reg.csv")]

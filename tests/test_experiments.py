@@ -89,6 +89,7 @@ class TestSpecLoading:
         ({"params": {"toy": {"runs": 4}, "tyo": {"runs": 4}}}, "unknown params sections: tyo$"),
         ({"include": "shared.json"}, "include must be a list of paths$"),
         ('{"kind": "toy", "seeds": [0]', "config is not valid JSON"),
+        ({"include": ["nope.json"]}, r"nope\.json: cannot read config"),
     ])
     def test_unknown_spec_keys_rejected(self, tmp_path, body, message):
         """A dict body is merged into a toy config; a string is the whole file."""

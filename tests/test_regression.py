@@ -85,6 +85,23 @@ class TestOlsFit:
         ks = stats.kstest(pvals, "uniform").statistic
         assert ks < 0.05
 
+    def test_p_values_match_student_t_survival_oracle(self):
+        """Two-sided p-values equal 2 * t.sf(|t|, df) bit for bit, from df 1 up;
+        an exact fit has NaN p-values."""
+        rng = np.random.default_rng(6)
+        for n, p in [(3, 1), (4, 2), (7, 1), (9, 3), (40, 2), (2000, 4)]:
+            for _ in range(20):
+                X = rng.normal(size=(n, p))
+                y = X @ rng.normal(size=p) + rng.normal(scale=rng.choice([1e-3, 1.0, 10.0]),
+                                                        size=n)
+                res = ols_fit(DesignMatrix(X, [f"x{i}" for i in range(p)]), y)
+                assert res.residual_df == n - p - 1
+                oracle = 2.0 * stats.t.sf(np.abs(res.t_values), res.residual_df)
+                assert np.array_equal(res.p_values, oracle)
+        X = rng.normal(size=(10, 2))
+        res = ols_fit(DesignMatrix(X, ["a", "b"]), 1.0 + X @ [2.0, -3.0])
+        assert res.exact_fit and np.isnan(res.p_values).all()
+
     def test_rank_deficiency_names_columns(self):
         x = np.random.default_rng(3).normal(size=(30, 1))
         X = np.column_stack([x, 2 * x])

@@ -1,0 +1,34 @@
+"""Start-up guard: the package and its light modules load numpy and the
+stdlib only, and no module loads scipy.stats (about 1 s of import time)."""
+
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import collapse_lab
+
+LIGHT = ("io", "judge", "chain", "metrics", "toy", "experiments", "cli")
+
+
+def _modules_after_import(names):
+    src = str(Path(collapse_lab.__file__).resolve().parents[1])
+    code = "\n".join([f"import sys; sys.path.insert(0, {src!r})", "import collapse_lab"]
+                     + [f"import collapse_lab.{name}" for name in names]
+                     + ["print('\\n'.join(sys.modules))"])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    return set(out.stdout.split())
+
+
+def test_light_modules_load_no_scipy():
+    loaded = _modules_after_import(LIGHT)
+    assert {f"collapse_lab.{name}" for name in LIGHT} <= loaded
+    assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
+
+
+def test_no_module_loads_scipy_stats():
+    names = [m.name for m in pkgutil.iter_modules(collapse_lab.__path__)]
+    loaded = _modules_after_import(names)
+    assert {"collapse_lab.clustering", "collapse_lab.regression"} <= loaded
+    assert "scipy.stats" not in loaded
