@@ -1,6 +1,6 @@
 """Cluster-suite walkthrough: a clustering grid on a projection sample, 1-NN
-propagation over the full dataset with and without the noise cluster, merge
-strategies for undersized clusters, and the final seeded subsample.
+propagation over the full dataset with and without the noise cluster,
+farthest-first merging of undersized clusters, and the final seeded subsample.
 
 Run: python demos/cluster_suite.py
 """
@@ -33,7 +33,6 @@ def main():
         dbscan_grid=((0.8, 8), (1.2, 8)),
         quota_per_clustering=4,
         min_cluster_fraction=0.05,
-        merge_strategy="farthest-first",
         final_count=20,
         seed=1,
     )

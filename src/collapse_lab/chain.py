@@ -128,7 +128,6 @@ class ChainConfig:
     eval_sample: int = 250
     models_per_generation: int = 1
     generator_kinds: tuple = ("resampler",)
-    rotation: str = "mixed"
     domains: tuple = (None,)
     seed: int = 0
     eval_metrics: tuple = ("distinct_count", "word_entropy", "type_token_ratio",
@@ -143,10 +142,6 @@ class ChainConfig:
             raise InvalidConfigError("models_per_generation must be >= 1")
         if not self.generator_kinds:
             raise InvalidConfigError("at least one generator kind is required")
-        if self.rotation not in ("mixed", "homogeneous"):
-            raise InvalidConfigError(f"unknown rotation {self.rotation!r}")
-        if self.rotation == "homogeneous" and len(self.generator_kinds) != 1:
-            raise InvalidConfigError("homogeneous rotation requires a single generator kind")
         if not self.domains:
             raise InvalidConfigError("at least one domain tag is required")
         if len(self.domains) > 1 and self.per_gen_total % len(self.domains) != 0:
@@ -233,17 +228,15 @@ def advance_generation(pool: DataPool, corpus: HumanCorpus, generators: list,
 
 def run_chain(cfg: ChainConfig, corpus: HumanCorpus, generator_factory) -> ChainTrace:
     """Run the full chain. ``generator_factory(kind, seed)`` must return a
-    fresh generator instance; no generator state survives a generation."""
+    fresh generator instance; no generator state survives a generation. Each
+    generation draws its generator kind from ``cfg.generator_kinds``."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     pool = DataPool()
     trace = ChainTrace(config=cfg)
 
     for g in range(cfg.generations):
-        if cfg.rotation == "mixed":
-            kind = cfg.generator_kinds[int(rng.integers(len(cfg.generator_kinds)))]
-        else:
-            kind = cfg.generator_kinds[0]
+        kind = cfg.generator_kinds[int(rng.integers(len(cfg.generator_kinds)))]
         trace.kinds.append(kind)
         generators = [
             generator_factory(kind, int(rng.integers(2**31)))

@@ -23,6 +23,8 @@ from .judge import JudgeConfig, annotate_lean, annotate_quality
 ENV_TOKEN = "COLLAPSE_LAB_JUDGE_TOKEN"
 # observation columns that name a cell rather than measure it
 _IDENTIFIERS = ("cluster_id", "dataset", "domain", "ratio", "seed")
+# neighbours of the metrics subcommand's k-NN diversity and KL entropy
+_KNN_K = 50
 
 
 def main(argv=None) -> int:
@@ -32,20 +34,14 @@ def main(argv=None) -> int:
 
     for kind in ("toy", "chain", "lean"):
         p = sub.add_parser(kind, help=f"run a {kind} experiment from a config file")
-        p.set_defaults(func=_cmd_run, ratio=None, seeds=None, generator=None)
+        p.set_defaults(func=_cmd_run)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        if kind == "chain":
-            p.add_argument("--ratio", type=float, default=None,
-                           help="override the config's ratio list with one value")
-            p.add_argument("--seeds", type=int, nargs="+", default=None)
-            p.add_argument("--generator", default=None)
 
     p = sub.add_parser("metrics", help="compute the metric suite over a JSONL batch")
     p.set_defaults(func=_cmd_metrics)
     p.add_argument("--records", required=True)
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--knn-k", type=int, default=50)
     p.add_argument("--out", default="metrics.csv")
 
     p = sub.add_parser("cluster", help="build the cluster suite from a 2-D projection")
@@ -86,12 +82,6 @@ def _cmd_run(args) -> int:
     spec = load_spec(args.config)
     if args.out:
         spec.out_dir = args.out
-    if args.ratio is not None:
-        spec.ratios = [args.ratio]
-    if args.seeds is not None:
-        spec.seeds = list(args.seeds)
-    if args.generator is not None:
-        spec.params.setdefault("chain", {})["generator_kinds"] = [args.generator]
     store = run_experiment(spec)
     print(f"results in {store.out_dir}")
     return 0
@@ -113,30 +103,28 @@ def _cmd_metrics(args) -> int:
 
     row("avg_text_length", metrics.avg_text_length(texts))
     row("word_entropy", metrics.word_entropy(texts))
-    row("type_token_ratio", metrics.type_token_ratio(texts), prefix_chars=200)
+    row("type_token_ratio", metrics.type_token_ratio(texts),
+        prefix_chars=metrics.TTR_PREFIX_CHARS)
     if len(texts) >= 2:
         row("self_bleu", metrics.self_bleu(texts), max_n=4, max_texts=250)
     for key in ("quality", "lean", "positivity"):
-        try:
+        if any(r.annotations and r.annotations.get(key) is not None for r in records):
             agg = metrics.aggregate_scores(records, key)
-        except Exception:
-            continue
-        row(f"mean_{key}", agg["mean"], count=agg["count"])
+            row(f"mean_{key}", agg["mean"], count=agg["count"])
 
     if args.embeddings:
         emb = read_embeddings(args.embeddings)
         row("cosine_diversity", metrics.cosine_diversity(emb))
-        if emb.shape[0] > args.knn_k:
-            row("knn_cosine_diversity", metrics.knn_cosine_diversity(emb, args.knn_k),
-                k=args.knn_k)
+        if emb.shape[0] > _KNN_K:
+            row("knn_cosine_diversity", metrics.knn_cosine_diversity(emb, _KNN_K), k=_KNN_K)
         proj = None
         if emb.shape[1] == 2:
             proj = emb
         elif emb.shape[0] >= 3:
             proj = metrics.pca_2d(emb)
         if proj is not None:
-            if proj.shape[0] > args.knn_k:
-                row("kl_entropy", metrics.kl_entropy(proj, args.knn_k), k=args.knn_k)
+            if proj.shape[0] > _KNN_K:
+                row("kl_entropy", metrics.kl_entropy(proj, _KNN_K), k=_KNN_K)
             if proj.shape[0] >= 4:
                 gauss = metrics.gaussianity_aic(proj)
                 row("gaussianity_aic", gauss["aic"], n=gauss["n"])
@@ -168,7 +156,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_regress(args) -> int:
     """Dependents are the rel_* columns and predictors every other column that
     is not an identifier; a "<column>:<domain>" column counts as its column.
-    A blank dependent cell is missing: that row sits out that dependent's fits."""
+    A blank cell is missing: its row sits out every fit its column enters."""
     from . import regression
 
     raw = read_csv(args.observations)

@@ -28,6 +28,10 @@ NOISE = -1
 # tied, and the float budget of one brute-force block over those queries
 _TIE_RTOL = 1e-9
 _TIE_BLOCK_VALUES = 1 << 20
+# iteration caps of kmeans and gmm_em, and gmm_em's log-likelihood gain to stop at
+_KMEANS_MAX_ITER = 300
+_GMM_MAX_ITER = 200
+_GMM_TOL = 1e-6
 
 
 @dataclass
@@ -74,7 +78,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def kmeans(points, k: int, seed: int = 0, max_iter: int = 300) -> ClusterAssignment:
+def kmeans(points, k: int, seed: int = 0) -> ClusterAssignment:
     """Lloyd's iteration from k-means++ seeding until the assignment reaches a
     fixpoint or the iteration cap."""
     points = _as_points(points)
@@ -84,7 +88,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 300) -> ClusterAssignm
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(points, k, rng)
     labels = np.full(n, -2)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         if np.array_equal(new_labels, labels):
@@ -121,12 +125,11 @@ def _log_gauss(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndar
     return -0.5 * (d * np.log(2 * np.pi) + log_det + maha)
 
 
-def gmm_em(points, k: int, seed: int = 0, max_iter: int = 200,
-           tol: float = 1e-6) -> ClusterAssignment:
+def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
     """Full-covariance Gaussian mixture fit by EM with k-means initialization.
 
-    Stops when the log-likelihood gain drops below ``tol`` or at the iteration
-    cap. The per-iteration log-likelihood history is kept in
+    Stops when the log-likelihood gain drops below 1e-6 or after 200
+    iterations. The per-iteration log-likelihood history is kept in
     ``extras["log_likelihoods"]`` (non-decreasing by the EM property).
     """
     points = _as_points(points)
@@ -150,7 +153,7 @@ def gmm_em(points, k: int, seed: int = 0, max_iter: int = 200,
 
     lls = []
     resp = None
-    for _ in range(max_iter):
+    for _ in range(_GMM_MAX_ITER):
         # E step
         log_p = np.stack([_log_gauss(points, means[j], covs[j]) for j in range(k)], axis=1)
         log_p = log_p + np.log(weights)[None, :]
@@ -158,7 +161,7 @@ def gmm_em(points, k: int, seed: int = 0, max_iter: int = 200,
         log_norm = mx[:, 0] + np.log(np.exp(log_p - mx).sum(axis=1))
         ll = float(log_norm.sum())
         resp = np.exp(log_p - log_norm[:, None])
-        if lls and ll - lls[-1] < tol:
+        if lls and ll - lls[-1] < _GMM_TOL:
             lls.append(ll)
             break
         lls.append(ll)
@@ -330,11 +333,8 @@ class ClusterSuiteConfig:
     kmeans_ks: tuple = (8, 12, 16, 20, 25)
     gmm_ks: tuple = (8, 12, 16)
     dbscan_grid: tuple = ((0.5, 10), (1.0, 10), (2.0, 20))
-    propagation_variants: tuple = (False, True)  # exclude_noise options
     quota_per_clustering: int = 10
     min_cluster_fraction: float = 0.04
-    min_cluster_size: int | None = None
-    merge_strategy: str = "farthest-first"
     final_count: int = 200
     seed: int = 0
 
@@ -343,18 +343,16 @@ class ClusterSuiteConfig:
             raise InvalidConfigError("quota_per_clustering must be >= 1")
         if self.final_count < 1:
             raise InvalidConfigError("final_count must be >= 1")
-        if self.min_cluster_size is None and not 0 < self.min_cluster_fraction <= 1:
+        if not 0 < self.min_cluster_fraction <= 1:
             raise InvalidConfigError("min_cluster_fraction must be in (0, 1]")
-        if self.merge_strategy not in ("uniform", "farthest-first"):
-            raise InvalidConfigError(f"unknown merge strategy {self.merge_strategy!r}")
 
 
 def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
     """Run the clustering grid on a projection sample, propagate every
     clustering over the full dataset with and without the noise cluster,
     collect up to ``quota_per_clustering`` clusters above the minimum size per
-    clustering (merging smaller ones when short), and subsample the final
-    cluster set.
+    clustering (merging smaller ones farthest-first when short), and subsample
+    the final cluster set.
 
     Returns a list of cluster specs:
     {"cluster_id", "method", "params", "record_indices"}.
@@ -367,9 +365,7 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
     sample_size = min(cfg.projection_sample, n)
     sample_idx = rng.choice(n, size=sample_size, replace=False)
     sample = points[sample_idx]
-    min_size = cfg.min_cluster_size
-    if min_size is None:
-        min_size = max(1, int(cfg.min_cluster_fraction * n))
+    min_size = max(1, int(cfg.min_cluster_fraction * n))
 
     assignments = []
     for k in cfg.kmeans_ks:
@@ -385,7 +381,7 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
     for assign in assignments:
         if np.all(assign.labels == NOISE):
             continue
-        for exclude_noise in cfg.propagation_variants:
+        for exclude_noise in (False, True):
             full = propagate_labels(sample, assign.labels, points,
                                     exclude_noise=exclude_noise)
             variant = dict(assign.params, exclude_noise=exclude_noise,
@@ -404,7 +400,7 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
                 if sum(len(c[1]) for c in small) < min_size:
                     break
                 members, chosen = merge_clusters(
-                    small, min_size, strategy=cfg.merge_strategy,
+                    small, min_size, strategy="farthest-first",
                     seed=int(rng.integers(2**31)))
                 merged_centroid = points[members].mean(axis=0)
                 taken.append((merged_centroid, members))

@@ -17,6 +17,7 @@ from .chain import ChainConfig, HumanCorpus, relative_metrics, run_chain
 from .errors import InvalidConfigError, InvalidInputError, InvalidTraceError
 from .generators import default_factory
 from .io import read_csv, read_jsonl, read_records_jsonl, write_csv, write_jsonl
+from .metrics import LEAN_BINS
 
 __all__ = [
     "ExperimentSpec",
@@ -40,7 +41,7 @@ _PARAM_KEYS = {
 # ChainConfig's default without self_bleu: summary.csv stays byte-identical for
 # grid specs that leave eval_metrics unset, while a lone ChainConfig keeps self_bleu
 _GRID_EVAL_METRICS = ("distinct_count", "word_entropy", "type_token_ratio", "avg_text_length")
-_BINS = [f"bin_{i}" for i in range(8)]
+_BINS = [f"bin_{i}" for i in range(LEAN_BINS)]
 # figure: (source artifact, columns, numeric columns, last generation only)
 _FIGURES = {
     "evolution": ("summary.csv", ["generation", "ratio", "seed", "metric", "value"],
@@ -151,15 +152,20 @@ def _load_with_includes(path, seen) -> dict:
 
 
 class ResultStore:
-    """Run directory with a manifest and tidy CSV/JSONL artifacts."""
+    """Run directory with a manifest and tidy CSV/JSONL artifacts. The
+    directory is made when the first artifact is written, so a run that fails
+    before that leaves nothing on disk."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        os.makedirs(out_dir, exist_ok=True)
         self.artifacts: dict = {}
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
+
+    def _new_file(self, name: str) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)
+        return self.path(name)
 
     def write_manifest(self, spec: ExperimentSpec, failures: list) -> None:
         manifest = {
@@ -170,17 +176,17 @@ class ResultStore:
             "artifacts": sorted(self.artifacts),
             "failures": failures,
         }
-        with open(self.path("manifest.json"), "w") as fh:
+        with open(self._new_file("manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
     def add_csv(self, name: str, header: list[str], rows) -> str:
-        path = self.path(name)
+        path = self._new_file(name)
         write_csv(path, header, rows)
         self.artifacts[name] = path
         return path
 
     def add_jsonl(self, name: str, rows) -> str:
-        path = self.path(name)
+        path = self._new_file(name)
         write_jsonl(path, rows)
         self.artifacts[name] = path
         return path

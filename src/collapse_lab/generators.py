@@ -19,6 +19,8 @@ __all__ = [
     "default_factory",
 ]
 
+_DROPOUT_RATE = 0.2
+
 
 class GeneratorModel:
     """Behavior contract: train(records) fits state, generate(n, domain)
@@ -34,15 +36,14 @@ class GeneratorModel:
 class ResamplerGenerator(GeneratorModel):
     """Stores its training texts and generates by sampling them uniformly with
     replacement. With ``smoothing`` > 0, each generated text is perturbed with
-    that probability by token dropout (each token dropped with the dropout
-    rate, at least one token kept)."""
+    that probability by token dropout (each token dropped with probability
+    0.2, at least one token kept)."""
 
-    def __init__(self, seed: int = 0, smoothing: float = 0.0, dropout_rate: float = 0.2):
+    def __init__(self, seed: int = 0, smoothing: float = 0.0):
         if not 0.0 <= smoothing <= 1.0:
             raise InvalidConfigError("smoothing must lie in [0, 1]")
         self._rng = np.random.default_rng(seed)
         self._smoothing = smoothing
-        self._dropout = dropout_rate
         self._texts: list[str] | None = None
         self._by_domain: dict | None = None
 
@@ -63,7 +64,7 @@ class ResamplerGenerator(GeneratorModel):
         tokens = text.split()
         if len(tokens) <= 1:
             return text
-        keep = self._rng.random(len(tokens)) >= self._dropout
+        keep = self._rng.random(len(tokens)) >= _DROPOUT_RATE
         if not keep.any():
             keep[self._rng.integers(len(tokens))] = True
         return " ".join(t for t, k in zip(tokens, keep) if k)

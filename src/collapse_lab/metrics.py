@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 _PUNCT = string.punctuation + "‘’“”…"
+# type_token_ratio reads each text's first TTR_PREFIX_CHARS characters;
+# lean_bins splits [0, 100] into LEAN_BINS equal-width bins
+TTR_PREFIX_CHARS = 200
+LEAN_BINS = 8
 
 
 @dataclass
@@ -236,11 +240,11 @@ def _bleu_from_clips(c: int, r: int, lost: list[int], max_n: int, smoothing: str
 # lexical statistics
 
 
-def word_entropy(texts: list[str], tokenizer=tokenize) -> float:
+def word_entropy(texts: list[str]) -> float:
     """Shannon entropy (bits) of the pooled unigram frequency distribution."""
     counts = Counter()
     for t in texts:
-        counts.update(tokenizer(t))
+        counts.update(tokenize(t))
     total = sum(counts.values())
     if total == 0:
         raise InvalidInputError("no tokens after tokenization")
@@ -248,9 +252,9 @@ def word_entropy(texts: list[str], tokenizer=tokenize) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def type_token_ratio(texts: list[str], tokenizer=tokenize, prefix_chars: int = 200) -> float:
+def type_token_ratio(texts: list[str]) -> float:
     """Mean over texts of unique/total tokens within the first
-    ``prefix_chars`` characters. Texts empty after truncation and
+    ``TTR_PREFIX_CHARS`` characters. Texts empty after truncation and
     tokenization are excluded with a warning."""
     if not texts:
         raise InvalidInputError("at least one text is required")
@@ -259,7 +263,7 @@ def type_token_ratio(texts: list[str], tokenizer=tokenize, prefix_chars: int = 2
     ratios = []
     skipped = 0
     for t in texts:
-        toks = tokenizer(t[:prefix_chars])
+        toks = tokenize(t[:TTR_PREFIX_CHARS])
         if not toks:
             skipped += 1
             continue
@@ -293,13 +297,13 @@ def _validate_projection(points: np.ndarray, min_rows: int) -> np.ndarray:
     return points
 
 
-def kl_entropy(points, k: int, jitter_seed: int = 0) -> float:
+def kl_entropy(points, k: int) -> float:
     """Kozachenko-Leonenko differential entropy estimate (nats) for 2-D points:
     psi(n) - psi(k) + ln(pi) + (2/n) * sum_i ln eps_i, with eps_i the distance
     to the k-th nearest neighbor.
 
-    Duplicate points get a seeded uniform jitter of 1e-9 scale before the
-    distance queries; remaining zero distances are an error.
+    Duplicate points get a uniform jitter of 1e-9 scale, drawn with seed 0,
+    before the distance queries; remaining zero distances are an error.
     """
     from scipy.spatial import cKDTree
     from scipy.special import digamma
@@ -311,7 +315,7 @@ def kl_entropy(points, k: int, jitter_seed: int = 0) -> float:
 
     work = points
     if len(np.unique(points, axis=0)) < n:
-        rng = np.random.default_rng(jitter_seed)
+        rng = np.random.default_rng(0)
         work = points + rng.uniform(-1e-9, 1e-9, size=points.shape)
     tree = cKDTree(work)
     dist, _ = tree.query(work, k=k + 1)
@@ -410,8 +414,8 @@ def aggregate_scores(records, key: str) -> dict:
     return result
 
 
-def lean_bins(scores, bins: int = 8) -> dict:
-    """Eight equal-width bins over [0, 100] (last bin closed), plus the
+def lean_bins(scores) -> dict:
+    """``LEAN_BINS`` equal-width bins over [0, 100] (last bin closed), plus the
     exact-50 neutral fraction (over political scores) and the -1 non-political
     fraction (over all scores)."""
     scores = np.asarray(scores, dtype=float)
@@ -427,13 +431,12 @@ def lean_bins(scores, bins: int = 8) -> dict:
         "non_political_fraction": float(non_political.mean()),
         "neutral_fraction": float("nan"),
         "proportions": None,
-        "edges": np.linspace(0.0, 100.0, bins + 1).tolist(),
+        "edges": np.linspace(0.0, 100.0, LEAN_BINS + 1).tolist(),
     }
     if political.size == 0:
         return out
     out["neutral_fraction"] = float((political == 50).mean())
-    edges = np.linspace(0.0, 100.0, bins + 1)
-    idx = np.minimum((political // (100.0 / bins)).astype(int), bins - 1)
-    counts = np.bincount(idx, minlength=bins)
+    idx = np.minimum((political // (100.0 / LEAN_BINS)).astype(int), LEAN_BINS - 1)
+    counts = np.bincount(idx, minlength=LEAN_BINS)
     out["proportions"] = (counts / political.size).tolist()
     return out

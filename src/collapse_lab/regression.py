@@ -69,8 +69,8 @@ class RegressionResult:
     p_values: np.ndarray
     r_squared: float
     residual_df: int
-    intercept: float | None = None
-    intercept_se: float | None = None
+    intercept: float
+    intercept_se: float
     vif: np.ndarray | None = None
     exact_fit: bool = False
     meta: dict = field(default_factory=dict)
@@ -99,14 +99,14 @@ def standardize(dm: DesignMatrix) -> DesignMatrix:
     return DesignMatrix((dm.X - dm.X.mean(axis=0)) / sd, list(dm.names))
 
 
-def ols_fit(dm: DesignMatrix, y, intercept: bool = True) -> RegressionResult:
-    """Least squares via QR, with standard errors, t and two-sided p values
-    (Student-t, n - p - 1 df with intercept) and R-squared."""
+def ols_fit(dm: DesignMatrix, y) -> RegressionResult:
+    """Least squares with an intercept via QR, with standard errors, t and
+    two-sided p values (Student-t, n - p - 1 df) and R-squared."""
     y = np.asarray(y, dtype=float)
     if y.shape != (dm.n,):
         raise InvalidInputError("response length must match the design matrix")
-    X = np.column_stack([np.ones(dm.n), dm.X]) if intercept else dm.X
-    names_full = (["(intercept)"] if intercept else []) + list(dm.names)
+    X = np.column_stack([np.ones(dm.n), dm.X])
+    names_full = ["(intercept)"] + list(dm.names)
 
     q, r = _qr_with_rank_check(X, names_full)
     beta = np.linalg.solve(r, q.T @ y)
@@ -115,7 +115,7 @@ def ols_fit(dm: DesignMatrix, y, intercept: bool = True) -> RegressionResult:
     resid = y - fitted
     df = dm.n - X.shape[1]
     ssr = float(resid @ resid)
-    sst = float(((y - y.mean()) ** 2).sum()) if intercept else float(y @ y)
+    sst = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - ssr / sst if sst > 0 else float("nan")
 
     exact = ssr <= 1e-12 * max(sst, 1.0)
@@ -132,17 +132,16 @@ def ols_fit(dm: DesignMatrix, y, intercept: bool = True) -> RegressionResult:
             t = beta / se
         p = 2.0 * stdtr(df, -np.abs(t))
 
-    off = 1 if intercept else 0
     return RegressionResult(
         names=list(dm.names),
-        coefficients=beta[off:],
-        standard_errors=se[off:],
-        t_values=t[off:],
-        p_values=p[off:],
+        coefficients=beta[1:],
+        standard_errors=se[1:],
+        t_values=t[1:],
+        p_values=p[1:],
         r_squared=r2,
         residual_df=df,
-        intercept=float(beta[0]) if intercept else None,
-        intercept_se=float(se[0]) if intercept else None,
+        intercept=float(beta[0]),
+        intercept_se=float(se[0]),
         exact_fit=exact,
     )
 
@@ -174,7 +173,7 @@ def vif(dm: DesignMatrix) -> np.ndarray:
         names = [nm for i, nm in enumerate(dm.names) if i != j]
         sub = DesignMatrix(others, names)
         try:
-            res = ols_fit(sub, dm.X[:, j], intercept=True)
+            res = ols_fit(sub, dm.X[:, j])
             r2 = res.r_squared
         except RankError:
             out[j] = np.inf
@@ -204,8 +203,9 @@ def property_shift_regression(observations, grouping: str = "all",
       properties as predictors.
 
     An observation without a dependent's key is left out of that dependent's
-    fits only. Undersized groups are skipped with an explicit notice in the
-    output.
+    fits, and one without a predictor's key out of every fit of its group.
+    Undersized groups, and groups whose dependent is constant, are skipped
+    with an explicit notice in the output.
     Returns a list of {"group", "dependent", "result" | "skipped"}.
     """
     if grouping not in ("all", "per-dataset-per-ratio", "cross-domain-18"):
@@ -242,15 +242,18 @@ def property_shift_regression(observations, grouping: str = "all",
 
 
 def _fit_group(rows, pred_names, dep_key, group):
-    rows = [o for o in rows if dep_key in o]
+    rows = [o for o in rows if dep_key in o and all(p in o for p in pred_names)]
     needed = len(pred_names) + 2
     if len(rows) <= needed:
         return {"group": group, "dependent": dep_key, "skipped":
                 f"group has {len(rows)} observations, needs > {needed}"}
     X = np.array([[float(o[p]) for p in pred_names] for o in rows])
     y = np.array([float(o[dep_key]) for o in rows])
+    if np.all(y == y[0]):
+        return {"group": group, "dependent": dep_key, "skipped":
+                f"dependent is constant ({float(y[0])!r}) in all {len(rows)} observations"}
     dm = standardize(DesignMatrix(X, pred_names))
-    result = ols_fit(dm, y, intercept=True)
+    result = ols_fit(dm, y)
     result.vif = vif(dm)
     result.meta["bonferroni"] = np.minimum(result.p_values * len(pred_names), 1.0)
     return {"group": group, "dependent": dep_key, "result": result}

@@ -67,9 +67,6 @@ class DiscreteDistribution:
     def support_size(self) -> int:
         return self.probs.size
 
-    def __len__(self) -> int:
-        return self.probs.size
-
 
 def make_true_distribution(n: int, exclude_period: int | None = None) -> DiscreteDistribution:
     """Uniform distribution over {0..n}, optionally excluding indices divisible
@@ -135,23 +132,9 @@ def _draw_counts(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -
     return counts
 
 
-def discrete_diversity(x, support_size: int | None = None) -> dict:
-    """Support fraction and Shannon entropy (nats) of a distribution or of the
-    empirical histogram of an integer sample.
-
-    For raw samples, ``support_size`` (N+1) must be given so the support
-    fraction has a denominator.
-    """
-    if isinstance(x, DiscreteDistribution):
-        probs = x.probs
-    else:
-        samples = np.asarray(x)
-        if samples.size == 0:
-            raise InvalidInputError("diversity of an empty sample is undefined")
-        if support_size is None:
-            raise InvalidInputError("support_size is required for raw samples")
-        counts = np.bincount(samples, minlength=support_size).astype(float)
-        probs = counts / counts.sum()
+def discrete_diversity(dist: DiscreteDistribution) -> dict:
+    """Support fraction and Shannon entropy (nats) of a distribution."""
+    probs = dist.probs
     nz = probs[probs > 0]
     return {
         "support_fraction": float(nz.size / probs.size),

@@ -100,10 +100,6 @@ class TestPoolAccounting:
 
 
 class TestRunChain:
-    def test_homogeneous_requires_single_kind(self):
-        with pytest.raises(InvalidConfigError):
-            small_config(generator_kinds=("a", "b"), rotation="homogeneous").validate()
-
     def test_eval_sample_invariant(self):
         with pytest.raises(InvalidConfigError):
             small_config(ratio=0.1, per_gen_total=40, eval_sample=10).validate()
@@ -247,7 +243,7 @@ class TestResamplerGenerator:
         assert set(gen.generate(10, domain="x")) == {"aa"}
 
     def test_smoothing_perturbs(self):
-        gen = ResamplerGenerator(seed=3, smoothing=1.0, dropout_rate=0.5)
+        gen = ResamplerGenerator(seed=3, smoothing=1.0)
         gen.train([TextRecord(text="one two three four five six seven eight")])
         outs = set(gen.generate(20))
         assert len(outs) > 1  # dropout produced variants

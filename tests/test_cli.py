@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from collapse_lab.chain import TextRecord
 from collapse_lab.cli import main
@@ -26,15 +27,15 @@ def test_chain_subcommand_with_overrides(tmp_path):
                         corpus)
     config = tmp_path / "chain.json"
     config.write_text(json.dumps({
-        "kind": "chain", "ratios": [0.25], "seeds": [0, 1],
+        "kind": "chain", "ratios": [0.5], "seeds": [3],
         "corpus_path": str(corpus),
         "params": {"chain": {"generations": 2, "initial_human": 40,
                              "per_gen_total": 20, "eval_sample": 5,
+                             "generator_kinds": ["resampler"],
                              "eval_metrics": ["distinct_count"]}},
     }))
     out = tmp_path / "out"
-    code = main(["chain", "--config", str(config), "--out", str(out),
-                 "--ratio", "0.5", "--seeds", "3", "--generator", "resampler"])
+    code = main(["chain", "--config", str(config), "--out", str(out)])
     assert code == 0
     summary = (out / "summary.csv").read_text().strip().splitlines()
     assert len(summary) == 1 + 2  # 1 seed x 2 generations x 1 metric
@@ -57,6 +58,18 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert "word_entropy" in body
     assert "mean_quality" in body
     assert "cosine_diversity" in body
+
+
+def test_metrics_non_numeric_score_raises(tmp_path):
+    """A score that is not a number is an error, not a silently missing
+    mean_* row."""
+    records = tmp_path / "records.jsonl"
+    write_jsonl(records, [{"text": "the quick brown fox", "quality": "high"},
+                          {"text": "lazy dogs sleep all day"}])
+    out = tmp_path / "metrics.csv"
+    with pytest.raises(ValueError, match="'high'"):
+        main(["metrics", "--records", str(records), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_cluster_subcommand(tmp_path):
@@ -102,7 +115,9 @@ def test_regress_subcommand(tmp_path, capsys):
 
 
 def test_regress_on_grid_observations(tmp_path, capsys):
-    """regress fits the grid's own rel_* columns on its property columns."""
+    """regress fits the grid's own rel_* columns on its property columns. Every
+    chain here keeps all its distinct texts, so rel_distinct_count is 1.0 in
+    each row and that fit is skipped with a notice."""
     rng = np.random.default_rng(3)
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
     write_records_jsonl([TextRecord(text=" ".join(rng.choice(words[:3 + i // 60],
@@ -122,8 +137,10 @@ def test_regress_on_grid_observations(tmp_path, capsys):
                  "--out", str(out)]) == 0
     rows = read_csv(out)
     assert sorted({(r["dependent"], r["predictor"]) for r in rows}) == sorted(
-        (dep, pred) for dep in ("rel_distinct_count", "rel_word_entropy")
+        ("rel_word_entropy", pred)
         for pred in ("lexical_diversity", "word_entropy", "type_token_ratio", "text_length"))
+    assert ("skipped all:rel_distinct_count: dependent is constant (1.0) in all 8 observations"
+            in capsys.readouterr().out)
 
 
 def test_regress_cross_domain_columns(tmp_path, capsys):
@@ -166,6 +183,26 @@ def test_regress_blank_dependent_cell_sits_out_that_fit(tmp_path, capsys):
     capsys.readouterr()
     assert set(regress("small", rows[:5])) == {"rel_distinct_count"}
     assert "rel_word_entropy: group has 4 observations, needs > 4" in capsys.readouterr().out
+
+
+def test_regress_blank_predictor_cell_sits_out_its_group(tmp_path, capsys):
+    """A blank predictor cell drops its row from every fit the predictor
+    enters, as if the row were not in the file."""
+    rng = np.random.default_rng(6)
+    header = "cluster_id,ratio,text_length,word_entropy,rel_distinct_count,rel_word_entropy"
+    rows = [[str(c), "0.5"] + [f"{v:.6f}" for v in rng.normal(size=4)] for c in range(8)]
+    rows[2][2] = ""
+
+    def regress(name, rows):
+        obs = tmp_path / f"{name}.csv"
+        obs.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+        out = tmp_path / f"{name}_reg.csv"
+        assert main(["regress", "--observations", str(obs), "--out", str(out)]) == 0
+        return read_csv(out)
+
+    fits = regress("blank", rows)
+    assert {r["dependent"] for r in fits} == {"rel_distinct_count", "rel_word_entropy"}
+    assert fits == regress("dropped", rows[:2] + rows[3:])
 
 
 def test_regress_without_fits_exits_nonzero(tmp_path, capsys):

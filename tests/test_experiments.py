@@ -116,10 +116,33 @@ class TestSpecLoading:
                 run_experiment(spec)
             assert not (tmp_path / "run").exists()
 
+    def test_failed_read_leaves_no_output(self, tmp_path):
+        """A malformed input line stops a run before anything is on disk, and
+        emit from a results directory that does not exist creates none."""
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40, lean_mix=True)
+        bad_corpus = tmp_path / "bad_corpus.jsonl"
+        bad_corpus.write_text('{"text": "fine"}\n{"text": \n')
+        bad_manifest = tmp_path / "bad_clusters.jsonl"
+        bad_manifest.write_text('{"cluster_id": 0, "record_indices": [0, 1\n')
+        for kind, paths, message in [
+            ("chain", {"corpus_path": str(bad_corpus)}, ":2: invalid JSON"),
+            ("lean", {"corpus_path": str(bad_corpus)}, ":2: invalid JSON"),
+            ("cluster-regression", {"corpus_path": corpus,
+                                    "cluster_manifest": str(bad_manifest)}, ":1: invalid JSON"),
+        ]:
+            spec = ExperimentSpec(kind=kind, out_dir=str(tmp_path / "run"), **paths)
+            with pytest.raises(InvalidInputError, match=message):
+                run_experiment(spec)
+            assert not (tmp_path / "run").exists()
+        with pytest.raises(InvalidInputError, match="required file missing"):
+            main(["emit", "--results", str(tmp_path / "run"), "--figure", "evolution"])
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("kind, section, unknown", [
         ("toy", {"runs": 4, "stpes": 3}, "stpes"),
         ("chain", {"generations": 2, "eval_sampel": 10, "seed": 3}, "eval_sampel, seed"),
         ("lean", {"mixture_sise": 40}, "mixture_sise"),
+        ("chain", {"rotation": "mixed"}, "rotation"),
     ])
     def test_unknown_param_keys_rejected(self, tmp_path, kind, section, unknown):
         corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40, lean_mix=True)

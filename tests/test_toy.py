@@ -137,14 +137,6 @@ class TestDiscreteDiversity:
         assert d["support_fraction"] == 0.5
         assert d["shannon_entropy"] == pytest.approx(np.log(2), abs=1e-12)
 
-    def test_samples_need_support_size(self):
-        with pytest.raises(InvalidInputError):
-            discrete_diversity([1, 2, 3])
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(InvalidInputError):
-            discrete_diversity([], support_size=4)
-
 
 class TestRunToyChain:
     def test_ratio_zero_keeps_support(self):
