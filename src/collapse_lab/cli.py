@@ -213,7 +213,10 @@ def _cmd_annotate(args) -> int:
          **({"score": e.score} if hasattr(e, "score") else {"error": e.error})}
         for e in result.entries])
     n_fail = len(result.failures)
-    print(f"{len(result.annotations)} annotated, {n_fail} failed -> {args.out}")
+    print(f"{len(result.annotations)} annotated, {n_fail} failed "
+          f"({result.cache_hits} cache hits, {result.requests} requests, "
+          f"{result.parse_failures} parse failures, "
+          f"{result.transport_failures} transport failures) -> {args.out}")
     return 0 if n_fail == 0 else 1
 
 

@@ -93,6 +93,11 @@ class ExperimentSpec:
             unknown = sorted(set(given) - allowed)
             if unknown:
                 raise InvalidConfigError(f"unknown params.{section} keys: {', '.join(unknown)}")
+        kinds = self.params.get("chain", {}).get("generator_kinds", ())
+        if not isinstance(kinds, (list, tuple)):
+            raise InvalidConfigError("params.chain.generator_kinds must be a list of kind names")
+        for kind in kinds:
+            default_factory(kind, 0)  # raises InvalidConfigError on a name it does not know
 
     def canonical(self) -> dict:
         return {

@@ -158,6 +158,11 @@ def default_factory(kind: str, seed: int) -> GeneratorModel:
     else is rejected (external endpoints need their own factory closure)."""
     if kind == "resampler":
         return ResamplerGenerator(seed=seed)
-    if kind.startswith("resampler:"):
-        return ResamplerGenerator(seed=seed, smoothing=float(kind.split(":", 1)[1]))
+    if isinstance(kind, str) and kind.startswith("resampler:"):
+        try:
+            smoothing = float(kind.split(":", 1)[1])
+        except ValueError:
+            raise InvalidConfigError(
+                f"generator kind {kind!r}: smoothing is not a number") from None
+        return ResamplerGenerator(seed=seed, smoothing=smoothing)
     raise InvalidConfigError(f"unknown generator kind {kind!r}")

@@ -5,11 +5,14 @@ bounded-concurrency request issuance and per-text failure isolation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import http.client
 import json
 import os
 import threading
 import time
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -98,9 +101,16 @@ class AnnotationFailure:
 
 @dataclass
 class BatchResult:
-    """Per-input results, order-stable with the input text list."""
+    """Per-input results, order-stable with the input text list, and the
+    batch's judge counters. ``cache_hits`` counts entries served from the
+    cache; every request either annotates its text or adds one to
+    ``parse_failures`` or ``transport_failures``."""
 
     entries: list = field(default_factory=list)  # Annotation | AnnotationFailure
+    cache_hits: int = 0
+    requests: int = 0
+    parse_failures: int = 0
+    transport_failures: int = 0
 
     @property
     def annotations(self) -> list[Annotation]:
@@ -130,11 +140,15 @@ class _Cache:
     A crash mid-append can leave the last row without its newline. If that
     row still parses it is kept, and the next append starts a new line; if
     it does not, it is ignored, and the next append cuts it off first.
+
+    The first append opens the file; each row is flushed as it is written,
+    and ``close`` closes the file.
     """
 
     def __init__(self, path: str | None):
         self._path = path
         self._lock = threading.Lock()
+        self._fh = None
         self._mem: dict = {}
         self._torn_at = None  # byte offset of an unparsable unfinished last row
         self._lead = ""  # what the next append writes before its row
@@ -166,23 +180,68 @@ class _Cache:
         with self._lock:
             self._mem[key] = row
             if self._path:
-                with open(self._path, "a") as fh:
+                if self._fh is None:
+                    self._fh = open(self._path, "a")
                     if self._torn_at is not None:
-                        fh.truncate(self._torn_at)
-                    fh.write(self._lead + json.dumps(row, sort_keys=True) + "\n")
+                        self._fh.truncate(self._torn_at)
+                self._fh.write(self._lead + json.dumps(row, sort_keys=True) + "\n")
+                self._fh.flush()
                 self._torn_at, self._lead = None, ""
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+
+
+@functools.cache
+def _proxy_opener():
+    """The environment's proxy map and a urllib opener that uses it, read once
+    per process as ``urlopen``'s default opener reads it."""
+    proxies = urllib.request.getproxies()
+    return proxies, urllib.request.build_opener(urllib.request.ProxyHandler(proxies))
+
+
+def _post(url: str, data: bytes, headers: dict, timeout: float) -> bytes:
+    parts = urllib.parse.urlsplit(url)
+    proxies, opener = _proxy_opener()
+    if parts.scheme in proxies and not urllib.request.proxy_bypass(parts.netloc):
+        with opener.open(urllib.request.Request(url, data=data, headers=headers),
+                         timeout=timeout) as resp:
+            return resp.read()
+    if parts.scheme not in _CONNECTIONS or not parts.netloc:
+        raise OSError(f"not an http(s) URL: {url!r}")
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    conn = _CONNECTIONS[parts.scheme](parts.netloc, timeout=timeout)
+    try:
+        conn.request("POST", target, body=data, headers=headers)
+        resp = conn.getresponse()
+        if not 200 <= resp.status < 300:
+            raise OSError(f"HTTP Error {resp.status}: {resp.reason}")
+        return resp.read()
+    finally:
+        conn.close()
 
 
 def post_json(url: str, payload: dict, timeout: float, token: str | None = None):
-    """POST ``payload`` as JSON and return the parsed response body, sending a
-    bearer header only when ``token`` is given. A failed request raises
-    OSError; a body that is not JSON raises ValueError."""
-    headers = {"Content-Type": "application/json"}
+    """POST ``payload`` as JSON over a connection of its own and return the
+    parsed response body, sending a bearer header only when ``token`` is
+    given. An endpoint that the environment's proxy settings cover is reached
+    through urllib, the one path that speaks to proxies. A failed request, a
+    malformed HTTP response or a non-2xx status raises OSError; a body that is
+    not JSON raises ValueError."""
+    headers = {"Content-Type": "application/json", "Connection": "close",
+               "User-Agent": "collapse-lab"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    req = urllib.request.Request(url, data=json.dumps(payload).encode(), headers=headers)
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        return json.loads(resp.read().decode())
+    try:
+        body = _post(url, json.dumps(payload).encode(), headers, timeout)
+    except http.client.HTTPException as exc:  # a garbled status line, a truncated body
+        raise OSError(f"{type(exc).__name__}: {exc}") from exc
+    return json.loads(body.decode())
 
 
 def _default_transport(url: str, payload: dict, timeout: float, token: str | None) -> str:
@@ -211,18 +270,14 @@ def _parse_score(raw: str, kind: str) -> int:
 
 def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
               transport=None) -> BatchResult:
+    """Serve each text from the cache in the calling thread, and ask the judge
+    once per distinct uncached text, on up to ``cfg.concurrency`` threads."""
     if not texts:
         raise InvalidInputError("at least one text is required")
     transport = transport or _default_transport
-    cache = _Cache(cfg.cache_path)
 
-    def one(text: str):
-        key = _cache_key(template, text, cfg.model)
-        hit = cache.get(key)
-        if hit is not None:
-            return Annotation(text_hash=hit["text_hash"], kind=hit["kind"],
-                              score=hit["score"], raw_response=hit["raw_response"],
-                              timestamp=hit["timestamp"])
+    def ask(text: str):
+        """The text's entry and the counts of its requests and failures."""
         prompt = template.format(text=text)
         payload = {
             "model": cfg.model,
@@ -230,26 +285,50 @@ def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
             "temperature": 0,
         }
         last_error = "no attempt made"
+        counts = {"requests": 0, "parse": 0, "transport": 0}
         for _ in range(cfg.max_retries + 1):
+            counts["requests"] += 1
             try:
                 raw = transport(cfg.endpoint, payload, cfg.timeout, cfg.auth_token)
             except (OSError, ValueError) as exc:  # ValueError: a non-JSON or textless body
                 last_error = f"transport: {exc}"
+                counts["transport"] += 1
                 continue
             try:
                 score = _parse_score(raw, kind)
             except ValueError as exc:
                 last_error = f"parse: {exc}"
+                counts["parse"] += 1
                 continue
             ann = Annotation(text_hash=_sha(text), kind=kind, score=score,
                              raw_response=raw, timestamp=time.time())
-            cache.put(key, ann)
-            return ann
-        return AnnotationFailure(text_hash=_sha(text), kind=kind, error=last_error)
+            cache.put(_cache_key(template, text, cfg.model), ann)
+            return ann, counts
+        return AnnotationFailure(text_hash=_sha(text), kind=kind, error=last_error), counts
 
-    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        entries = list(pool.map(one, texts))
-    return BatchResult(entries=entries)
+    result = BatchResult(entries=[None] * len(texts))
+    pending: dict = {}  # uncached text -> its positions in ``texts``
+    cache = _Cache(cfg.cache_path)
+    try:
+        for i, text in enumerate(texts):
+            hit = cache.get(_cache_key(template, text, cfg.model))
+            if hit is None:
+                pending.setdefault(text, []).append(i)
+                continue
+            result.entries[i] = Annotation(text_hash=hit["text_hash"], kind=hit["kind"],
+                                           score=hit["score"], raw_response=hit["raw_response"],
+                                           timestamp=hit["timestamp"])
+            result.cache_hits += 1
+        with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+            for positions, (entry, counts) in zip(pending.values(), pool.map(ask, pending)):
+                for i in positions:
+                    result.entries[i] = entry
+                result.requests += counts["requests"]
+                result.parse_failures += counts["parse"]
+                result.transport_failures += counts["transport"]
+    finally:
+        cache.close()
+    return result
 
 
 def annotate_quality(texts: list[str], cfg: JudgeConfig, transport=None) -> BatchResult:

@@ -1,4 +1,6 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -231,3 +233,46 @@ def test_emit_subcommand(tmp_path):
     code = main(["emit", "--results", str(out), "--figure", "evolution"])
     assert code == 0
     assert (out / "plot_evolution.csv").exists()
+
+
+def test_annotate_subcommand_prints_judge_counters(tmp_path, capsys):
+    """A duplicate text is requested once, a text the judge cannot score
+    costs every retry, and a second run serves the scored ones from the cache."""
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            content = prompt["messages"][0]["content"]
+            out = json.dumps({"text": "n/a" if "unscorable" in content else "70"}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(out)))
+            self.end_headers()
+            self.wfile.write(out)
+
+        def log_message(self, *args):
+            pass
+
+    records = tmp_path / "texts.jsonl"
+    write_records_jsonl([TextRecord(text=t) for t in ("a fine post", "a fine post", "unscorable")],
+                        records)
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        args = ["annotate", "--kind", "quality", "--records", str(records),
+                "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/chat",
+                "--model", "m", "--cache", str(tmp_path / "cache.jsonl"),
+                "--out", str(tmp_path / "annotations.jsonl")]
+        assert main(args) == 1
+        first = capsys.readouterr().out
+        assert main(args) == 1
+        second = capsys.readouterr().out
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert first.startswith("2 annotated, 1 failed (0 cache hits, 5 requests, "
+                            "4 parse failures, 0 transport failures) -> ")
+    assert second.startswith("2 annotated, 1 failed (2 cache hits, 4 requests, "
+                             "4 parse failures, 0 transport failures) -> ")
+    rows = [json.loads(line) for line in (tmp_path / "annotations.jsonl").read_text().splitlines()]
+    assert [row.get("score") for row in rows] == [70, 70, None]

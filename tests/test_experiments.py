@@ -152,6 +152,29 @@ class TestSpecLoading:
             run_experiment(spec)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("kinds, message", [
+        (["resampeler"], "unknown generator kind 'resampeler'$"),
+        (["resampler", "resampler:high"], "'resampler:high': smoothing is not a number$"),
+        (["resampler:1.5"], r"smoothing must lie in \[0, 1\]$"),
+        ("resampler", "generator_kinds must be a list of kind names$"),
+    ])
+    def test_unknown_generator_kind_rejected(self, tmp_path, kinds, message):
+        """A kind that default_factory does not build stops the spec before
+        any cell runs, instead of failing every cell of the grid."""
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40)
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps({"kind": "chain", "ratios": [0.5], "seeds": [0],
+                                 "corpus_path": corpus, "out_dir": str(tmp_path / "run"),
+                                 "params": {"chain": {"generator_kinds": kinds}}}))
+        with pytest.raises(InvalidConfigError, match=message):
+            load_spec(f)
+        spec = ExperimentSpec(kind="chain", ratios=[0.5], seeds=[0], corpus_path=corpus,
+                              out_dir=str(tmp_path / "run"),
+                              params={"chain": {"generator_kinds": kinds}})
+        with pytest.raises(InvalidConfigError, match=message):
+            run_experiment(spec)
+        assert not (tmp_path / "run").exists()
+
 
 class TestToyExperiment:
     def test_grid_shape_and_determinism(self, tmp_path):

@@ -1,10 +1,16 @@
+import contextlib
+import gc
 import json
+import socketserver
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from collapse_lab.errors import InvalidInputError
+from collapse_lab import judge
+from collapse_lab.errors import InvalidInputError, TransportError
+from collapse_lab.generators import ExternalGenerator, GeneratorEndpointConfig
 from collapse_lab.judge import (
     LEAN_PROMPT,
     QUALITY_PROMPT,
@@ -34,6 +40,56 @@ def scripted(responses):
 
     transport.calls = calls
     return transport
+
+
+def by_text(reply):
+    """Thread-safe transport answering ``reply(text)`` for the text in the
+    prompt; records each text it was asked about."""
+    calls, lock = [], threading.Lock()
+
+    def transport(url, payload, timeout, token):
+        head, tail = QUALITY_PROMPT.split("{text}")
+        text = payload["messages"][0]["content"][len(head):-len(tail)]
+        with lock:
+            calls.append(text)
+        return reply(text)
+
+    transport.calls = calls
+    return transport
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        request_line = self.rfile.readline().decode().strip()
+        length = 0
+        for line in iter(self.rfile.readline, b"\r\n"):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        self.server.request_lines.append(request_line)
+        self.wfile.write(self.server.respond(self.rfile.read(length)))
+
+
+@contextlib.contextmanager
+def raw_server(respond):
+    """Loopback server that answers each request with the raw bytes
+    ``respond(body)`` returns and then closes the connection. Yields the
+    server; ``server.request_lines`` lists the request lines it read."""
+    server = socketserver.TCPServer(("127.0.0.1", 0), _RawHandler)
+    server.respond, server.request_lines = respond, []
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def http_ok(body: bytes) -> bytes:
+    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
 
 
 class TestAnnotateQuality:
@@ -213,6 +269,25 @@ class TestConcurrency:
                          transport=transport)
         assert state["peak"] <= 3
 
+    def test_shared_cache_handle_under_thread_switches(self, tmp_path):
+        """Eight threads append through one cache handle: every row lands
+        whole, once, and a fresh batch serves them all."""
+        path = tmp_path / "cache.jsonl"
+        texts = [f"text {i}" for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            first = annotate_quality(texts, cfg(cache_path=str(path), concurrency=8),
+                                     transport=by_text(lambda text: text.split()[1][-1]))
+        finally:
+            sys.setswitchinterval(interval)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert sorted(row["score"] for row in rows) == sorted(first.scores)
+        assert len({row["key"] for row in rows}) == len(texts)
+        again = annotate_quality(texts, cfg(cache_path=str(path)),
+                                 transport=TestCache._no_network)
+        assert again.cache_hits == len(texts) and again.scores == first.scores
+
     def test_order_stable(self):
         def transport(url, payload, timeout, token):
             text = payload["messages"][0]["content"].rsplit(" ", 1)[-1].rstrip(".")
@@ -282,6 +357,98 @@ class TestDefaultTransportHttp:
             server.server_close()
         assert result.scores == [None, None, 64]
         assert [f.error.split(":")[0] for f in result.failures] == ["transport"] * 2
+
+
+    def test_malformed_http_fails_only_its_text(self):
+        """A garbled status line or a truncated body is a transport failure of
+        its own text; the rest of the batch is annotated."""
+        def respond(body):
+            if b"garbled" in body:
+                return b"GARBAGE\r\n\r\n"
+            if b"truncated" in body:
+                return b"HTTP/1.0 200 OK\r\nContent-Length: 40\r\n\r\n{\"text\""
+            if b"unavailable" in body:
+                return b"HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n"
+            return http_ok(b'{"text": "64"}')
+
+        texts = ["fine one", "garbled", "truncated", "unavailable", "fine two"]
+        with raw_server(respond) as server:
+            c = JudgeConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}/chat",
+                            model="m", max_retries=1)
+            result = annotate_quality(texts, c)
+        assert result.scores == [64, None, None, None, 64]
+        assert [f.error for f in result.failures] == [
+            "transport: BadStatusLine: GARBAGE\r\n",
+            "transport: IncompleteRead: IncompleteRead(7 bytes read, 33 more expected)",
+            "transport: HTTP Error 503: Service Unavailable"]
+        assert result.transport_failures == 6 and result.requests == 8
+
+    def test_malformed_http_is_a_generator_transport_error(self):
+        with raw_server(lambda body: b"GARBAGE\r\n\r\n") as server:
+            gen = ExternalGenerator(GeneratorEndpointConfig(
+                endpoint=f"http://127.0.0.1:{server.server_address[1]}/gen", model="m"))
+            with pytest.raises(TransportError, match="BadStatusLine"):
+                gen.generate(1)
+
+    def test_proxy_from_environment(self, monkeypatch):
+        """An endpoint that http_proxy covers is requested through the proxy,
+        in absolute form."""
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        try:
+            with raw_server(lambda body: http_ok(b'{"text": "61"}')) as proxy:
+                monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{proxy.server_address[1]}")
+                judge._proxy_opener.cache_clear()
+                c = JudgeConfig(endpoint="http://127.0.0.1:9/v1/chat", model="m", max_retries=0)
+                result = annotate_quality(["via the proxy"], c)
+        finally:
+            judge._proxy_opener.cache_clear()
+        assert result.scores == [61]
+        assert proxy.request_lines == ["POST http://127.0.0.1:9/v1/chat HTTP/1.1"]
+
+
+class TestBatch:
+    def test_duplicates_requested_once(self):
+        transport = by_text(lambda text: {"a": "10", "b": "20"}[text])
+        result = annotate_quality(["a", "a", "b"], cfg(), transport=transport)
+        assert sorted(transport.calls) == ["a", "b"]
+        assert result.scores == [10, 10, 20]
+        assert result.entries[0] is result.entries[1]
+
+    def test_failing_duplicate_retried_once(self):
+        transport = by_text(lambda text: "nope" if text == "a" else "30")
+        result = annotate_quality(["a", "b", "a"], cfg(max_retries=2), transport=transport)
+        assert transport.calls.count("a") == 3
+        assert result.scores == [None, 30, None]
+        assert len(result.failures) == 2
+
+    def test_counters(self, tmp_path):
+        c = cfg(cache_path=str(tmp_path / "cache.jsonl"), max_retries=2, concurrency=1)
+        transport = scripted([OSError("down"), "eighty", "55", "bad", "bad", "bad"])
+        first = annotate_quality(["x", "y", "x"], c, transport=transport)
+        assert first.scores == [55, None, 55]
+        assert (first.cache_hits, first.requests) == (0, 6)
+        assert (first.parse_failures, first.transport_failures) == (4, 1)
+        again = annotate_quality(["x", "y", "x"], c, transport=scripted([OSError("down")]))
+        assert again.scores == [55, None, 55]
+        assert (again.cache_hits, again.requests) == (2, 3)
+        assert (again.parse_failures, again.transport_failures) == (0, 3)
+
+    def test_unexpected_error_propagates_and_closes_the_cache(self, tmp_path):
+        """An error outside the transport contract is not a text failure; the
+        batch's cache handle is closed on the way out (a leaked one would
+        raise ResourceWarning, an error in this suite)."""
+        def transport(url, payload, timeout, token):
+            if "boom" in payload["messages"][0]["content"]:
+                raise RuntimeError("judge client bug")
+            return "50"
+
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(RuntimeError, match="judge client bug"):
+            annotate_quality(["fine", "boom"], cfg(cache_path=str(path), concurrency=1),
+                             transport=transport)
+        gc.collect()
+        assert [json.loads(line)["score"] for line in path.read_text().splitlines()] == [50]
 
 
 class TestAnnotationValidation:
