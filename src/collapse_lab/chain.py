@@ -7,7 +7,7 @@ evaluation and relative (final / generation-0) metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "run_chain",
     "relative_metrics",
     "evaluate_batch",
-    "build_mixed_cluster",
-    "partition_by_score",
 ]
 
 HUMAN = "human"
@@ -293,48 +291,3 @@ def relative_metrics(trace: ChainTrace) -> dict:
         out[domain] = rel
     return out
 
-
-# ---------------------------------------------------------------------------
-# dataset construction helpers
-
-
-def build_mixed_cluster(pure_clusters: list[tuple]) -> list[TextRecord]:
-    """Union of per-domain record lists, domain tags preserved."""
-    if len(pure_clusters) < 2:
-        raise InvalidInputError("a mixed cluster needs at least 2 domains")
-    seen = set()
-    out: list[TextRecord] = []
-    for domain, records in pure_clusters:
-        if domain in seen:
-            raise InvalidInputError(f"duplicate domain tag {domain!r}")
-        seen.add(domain)
-        if not records:
-            raise InvalidInputError(f"empty cluster for domain {domain!r}")
-        for r in records:
-            out.append(r if r.domain == domain else replace(r, domain=domain))
-    return out
-
-
-def partition_by_score(records, score_key: str, boundaries) -> list[list]:
-    """Split records into len(boundaries)+1 buckets by an annotation score.
-    Buckets are half-open [lo, hi) except the last, which is closed. Records
-    lacking the score are an error listing their indices."""
-    boundaries = list(boundaries)
-    if any(b >= c for b, c in zip(boundaries, boundaries[1:])):
-        raise InvalidInputError("boundaries must be strictly ascending")
-    missing = []
-    values = []
-    for i, rec in enumerate(records):
-        ann = rec.annotations if isinstance(rec, TextRecord) else rec
-        if not ann or score_key not in ann or ann[score_key] is None:
-            missing.append(i)
-        else:
-            values.append(float(ann[score_key]))
-    if missing:
-        raise InvalidInputError(
-            f"records missing score {score_key!r} at indices {missing}")
-    buckets: list[list] = [[] for _ in range(len(boundaries) + 1)]
-    for rec, v in zip(records, values):
-        pos = int(np.searchsorted(boundaries, v, side="right"))
-        buckets[pos].append(rec)
-    return buckets

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import metrics
+from .errors import CollapseLabError
 from .experiments import FIGURE_KINDS, ResultStore, emit_plot_data, load_spec, run_experiment
 from .io import read_csv, read_embeddings, read_records_jsonl, write_csv, write_jsonl
 from .judge import JudgeConfig, annotate_lean, annotate_quality
@@ -75,7 +76,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CollapseLabError as exc:  # bad config or input: one line, as argparse reports its own
+        print(f"collapse-lab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_run(args) -> int:

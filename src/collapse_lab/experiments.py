@@ -98,6 +98,9 @@ class ExperimentSpec:
             raise InvalidConfigError("params.chain.generator_kinds must be a list of kind names")
         for kind in kinds:
             default_factory(kind, 0)  # raises InvalidConfigError on a name it does not know
+        if self.kind == "toy":  # a bad toy value fails every cell alike: reject it here
+            for r in self.ratios:
+                toy.ToyConfig(ratio=r, **self.params.get("toy", {})).validate()
 
     def canonical(self) -> dict:
         return {
@@ -219,21 +222,111 @@ def run_experiment(spec: ExperimentSpec) -> ResultStore:
 
 
 def _run_cells(cells: list[dict], run_cell, failures: list) -> list:
-    """Call ``run_cell(**cell)`` for each cell in order and return the
+    """Call ``run_cell(**cell)`` for each cell and return, in cell order, the
     results of those that finish. A cell that raises is recorded in
-    ``failures`` and the grid goes on (cell isolation by contract)."""
+    ``failures`` and the grid goes on (cell isolation by contract).
+
+    The cells run on forked worker processes, one per CPU, and only their
+    results are pickled back. They run in this process where there is one
+    cell, one CPU or no ``fork`` start method."""
+    workers = min(len(cells), _WORKERS or _cpu_count())
+    context = _fork_context() if workers > 1 else None
+    if context is None:
+        outcomes = [_outcome(run_cell, cell) for cell in cells]
+    else:
+        outcomes = _forked_outcomes(context, workers, run_cell, cells)
     results = []
-    for cell in cells:
-        try:
-            results.append(run_cell(**cell))
-        except Exception as exc:
-            failures.append({"cell": cell, "error": f"{type(exc).__name__}: {exc}"})
+    for cell, (finished, value) in zip(cells, outcomes):
+        if finished:
+            results.append(value)
+        else:
+            failures.append({"cell": cell, "error": value})
     return results
 
 
+# the pool size; None means one worker per CPU this process may run on
+_WORKERS: int | None = None
+# a worker's (run_cell, cells), set by the pool's initializer: a forked worker
+# inherits both, so neither the runner's closure nor its corpus is pickled
+_JOB: tuple | None = None
+
+
+def _outcome(run_cell, cell: dict) -> tuple[bool, object]:
+    """(True, result) of a cell, or (False, "Type: message") if it raised.
+    An exception is not sent back from a worker as itself: not every one
+    unpickles (DataExhaustedError's ``__init__`` takes three arguments)."""
+    try:
+        return True, run_cell(**cell)
+    except Exception as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_context():
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    # explicit: Python 3.14 makes forkserver the default on Linux
+    return multiprocessing.get_context("fork")
+
+
+def _set_job(run_cell, cells: list[dict]) -> None:
+    global _JOB
+    _JOB = (run_cell, cells)
+
+
+def _forked_cell(index: int) -> tuple[bool, object]:
+    run_cell, cells = _JOB
+    return _outcome(run_cell, cells[index])
+
+
+def _forked_outcomes(context, workers: int, run_cell, cells: list[dict]) -> list:
+    """``_outcome`` of each cell, computed on ``workers`` forked processes. A
+    worker that dies breaks the pool and leaves the cells it had not finished
+    without an outcome; each of those runs again alone in a fresh pool, so
+    only a cell that kills its own worker fails, as BrokenProcessPool."""
+    outcomes, broken = _pool_outcomes(context, workers, run_cell, cells, range(len(cells)))
+    for index in broken:
+        outcomes.update(_pool_outcomes(context, 1, run_cell, cells, [index])[0])
+    return [outcomes[index] for index in range(len(cells))]
+
+
+def _pool_outcomes(context, workers: int, run_cell, cells: list[dict], indices):
+    """({index: outcome}, [index left by a broken pool]) for the cells at
+    ``indices``. The pool's processes are joined before this returns."""
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    outcomes, broken = {}, []
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_set_job,
+                               initargs=(run_cell, cells))
+    try:
+        futures = {index: pool.submit(_forked_cell, index) for index in indices}
+        for index, future in futures.items():
+            try:
+                outcomes[index] = future.result()
+            except BrokenProcessPool as exc:
+                outcomes[index] = False, f"{type(exc).__name__}: {exc}"
+                broken.append(index)
+    finally:
+        # on an error, cells not yet started are dropped rather than run
+        pool.shutdown(wait=True, cancel_futures=True)
+    return outcomes, broken
+
+
 def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
-    traces = [toy.run_toy_chain(toy.ToyConfig(ratio=ratio, **spec.params.get("toy", {})))
-              for ratio in spec.ratios]
+    params = spec.params.get("toy", {})
+
+    def run_cell(ratio):
+        return toy.run_toy_chain(toy.ToyConfig(ratio=ratio, **params))
+
+    traces = _run_cells([{"ratio": r} for r in spec.ratios], run_cell, failures)
     store.add_csv("toy_trace.csv", toy.TRACE_HEADER, toy.trace_rows(traces))
     store.add_csv("toy_aggregate.csv", toy.AGGREGATE_HEADER, toy.aggregate_rows(traces))
 

@@ -177,6 +177,9 @@ class ToyConfig:
             raise InvalidConfigError("bias_strength must be > 0")
         if self.support_size < self.bias_period:
             raise InvalidConfigError("support_size must be >= bias_period")
+        if not self.overlap and self.bias_period == 1:
+            # every index is divisible by 1: the true distribution has no mass
+            raise InvalidConfigError("overlap=False with bias_period 1 leaves an empty support")
 
 
 @dataclass

@@ -9,8 +9,6 @@ from collapse_lab.chain import (
     ChainConfig,
     HumanCorpus,
     TextRecord,
-    build_mixed_cluster,
-    partition_by_score,
     relative_metrics,
     run_chain,
 )
@@ -330,46 +328,3 @@ class TestExternalGenerator:
         finally:
             server.shutdown()
             server.server_close()
-
-
-class TestMixedClusterAndPartition:
-    def test_mixed_cluster_union(self):
-        a = [TextRecord(text="a", domain="d1")]
-        b = [TextRecord(text="b", domain="d2")]
-        c = [TextRecord(text="c", domain="d3")]
-        out = build_mixed_cluster([("d1", a), ("d2", b), ("d3", c)])
-        assert [r.text for r in out] == ["a", "b", "c"]
-        assert [r.domain for r in out] == ["d1", "d2", "d3"]
-
-    def test_mixed_cluster_counts(self):
-        clusters = [(d, [TextRecord(text=f"{d}{i}", domain=d) for i in range(1000)])
-                    for d in ("d1", "d2", "d3")]
-        out = build_mixed_cluster(clusters)
-        assert len(out) == 3000
-        for d in ("d1", "d2", "d3"):
-            assert sum(1 for r in out if r.domain == d) == 1000
-
-    def test_duplicate_domain_rejected(self):
-        a = [TextRecord(text="a", domain="d1")]
-        with pytest.raises(InvalidInputError):
-            build_mixed_cluster([("d1", a), ("d1", a)])
-
-    def test_empty_cluster_rejected(self):
-        a = [TextRecord(text="a", domain="d1")]
-        with pytest.raises(InvalidInputError):
-            build_mixed_cluster([("d1", a), ("d2", [])])
-
-    def test_partition_by_score_buckets(self):
-        records = [{"quality": q} for q in (10, 30, 50, 90)]
-        buckets = partition_by_score(records, "quality", [25, 50, 75])
-        assert [[r["quality"] for r in b] for b in buckets] == [[10], [30], [50], [90]]
-
-    def test_partition_empty_boundaries(self):
-        records = [{"quality": q} for q in (1, 2, 3)]
-        buckets = partition_by_score(records, "quality", [])
-        assert len(buckets) == 1 and len(buckets[0]) == 3
-
-    def test_partition_missing_score_listed(self):
-        records = [{"quality": 10}, {"other": 1}, {"quality": None}]
-        with pytest.raises(InvalidInputError, match=r"\[1, 2\]"):
-            partition_by_score(records, "quality", [50])

@@ -23,6 +23,24 @@ def test_toy_subcommand(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("body, message", [
+    ({"kind": "toy", "ratio": [0.5]}, "unknown config keys: ratio"),
+    ({"kind": "toy", "params": {"toy": {"steps": 0}}}, "steps and runs must be >= 1"),
+])
+def test_config_error_is_one_line(tmp_path, capsys, body, message):
+    """A bad config ends in one stderr line and exit code 2, not a traceback,
+    and leaves no output."""
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    assert main(["toy", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("collapse-lab: error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not out.exists()
+
+
 def test_chain_subcommand_with_overrides(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     write_records_jsonl([TextRecord(text=f"text number {i} here") for i in range(400)],

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from collapse_lab import experiments, toy
 from collapse_lab.chain import TextRecord
 from collapse_lab.errors import InvalidConfigError, InvalidInputError
 from collapse_lab.cli import main
@@ -116,9 +120,10 @@ class TestSpecLoading:
                 run_experiment(spec)
             assert not (tmp_path / "run").exists()
 
-    def test_failed_read_leaves_no_output(self, tmp_path):
+    def test_failed_read_leaves_no_output(self, tmp_path, capsys):
         """A malformed input line stops a run before anything is on disk, and
-        emit from a results directory that does not exist creates none."""
+        emit from a results directory that does not exist creates none and
+        fails in one line."""
         corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40, lean_mix=True)
         bad_corpus = tmp_path / "bad_corpus.jsonl"
         bad_corpus.write_text('{"text": "fine"}\n{"text": \n')
@@ -134,8 +139,11 @@ class TestSpecLoading:
             with pytest.raises(InvalidInputError, match=message):
                 run_experiment(spec)
             assert not (tmp_path / "run").exists()
-        with pytest.raises(InvalidInputError, match="required file missing"):
-            main(["emit", "--results", str(tmp_path / "run"), "--figure", "evolution"])
+        capsys.readouterr()
+        assert main(["emit", "--results", str(tmp_path / "run"), "--figure", "evolution"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("collapse-lab: error: ") and "required file missing" in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("kind, section, unknown", [
@@ -171,6 +179,20 @@ class TestSpecLoading:
         spec = ExperimentSpec(kind="chain", ratios=[0.5], seeds=[0], corpus_path=corpus,
                               out_dir=str(tmp_path / "run"),
                               params={"chain": {"generator_kinds": kinds}})
+        with pytest.raises(InvalidConfigError, match=message):
+            run_experiment(spec)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section, message", [
+        ({"steps": 0}, "steps and runs must be >= 1"),
+        ({"overlap": False, "bias_period": 1}, "empty support"),
+        ({"support_size": 1}, "support_size must be >= bias_period"),
+    ])
+    def test_bad_toy_value_rejected_before_output(self, tmp_path, section, message):
+        """A toy value that would fail every cell is a config error, not a
+        grid of recorded cell failures."""
+        spec = ExperimentSpec(kind="toy", seeds=[0], out_dir=str(tmp_path / "run"),
+                              params={"toy": section})
         with pytest.raises(InvalidConfigError, match=message):
             run_experiment(spec)
         assert not (tmp_path / "run").exists()
@@ -464,3 +486,81 @@ class TestGridArtifactBytes:
                      "--records", str(tmp_path / "records.jsonl"), "--out", str(out),
                      "--final-count", "6"]) == 0
         assert self._sha(out) == self.CLUSTERS
+
+
+def _grid_spec(tmp_path, kind) -> ExperimentSpec:
+    """A small grid of each kind; all but the toy grid have failing cells."""
+    chain = {"generations": 2, "initial_human": 40, "per_gen_total": 20, "eval_sample": 5}
+    if kind == "toy":
+        return ExperimentSpec(kind="toy", seeds=[0], out_dir=str(tmp_path / "run"),
+                              params={"toy": {"runs": 3, "steps": 5, "support_size": 200}})
+    if kind == "chain":  # 100 texts seed only some of the three seeds' chains
+        return ExperimentSpec(kind="chain", ratios=[0.0, 0.5], seeds=[0, 1, 2],
+                              out_dir=str(tmp_path / "run"),
+                              corpus_path=write_corpus(str(tmp_path / "corpus.jsonl"), n=100),
+                              params={"chain": {**chain, "initial_human": 60,
+                                                "per_gen_total": 30}})
+    if kind == "lean":  # record 1's lean of 150 fails every mixture that draws it
+        records = [TextRecord(text=f"item {i}", annotations={"lean": [10, 90, -1][i % 3]})
+                   for i in range(40)]
+        records[1] = TextRecord(text="item 1", annotations={"lean": 150})
+        write_records_jsonl(records, tmp_path / "lean.jsonl")
+        return ExperimentSpec(kind="lean", seeds=[0, 1, 2], out_dir=str(tmp_path / "run"),
+                              corpus_path=str(tmp_path / "lean.jsonl"),
+                              params={"lean": {"mixture_size": 8}})
+    corpus_path, manifest_path = write_cluster_grid(tmp_path)
+    with open(manifest_path, "a") as fh:  # 10 texts cannot seed 40 initial ones
+        fh.write(json.dumps({"cluster_id": 2, "method": "kmeans", "params": {},
+                             "record_indices": list(range(10))}) + "\n")
+    return ExperimentSpec(kind="cluster-regression", ratios=[0.25, 0.5], seeds=[0, 1],
+                          out_dir=str(tmp_path / "run"), corpus_path=corpus_path,
+                          cluster_manifest=manifest_path, params={"chain": chain})
+
+
+def _artifacts(store: ResultStore) -> dict:
+    """Every artifact's bytes, and the manifest's failures list."""
+    out = {name: Path(path).read_bytes() for name, path in store.artifacts.items()}
+    out["failures"] = json.loads(Path(store.path("manifest.json")).read_text())["failures"]
+    return out
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="grid cells run on worker processes only where fork exists")
+class TestForkedCells:
+    @pytest.mark.parametrize("kind", experiments.KINDS)
+    def test_one_and_two_workers_write_the_same_bytes(self, tmp_path, monkeypatch, kind):
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(experiments, "_WORKERS", workers)
+            (tmp_path / str(workers)).mkdir()
+            spec = _grid_spec(tmp_path / str(workers), kind)
+            runs[workers] = _artifacts(run_experiment(spec))
+            assert multiprocessing.active_children() == []
+        assert runs[1] == runs[2]
+        assert (runs[1]["failures"] != []) == (kind != "toy")
+
+    def test_a_dying_worker_fails_only_its_own_cell(self, tmp_path, monkeypatch):
+        """The first cell ends its worker process with os._exit while the
+        other cells are running or queued. It is recorded as
+        BrokenProcessPool; the cells the broken pool held run again and their
+        rows are written."""
+        clean = _artifacts(run_experiment(_grid_spec(tmp_path / "clean", "toy")))
+        run_toy_chain = toy.run_toy_chain
+
+        def dies_at_zero(cfg):
+            if cfg.ratio == 0.0:
+                os._exit(3)
+            time.sleep(0.05)  # still busy when the first cell's worker dies
+            return run_toy_chain(cfg)
+
+        monkeypatch.setattr(toy, "run_toy_chain", dies_at_zero)
+        monkeypatch.setattr(experiments, "_WORKERS", 2)
+        broken = _artifacts(run_experiment(_grid_spec(tmp_path / "broken", "toy")))
+        assert multiprocessing.active_children() == []
+        assert [f["cell"] for f in broken["failures"]] == [{"ratio": 0.0}]
+        assert broken["failures"][0]["error"].startswith("BrokenProcessPool: ")
+        for name in ("toy_trace.csv", "toy_aggregate.csv"):
+            header, *rows = clean[name].decode().splitlines(keepends=True)
+            column = header.split(",").index("r")
+            kept = [row for row in rows if float(row.split(",")[column]) != 0.0]
+            assert broken[name].decode() == header + "".join(kept)

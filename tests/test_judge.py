@@ -406,6 +406,45 @@ class TestDefaultTransportHttp:
         assert result.scores == [61]
         assert proxy.request_lines == ["POST http://127.0.0.1:9/v1/chat HTTP/1.1"]
 
+    def test_https_posts_share_one_tls_context(self, monkeypatch):
+        """Two HTTPS posts make one TLS context and hand it to both
+        connections (no network: the connection class is a stand-in)."""
+        import ssl
+
+        made, given = [], []
+        make = ssl._create_default_https_context
+        monkeypatch.setattr(ssl, "_create_default_https_context",
+                            lambda: made.append(make()) or made[-1])
+
+        class Response:
+            status, reason = 200, "OK"
+
+            def read(self):
+                return b'{"text": "5"}'
+
+        class Connection:
+            def __init__(self, host, timeout, context):
+                given.append(context)
+
+            def request(self, *args, **kwargs):
+                pass
+
+            def getresponse(self):
+                return Response()
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(judge.http.client, "HTTPSConnection", Connection)
+        monkeypatch.setattr(judge, "_proxy_opener", lambda: ({}, None))
+        judge._tls_context.cache_clear()
+        try:
+            for _ in range(2):
+                assert judge.post_json("https://judge.invalid/v1/chat", {}, 1.0) == {"text": "5"}
+        finally:
+            judge._tls_context.cache_clear()
+        assert len(made) == 1 and given == made * 2
+
 
 class TestBatch:
     def test_duplicates_requested_once(self):

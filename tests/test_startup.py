@@ -1,5 +1,6 @@
 """Start-up guard: the package and its light modules load numpy and the
-stdlib only, and no module loads scipy.stats (about 1 s of import time)."""
+stdlib only, no module loads scipy.stats (about 1 s of import time), and
+experiments loads no process pool."""
 
 import pkgutil
 import subprocess
@@ -32,3 +33,11 @@ def test_no_module_loads_scipy_stats():
     loaded = _modules_after_import(names)
     assert {"collapse_lab.clustering", "collapse_lab.regression"} <= loaded
     assert "scipy.stats" not in loaded
+
+
+def test_experiments_loads_no_process_pool():
+    """The grid's process pool is imported when a grid first runs on it."""
+    loaded = _modules_after_import(["experiments"])
+    assert "collapse_lab.experiments" in loaded
+    assert sorted(m for m in loaded if m == "multiprocessing" or m.startswith("multiprocessing.")
+                  or m == "concurrent.futures.process") == []
