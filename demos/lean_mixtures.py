@@ -7,6 +7,7 @@ Run: python demos/lean_mixtures.py
 import numpy as np
 
 from collapse_lab.judge import (
+    LEAN_LEFT_FRACTIONS,
     JudgeConfig,
     annotate_lean,
     build_lean_mixture,
@@ -47,7 +48,7 @@ def main():
     print("exact-50 and non-political records join neither\n")
 
     print(f"{'left frac':>10} {'size':>6} {'mean lean':>10}")
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+    for frac in LEAN_LEFT_FRACTIONS:
         mix = build_lean_mixture(left, right, frac, size=40, seed=0)
         mean = np.mean([r["lean"] for r in mix])
         print(f"{frac:10.2f} {len(mix):6d} {mean:10.1f}")

@@ -13,7 +13,8 @@ Run: python demos/toy_bias_sweep.py [out_dir]
 import sys
 import time
 
-from collapse_lab.toy import ToyConfig, run_toy_chain, write_aggregate_csv
+from collapse_lab import io, toy
+from collapse_lab.toy import ToyConfig, run_toy_chain
 
 RATIOS = [1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 15 / 16]
 
@@ -61,7 +62,7 @@ def main():
 
     if len(sys.argv) > 1:
         out = f"{sys.argv[1].rstrip('/')}/toy_aggregate.csv"
-        write_aggregate_csv(biased, out)
+        io.write_csv(out, toy.AGGREGATE_HEADER, toy.aggregate_rows(biased))
         print(f"\nper-step aggregate curves written to {out}")
     print(f"\n[{time.time() - t0:.1f}s]")
 

@@ -33,6 +33,9 @@ __all__ = [
 
 HUMAN = "human"
 SYNTHETIC = "synthetic"
+# the metrics evaluate_batch computes
+EVAL_METRICS = ("distinct_count", "word_entropy", "type_token_ratio", "avg_text_length",
+                "self_bleu")
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,6 @@ class TextRecord:
     generation: int = -1
     domain: str | None = None
     annotations: dict | None = None
-    embedding_id: int | None = None
 
     def __post_init__(self):
         if self.source not in (HUMAN, SYNTHETIC):
@@ -62,10 +64,6 @@ class DataPool:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    @property
-    def records(self) -> list[TextRecord]:
-        return list(self._records)
 
     def add_generation(self, generation: int, records: list[TextRecord]) -> None:
         self._records.extend(records)
@@ -128,8 +126,7 @@ class ChainConfig:
     generator_kinds: tuple = ("resampler",)
     domains: tuple = (None,)
     seed: int = 0
-    eval_metrics: tuple = ("distinct_count", "word_entropy", "type_token_ratio",
-                           "avg_text_length", "self_bleu")
+    eval_metrics: tuple = EVAL_METRICS
 
     def validate(self) -> None:
         if not 0.0 <= self.ratio <= 1.0:
@@ -142,6 +139,8 @@ class ChainConfig:
             raise InvalidConfigError("at least one generator kind is required")
         if not self.domains:
             raise InvalidConfigError("at least one domain tag is required")
+        if not set(self.eval_metrics) <= set(EVAL_METRICS):
+            raise InvalidConfigError(f"eval_metrics must be drawn from {list(EVAL_METRICS)}")
         if len(self.domains) > 1 and self.per_gen_total % len(self.domains) != 0:
             raise InvalidConfigError("per_gen_total must be divisible by the domain count")
         n_syn = int(np.floor(self.per_gen_total * self.ratio))
@@ -177,16 +176,16 @@ def evaluate_batch(texts: list[str], which: tuple, seed: int = 0) -> M.MetricRep
     report = M.MetricReport(sample_size=len(texts))
     for name in which:
         if name == "distinct_count":
-            report.add(name, len(set(texts)))
+            report.values[name] = len(set(texts))
         elif name == "word_entropy":
-            report.add(name, M.word_entropy(texts))
+            report.values[name] = M.word_entropy(texts)
         elif name == "type_token_ratio":
-            report.add(name, M.type_token_ratio(texts))
+            report.values[name] = M.type_token_ratio(texts)
         elif name == "avg_text_length":
-            report.add(name, M.avg_text_length(texts))
+            report.values[name] = M.avg_text_length(texts)
         elif name == "self_bleu":
             if len(texts) >= 2:
-                report.add(name, M.self_bleu(texts, seed=seed), max_n=4)
+                report.values[name] = M.self_bleu(texts, seed=seed)
         else:
             raise InvalidInputError(f"unknown evaluation metric {name!r}")
     return report
@@ -260,7 +259,7 @@ def run_chain(cfg: ChainConfig, corpus: HumanCorpus, generator_factory) -> Chain
                 sample = list(texts)
                 truncated = True
             report = evaluate_batch(sample, cfg.eval_metrics, seed=cfg.seed)
-            report.params["whole_batch"] = truncated
+            report.whole_batch = truncated
             gen_reports[domain] = report
             gen_batches[domain] = sample
         trace.reports.append(gen_reports)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import metrics
-from .errors import CollapseLabError
+from .errors import CollapseLabError, InvalidInputError
 from .experiments import FIGURE_KINDS, ResultStore, emit_plot_data, load_spec, run_experiment
 from .io import read_csv, read_embeddings, read_records_jsonl, write_csv, write_jsonl
 from .judge import JudgeConfig, annotate_lean, annotate_quality
@@ -111,7 +111,8 @@ def _cmd_metrics(args) -> int:
     row("type_token_ratio", metrics.type_token_ratio(texts),
         prefix_chars=metrics.TTR_PREFIX_CHARS)
     if len(texts) >= 2:
-        row("self_bleu", metrics.self_bleu(texts), max_n=4, max_texts=250)
+        row("self_bleu", metrics.self_bleu(texts), max_n=metrics.SELF_BLEU_MAX_N,
+            max_texts=metrics.SELF_BLEU_MAX_TEXTS)
     for key in ("quality", "lean", "positivity"):
         if any(r.annotations and r.annotations.get(key) is not None for r in records):
             agg = metrics.aggregate_scores(records, key)
@@ -145,9 +146,7 @@ def _cmd_cluster(args) -> int:
     points = read_embeddings(args.projection)
     records = read_records_jsonl(args.records)
     if points.shape[0] != len(records):
-        print(f"projection rows ({points.shape[0]}) != records ({len(records)})",
-              file=sys.stderr)
-        return 2
+        raise InvalidInputError(f"projection rows ({points.shape[0]}) != records ({len(records)})")
     cfg = clustering.ClusterSuiteConfig(final_count=args.final_count, seed=args.seed)
     suite = clustering.build_cluster_suite(points, cfg)
     write_jsonl(args.out, [{"cluster_id": spec["cluster_id"], "method": spec["method"],

@@ -274,14 +274,12 @@ def propagate_labels(sample_points, sample_labels, query_points,
 # merging and the suite
 
 
-def merge_clusters(clusters, target_size: int, strategy: str = "uniform",
-                   seed: int = 0):
-    """Merge clusters until the union reaches ``target_size`` members.
+def merge_clusters(clusters, target_size: int, seed: int = 0):
+    """Merge clusters farthest-first until the union reaches ``target_size``
+    members: start from a seeded cluster and repeatedly add the one whose
+    centroid is farthest from the running size-weighted merged centroid.
 
-    ``clusters`` is a list of (centroid, indices). ``uniform`` draws clusters
-    without replacement (seeded); ``farthest-first`` starts from a seeded
-    cluster and repeatedly adds the one whose centroid is farthest from the
-    running size-weighted merged centroid.
+    ``clusters`` is a list of (centroid, indices).
     Returns (member_indices, merged_cluster_positions).
     """
     if not clusters:
@@ -289,37 +287,24 @@ def merge_clusters(clusters, target_size: int, strategy: str = "uniform",
     sizes = [len(c[1]) for c in clusters]
     if sum(sizes) < target_size:
         raise ShortfallError(target_size, sum(sizes), "cluster members")
-    if strategy not in ("uniform", "farthest-first"):
-        raise InvalidInputError(f"unknown merge strategy {strategy!r}")
 
     rng = np.random.default_rng(seed)
     remaining = list(range(len(clusters)))
-    chosen: list[int] = []
-    total = 0
-
-    if strategy == "uniform":
-        order = rng.permutation(len(clusters))
-        for pos in order:
-            chosen.append(int(pos))
-            total += sizes[pos]
-            if total >= target_size:
-                break
-    else:
-        start = int(rng.integers(len(clusters)))
-        chosen.append(start)
-        remaining.remove(start)
-        total = sizes[start]
-        centroid = np.asarray(clusters[start][0], dtype=float)
-        while total < target_size:
-            cents = np.array([clusters[i][0] for i in remaining], dtype=float)
-            d2 = ((cents - centroid) ** 2).sum(axis=1)
-            far = remaining[int(d2.argmax())]
-            # size-weighted running centroid
-            c_far = np.asarray(clusters[far][0], dtype=float)
-            centroid = (centroid * total + c_far * sizes[far]) / (total + sizes[far])
-            chosen.append(far)
-            remaining.remove(far)
-            total += sizes[far]
+    start = int(rng.integers(len(clusters)))
+    chosen = [start]
+    remaining.remove(start)
+    total = sizes[start]
+    centroid = np.asarray(clusters[start][0], dtype=float)
+    while total < target_size:
+        cents = np.array([clusters[i][0] for i in remaining], dtype=float)
+        d2 = ((cents - centroid) ** 2).sum(axis=1)
+        far = remaining[int(d2.argmax())]
+        # size-weighted running centroid
+        c_far = np.asarray(clusters[far][0], dtype=float)
+        centroid = (centroid * total + c_far * sizes[far]) / (total + sizes[far])
+        chosen.append(far)
+        remaining.remove(far)
+        total += sizes[far]
 
     members = np.concatenate([np.asarray(clusters[i][1]) for i in chosen])
     return members, chosen
@@ -399,9 +384,8 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
             while len(taken) < cfg.quota_per_clustering and small:
                 if sum(len(c[1]) for c in small) < min_size:
                     break
-                members, chosen = merge_clusters(
-                    small, min_size, strategy="farthest-first",
-                    seed=int(rng.integers(2**31)))
+                members, chosen = merge_clusters(small, min_size,
+                                                 seed=int(rng.integers(2**31)))
                 merged_centroid = points[members].mean(axis=0)
                 taken.append((merged_centroid, members))
                 small = [c for i, c in enumerate(small) if i not in set(chosen)]

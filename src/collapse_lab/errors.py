@@ -45,7 +45,7 @@ class RankError(DegenerateInputError):
 class ShortfallError(CollapseLabError, ValueError):
     """Fewer items available than a procedure must produce."""
 
-    def __init__(self, needed, available, what="items"):
+    def __init__(self, needed, available, what):
         self.needed = needed
         self.available = available
         super().__init__(f"needed {needed} {what}, only {available} available")

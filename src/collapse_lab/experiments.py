@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -68,39 +69,61 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        """Reject, before any output, every value that would fail each cell
+        alike or that the kind would silently ignore."""
         if self.kind not in KINDS:
             raise InvalidConfigError(f"unknown experiment kind {self.kind!r}")
         missing = [name for name in _REQUIRED.get(self.kind, ()) if not getattr(self, name)]
         if missing:
             raise InvalidConfigError(f"{self.kind} experiments need {' and '.join(missing)}")
-        for r in self.ratios:
-            if not 0.0 <= r <= 1.0:
-                raise InvalidConfigError(f"ratio {r} outside [0, 1]")
-        if not self.seeds:
-            raise InvalidConfigError("at least one seed is required")
+        if not (isinstance(self.ratios, (list, tuple))
+                and all(_is_number(r, numbers.Real) and 0 <= r <= 1 for r in self.ratios)):
+            raise InvalidConfigError("ratios must be a list of numbers in [0, 1]")
+        if not (isinstance(self.seeds, (list, tuple)) and self.seeds
+                and all(_is_number(s, numbers.Integral) and s >= 0 for s in self.seeds)):
+            raise InvalidConfigError("seeds must be a non-empty list of non-negative integers")
         for path in (self.corpus_path, self.cluster_manifest):
             if path is not None and not os.path.exists(path):
                 raise InvalidConfigError(f"referenced file does not exist: {path}")
         if not isinstance(self.params, dict):
             raise InvalidConfigError("params must be an object")
-        unknown = sorted(set(self.params) - set(_PARAM_KEYS))
+        section = "chain" if self.kind == "cluster-regression" else self.kind
+        unknown = sorted(set(self.params) - {section})
         if unknown:
-            raise InvalidConfigError(f"unknown params sections: {', '.join(unknown)}")
-        for section, allowed in _PARAM_KEYS.items():
-            given = self.params.get(section, {})
-            if not isinstance(given, dict):
-                raise InvalidConfigError(f"params.{section} must be an object")
-            unknown = sorted(set(given) - allowed)
-            if unknown:
-                raise InvalidConfigError(f"unknown params.{section} keys: {', '.join(unknown)}")
-        kinds = self.params.get("chain", {}).get("generator_kinds", ())
-        if not isinstance(kinds, (list, tuple)):
-            raise InvalidConfigError("params.chain.generator_kinds must be a list of kind names")
-        for kind in kinds:
-            default_factory(kind, 0)  # raises InvalidConfigError on a name it does not know
-        if self.kind == "toy":  # a bad toy value fails every cell alike: reject it here
+            raise InvalidConfigError(f"{self.kind} experiments read only params.{section}; "
+                                     f"unknown params sections: {', '.join(unknown)}")
+        given = self.params.get(section, {})
+        if not isinstance(given, dict):
+            raise InvalidConfigError(f"params.{section} must be an object")
+        unknown = sorted(set(given) - _PARAM_KEYS[section])
+        if unknown:
+            raise InvalidConfigError(f"unknown params.{section} keys: {', '.join(unknown)}")
+        # a value that fails every cell alike is rejected here
+        if section == "toy":
             for r in self.ratios:
-                toy.ToyConfig(ratio=r, **self.params.get("toy", {})).validate()
+                toy.ToyConfig(ratio=r, **given).validate()
+        elif section == "chain":
+            kinds = given.get("generator_kinds", ())
+            if not isinstance(kinds, (list, tuple)):
+                raise InvalidConfigError(
+                    "params.chain.generator_kinds must be a list of kind names")
+            for kind in kinds:
+                default_factory(kind, 0)  # raises InvalidConfigError on a name it does not know
+            for r in self.ratios:
+                _chain_config(self, r, self.seeds[0]).validate()
+        else:
+            from .judge import LEAN_LEFT_FRACTIONS
+
+            fractions = given.get("left_fractions", LEAN_LEFT_FRACTIONS)
+            if not (isinstance(fractions, (list, tuple))
+                    and all(_is_number(f, numbers.Real) for f in fractions)
+                    and set(fractions) <= set(LEAN_LEFT_FRACTIONS)):
+                raise InvalidConfigError(
+                    "params.lean.left_fractions must be a list of values from "
+                    f"{list(LEAN_LEFT_FRACTIONS)}")
+            size = given.get("mixture_size", 1)
+            if not (_is_number(size, numbers.Integral) and size >= 1):
+                raise InvalidConfigError("params.lean.mixture_size must be an integer >= 1")
 
     def canonical(self) -> dict:
         return {
@@ -229,7 +252,7 @@ def _run_cells(cells: list[dict], run_cell, failures: list) -> list:
     The cells run on forked worker processes, one per CPU, and only their
     results are pickled back. They run in this process where there is one
     cell, one CPU or no ``fork`` start method."""
-    workers = min(len(cells), _WORKERS or _cpu_count())
+    workers = min(len(cells), _cpu_count())
     context = _fork_context() if workers > 1 else None
     if context is None:
         outcomes = [_outcome(run_cell, cell) for cell in cells]
@@ -244,8 +267,6 @@ def _run_cells(cells: list[dict], run_cell, failures: list) -> list:
     return results
 
 
-# the pool size; None means one worker per CPU this process may run on
-_WORKERS: int | None = None
 # a worker's (run_cell, cells), set by the pool's initializer: a forked worker
 # inherits both, so neither the runner's closure nor its corpus is pickled
 _JOB: tuple | None = None
@@ -357,7 +378,7 @@ def _run_chain_grid(spec: ExperimentSpec, store: ResultStore, failures: list) ->
                     "domain": domain_name, "kind": trace.kinds[g],
                     "sample_size": report.sample_size,
                     "metrics": {k: float(v) for k, v in report.values.items()},
-                    "whole_batch": bool(report.params.get("whole_batch", False)),
+                    "whole_batch": report.whole_batch,
                 })
                 for metric, value in report.values.items():
                     rows.append([seed, g, domain_name, float(ratio), metric, float(value)])
@@ -388,13 +409,13 @@ def _run_chain_grid(spec: ExperimentSpec, store: ResultStore, failures: list) ->
 
 
 def _run_lean(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
-    from .judge import build_lean_mixture, partition_by_lean
+    from .judge import LEAN_LEFT_FRACTIONS, build_lean_mixture, partition_by_lean
     from .metrics import lean_bins
 
     left, right = partition_by_lean(read_records_jsonl(spec.corpus_path))
     p = spec.params.get("lean", {})
     size = p.get("mixture_size", min(len(left), len(right)))
-    fractions = p.get("left_fractions", [0.0, 0.25, 0.5, 0.75, 1.0])
+    fractions = p.get("left_fractions", LEAN_LEFT_FRACTIONS)
 
     def run_cell(left_fraction, seed):
         mix = build_lean_mixture(left, right, left_fraction, size, seed=seed)
@@ -443,6 +464,11 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
                    "rel_distinct_count", "rel_word_entropy"],
                   sorted(_run_cells(cells, run_cell, failures),
                          key=lambda r: (r[0], r[1], r[2])))
+
+
+def _is_number(x, kind) -> bool:
+    """Whether ``x`` is a number of ``kind``; a bool is not one."""
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def _or_blank(v):

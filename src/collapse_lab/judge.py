@@ -24,6 +24,7 @@ from .errors import InvalidConfigError, InvalidInputError
 __all__ = [
     "QUALITY_PROMPT",
     "LEAN_PROMPT",
+    "LEAN_LEFT_FRACTIONS",
     "JudgeConfig",
     "Annotation",
     "AnnotationFailure",
@@ -58,6 +59,8 @@ LEAN_PROMPT = (
 )
 
 _RANGES = {"quality": (0, 100, False), "lean": (0, 100, True)}
+# the left-wing shares a lean mixture may take
+LEAN_LEFT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass
@@ -376,8 +379,8 @@ def build_lean_mixture(left: list, right: list, left_fraction: float,
                        size: int, seed: int = 0) -> list:
     """Seeded sample of size*left_fraction records from the left partition and
     the remainder from the right, shuffled together."""
-    if left_fraction not in (0.0, 0.25, 0.5, 0.75, 1.0):
-        raise InvalidInputError("left_fraction must be one of 0, 0.25, 0.5, 0.75, 1.0")
+    if left_fraction not in LEAN_LEFT_FRACTIONS:
+        raise InvalidInputError(f"left_fraction must be one of {list(LEAN_LEFT_FRACTIONS)}")
     if size < 1:
         raise InvalidInputError("size must be >= 1")
     n_left = round(size * left_fraction)

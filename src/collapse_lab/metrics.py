@@ -35,23 +35,22 @@ __all__ = [
 
 _PUNCT = string.punctuation + "‘’“”…"
 # type_token_ratio reads each text's first TTR_PREFIX_CHARS characters;
-# lean_bins splits [0, 100] into LEAN_BINS equal-width bins
+# lean_bins splits [0, 100] into LEAN_BINS equal-width bins; self_bleu scores
+# n-grams up to SELF_BLEU_MAX_N over at most SELF_BLEU_MAX_TEXTS texts
 TTR_PREFIX_CHARS = 200
 LEAN_BINS = 8
+SELF_BLEU_MAX_N = 4
+SELF_BLEU_MAX_TEXTS = 250
 
 
 @dataclass
 class MetricReport:
-    """Named metric values for one evaluated batch, with parameterization."""
+    """Named metric values for one evaluated batch. ``whole_batch`` marks a
+    batch evaluated whole because it was smaller than the sample size."""
 
     values: dict = field(default_factory=dict)
     sample_size: int = 0
-    params: dict = field(default_factory=dict)
-
-    def add(self, name: str, value, **params):
-        self.values[name] = value
-        for k, v in params.items():
-            self.params[f"{name}.{k}"] = v
+    whole_batch: bool = False
 
 
 def tokenize(text: str) -> list[str]:
@@ -160,11 +159,11 @@ def bleu(candidate: list[str], references: list[list[str]], max_n: int = 4,
     return bp * math.exp(log_sum)
 
 
-def self_bleu(texts: list[str], max_n: int = 4, smoothing: str = "add1",
-              tokenizer=tokenize, max_texts: int = 250, seed: int = 0) -> float:
-    """Mean BLEU of each text against all the others as references. High
-    values mean low lexical diversity. Texts with no tokens are neither
-    scored nor used as references.
+def self_bleu(texts: list[str], seed: int = 0) -> float:
+    """Mean BLEU of each text against all the others as references, with
+    ``bleu``'s defaults: n-grams up to ``SELF_BLEU_MAX_N``, add-one smoothing
+    and ``tokenize``. High values mean low lexical diversity. Texts with no
+    tokens are neither scored nor used as references.
 
     The value is bit-identical to calling ``bleu`` on each text with the
     others as references, but each text's n-gram counts are built once. Per
@@ -172,24 +171,22 @@ def self_bleu(texts: list[str], max_n: int = 4, smoothing: str = "add1",
     second-largest count are kept. Every other text's count is at most the
     largest, so against the others a text loses clipped counts only on the
     n-grams it holds the largest count of, down to the second-largest. The
-    cost is linear in the batch's tokens. Batches larger than ``max_texts``
-    are subsampled (seeded), which bounds that cost and fixes the size of the
-    reference set the score depends on.
+    cost is linear in the batch's tokens. Batches larger than
+    ``SELF_BLEU_MAX_TEXTS`` are subsampled (seeded), which bounds that cost and
+    fixes the size of the reference set the score depends on.
     """
     if len(texts) < 2:
         raise InvalidInputError("self-BLEU needs at least 2 texts")
-    if len(texts) > max_texts:
+    if len(texts) > SELF_BLEU_MAX_TEXTS:
         rng = np.random.default_rng(seed)
-        idx = rng.choice(len(texts), size=max_texts, replace=False)
+        idx = rng.choice(len(texts), size=SELF_BLEU_MAX_TEXTS, replace=False)
         texts = [texts[i] for i in sorted(idx)]
-    token_lists = [tokens for tokens in map(tokenizer, texts) if tokens]
+    token_lists = [tokens for tokens in map(tokenize, texts) if tokens]
     if len(token_lists) < 2:
         raise InvalidInputError("no scorable texts after tokenization")
-    if smoothing not in ("none", "add1"):
-        raise InvalidInputError(f"unknown smoothing {smoothing!r}")
 
     # best[n - 1][ngram] = [largest count, text holding it, second-largest count]
-    best = [{} for _ in range(max_n)]
+    best = [{} for _ in range(SELF_BLEU_MAX_N)]
     for i, tokens in enumerate(token_lists):
         for n, table in enumerate(best, start=1):
             for ngram, cnt in _ngram_counts(tokens, n).items():
@@ -201,7 +198,7 @@ def self_bleu(texts: list[str], max_n: int = 4, smoothing: str = "add1",
                 elif cnt > slot[2]:
                     slot[2] = cnt
     # lost[i][n - 1]: text i's n-gram count minus its clipped count
-    lost = [[0] * max_n for _ in token_lists]
+    lost = [[0] * SELF_BLEU_MAX_N for _ in token_lists]
     for n, table in enumerate(best):
         for top, owner, second in table.values():
             lost[owner][n] += top - second
@@ -212,21 +209,21 @@ def self_bleu(texts: list[str], max_n: int = 4, smoothing: str = "add1",
         c = len(cand)
         r = min((L for L, k in lengths.items() if L != c or k > 1),
                 key=lambda L: (abs(L - c), L))
-        scores.append(_bleu_from_clips(c, r, lost[i], max_n, smoothing))
+        scores.append(_bleu_from_clips(c, r, lost[i]))
     return float(np.mean(scores))
 
 
-def _bleu_from_clips(c: int, r: int, lost: list[int], max_n: int, smoothing: str) -> float:
+def _bleu_from_clips(c: int, r: int, lost: list[int]) -> float:
     """``bleu`` of a c-token candidate, with the same operation order, given
     its closest reference length r and, per n, its n-gram count minus its
     clipped count."""
-    order = min(max_n, c)
+    order = min(SELF_BLEU_MAX_N, c)
     log_sum = 0.0
     for n in range(1, order + 1):
         total = c - n + 1
         clipped = total - lost[n - 1]
         if clipped == 0:
-            if n == 1 or smoothing == "none":
+            if n == 1:
                 return 0.0
             p = 1.0 / (total + 1)
         else:

@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .io import write_csv
 
 __all__ = [
     "DiscreteDistribution",
@@ -34,8 +33,6 @@ __all__ = [
     "sample_discrete",
     "discrete_diversity",
     "run_toy_chain",
-    "write_trace_csv",
-    "write_aggregate_csv",
 ]
 
 
@@ -288,12 +285,3 @@ def aggregate_rows(traces: list[ToyTrace]) -> list[list]:
             rows.append([ratio, step, support[step], entropy[step]])
     return rows
 
-
-def write_trace_csv(trace: ToyTrace, path) -> None:
-    """One row per (run, step): run,step,r,support_fraction,shannon_entropy."""
-    write_csv(path, TRACE_HEADER, trace_rows([trace]))
-
-
-def write_aggregate_csv(traces: list[ToyTrace], path) -> None:
-    """Run-averaged curves, one row per (r, step)."""
-    write_csv(path, AGGREGATE_HEADER, aggregate_rows(traces))

@@ -41,6 +41,23 @@ def test_config_error_is_one_line(tmp_path, capsys, body, message):
     assert not out.exists()
 
 
+def test_chain_value_error_is_one_line(tmp_path, capsys):
+    """A chain value that would fail every cell stops the run before any
+    output, in one stderr line."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_records_jsonl([TextRecord(text=f"text number {i} here") for i in range(40)], corpus)
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps({"kind": "chain", "ratios": [0.5], "seeds": [0],
+                                  "corpus_path": str(corpus),
+                                  "params": {"chain": {"generations": 0}}}))
+    out = tmp_path / "out"
+    assert main(["chain", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "collapse-lab: error: counts must be positive\n"
+    assert not out.exists()
+
+
 def test_chain_subcommand_with_overrides(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     write_records_jsonl([TextRecord(text=f"text number {i} here") for i in range(400)],
@@ -110,6 +127,20 @@ def test_cluster_subcommand(tmp_path):
     assert len(lines) == 6
     row = json.loads(lines[0])
     assert {"cluster_id", "method", "params", "record_indices"} <= set(row)
+
+
+def test_cluster_row_mismatch_is_one_line(tmp_path, capsys):
+    proj = tmp_path / "proj.bin"
+    write_embeddings_emb1(np.zeros((5, 2), dtype=np.float32), proj)
+    records = tmp_path / "records.jsonl"
+    write_records_jsonl([TextRecord(text=f"t{i}") for i in range(4)], records)
+    out = tmp_path / "clusters.jsonl"
+    assert main(["cluster", "--projection", str(proj), "--records", str(records),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "collapse-lab: error: projection rows (5) != records (4)\n"
+    assert not out.exists()
 
 
 def test_regress_subcommand(tmp_path, capsys):

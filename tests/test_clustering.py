@@ -303,27 +303,27 @@ class TestMergeClusters:
         ]
 
     def test_farthest_first_prefers_distant(self):
-        members, chosen = merge_clusters(self._clusters(), target_size=6,
-                                         strategy="farthest-first", seed=12)
+        members, chosen = merge_clusters(self._clusters(), target_size=6, seed=12)
         # whichever cluster seeds the merge, the farthest centroid joins next
         start = chosen[0]
         expected_next = 2 if start in (0, 1) else 0
         assert chosen[1] == expected_next
 
     def test_target_within_first_cluster(self):
-        members, chosen = merge_clusters(self._clusters(), target_size=2,
-                                         strategy="uniform", seed=0)
+        members, chosen = merge_clusters(self._clusters(), target_size=2, seed=0)
         assert len(chosen) == 1
         assert len(members) == 3
 
-    def test_uniform_reproducible(self):
-        a = merge_clusters(self._clusters(), 6, "uniform", seed=5)
-        b = merge_clusters(self._clusters(), 6, "uniform", seed=5)
+    def test_seeded_start_reproducible(self):
+        a = merge_clusters(self._clusters(), 6, seed=5)
+        b = merge_clusters(self._clusters(), 6, seed=5)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+        starts = {merge_clusters(self._clusters(), 6, seed=s)[1][0] for s in range(20)}
+        assert starts == {0, 1, 2}
 
     def test_shortfall(self):
         with pytest.raises(ShortfallError):
-            merge_clusters(self._clusters(), target_size=100, strategy="uniform")
+            merge_clusters(self._clusters(), target_size=100)
 
 
 class TestBuildClusterSuite:

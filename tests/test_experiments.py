@@ -29,6 +29,10 @@ from collapse_lab.io import (
 )
 
 
+# the params section each kind reads
+_SECTIONS = {"toy": "toy", "chain": "chain", "cluster-regression": "chain", "lean": "lean"}
+
+
 def write_corpus(path, n=400, lean_mix=False):
     records = []
     for i in range(n):
@@ -195,6 +199,89 @@ class TestSpecLoading:
                               params={"toy": section})
         with pytest.raises(InvalidConfigError, match=message):
             run_experiment(spec)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind, section, message", [
+        ("chain", {"generations": 0}, "counts must be positive"),
+        ("chain", {"eval_sample": 6}, r"eval_sample \(6\) exceeds .* synthetic count \(5\)"),
+        ("chain", {"domains": ["a", "b", "c"]}, "divisible by the domain count"),
+        ("chain", {"eval_metrics": ["self_blue"]}, "eval_metrics must be drawn from"),
+        ("cluster-regression", {"per_gen_total": 0}, "counts must be positive"),
+        ("lean", {"left_fractions": [0.3]}, "left_fractions must be a list of values from"),
+        ("lean", {"left_fractions": 0.5}, "left_fractions must be a list of values from"),
+        ("lean", {"mixture_size": 0}, "mixture_size must be an integer >= 1$"),
+        ("lean", {"mixture_size": 8.0}, "mixture_size must be an integer >= 1$"),
+    ])
+    def test_bad_chain_or_lean_value_rejected_before_output(self, tmp_path, kind, section,
+                                                            message):
+        """A chain or lean value that would fail every cell is a config error,
+        as a bad toy value is."""
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40, lean_mix=True)
+        manifest = tmp_path / "clusters.jsonl"
+        manifest.write_text(json.dumps({"cluster_id": 0, "record_indices": [0, 1]}) + "\n")
+        base = {"chain": {"generations": 2, "initial_human": 20, "per_gen_total": 20,
+                          "eval_sample": 5},
+                "lean": {"mixture_size": 8}}[_SECTIONS[kind]]
+        spec = ExperimentSpec(kind=kind, ratios=[0.25, 0.5], seeds=[0],
+                              out_dir=str(tmp_path / "run"), corpus_path=corpus,
+                              cluster_manifest=str(manifest),
+                              params={_SECTIONS[kind]: {**base, **section}})
+        with pytest.raises(InvalidConfigError, match=message):
+            run_experiment(spec)
+        assert not (tmp_path / "run").exists()
+
+    def test_lean_partition_too_small_fails_per_cell(self, tmp_path):
+        """A mixture larger than a partition depends on the data, so it fails
+        only the cells that need more of that partition than it holds."""
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40, lean_mix=True)
+        store = run_experiment(ExperimentSpec(
+            kind="lean", seeds=[0], out_dir=str(tmp_path / "run"), corpus_path=corpus,
+            params={"lean": {"mixture_size": 15}}))
+        failures = json.loads(Path(store.path("manifest.json")).read_text())["failures"]
+        # 10 texts per wing: every fraction but 0.5 needs more than 10 of one
+        assert [f["cell"]["left_fraction"] for f in failures] == [0.0, 0.25, 0.75, 1.0]
+        assert all("partition too small" in f["error"] for f in failures)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("chain", {"toy": {"runs": 0}}),
+        ("cluster-regression", {"lean": {"mixture_size": 8}}),
+        ("lean", {"chain": {"generations": 2}, "toy": {"runs": 2}}),
+        ("toy", {"toy": {"runs": 2}, "chain": {"generations": 2}}),
+    ])
+    def test_params_section_the_kind_does_not_read_rejected(self, tmp_path, kind, params):
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40, lean_mix=True)
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps({"kind": kind, "ratios": [0.5], "seeds": [0],
+                                 "corpus_path": corpus, "cluster_manifest": corpus,
+                                 "out_dir": str(tmp_path / "run"), "params": params}))
+        section = _SECTIONS[kind]
+        unread = ", ".join(name for name in sorted(params) if name != section)
+        with pytest.raises(InvalidConfigError, match=f"{kind} experiments read only "
+                                                     f"params.{section}; unknown params "
+                                                     f"sections: {unread}$"):
+            run_experiment(load_spec(f))
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"ratios": "0.5"}, r"ratios must be a list of numbers in \[0, 1\]$"),
+        ({"ratios": [0.5, True]}, r"ratios must be a list of numbers in \[0, 1\]$"),
+        ({"ratios": [0.5, None]}, r"ratios must be a list of numbers in \[0, 1\]$"),
+        ({"ratios": [0.5, 1.5]}, r"ratios must be a list of numbers in \[0, 1\]$"),
+        ({"seeds": ["x"]}, "seeds must be a non-empty list of non-negative integers$"),
+        ({"seeds": [0, 1.5]}, "seeds must be a non-empty list of non-negative integers$"),
+        ({"seeds": [-1]}, "seeds must be a non-empty list of non-negative integers$"),
+        ({"seeds": [False]}, "seeds must be a non-empty list of non-negative integers$"),
+        ({"seeds": 3}, "seeds must be a non-empty list of non-negative integers$"),
+    ])
+    @pytest.mark.parametrize("kind", ["toy", "chain"])
+    def test_malformed_grid_values_rejected(self, tmp_path, kind, grid, message):
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40)
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps({"kind": kind, "ratios": [0.5], "seeds": [0],
+                                 "corpus_path": corpus, "out_dir": str(tmp_path / "run"),
+                                 **grid}))
+        with pytest.raises(InvalidConfigError, match=message):
+            run_experiment(load_spec(f))
         assert not (tmp_path / "run").exists()
 
 
@@ -531,7 +618,7 @@ class TestForkedCells:
     def test_one_and_two_workers_write_the_same_bytes(self, tmp_path, monkeypatch, kind):
         runs = {}
         for workers in (1, 2):
-            monkeypatch.setattr(experiments, "_WORKERS", workers)
+            monkeypatch.setattr(experiments, "_cpu_count", lambda: workers)
             (tmp_path / str(workers)).mkdir()
             spec = _grid_spec(tmp_path / str(workers), kind)
             runs[workers] = _artifacts(run_experiment(spec))
@@ -554,7 +641,7 @@ class TestForkedCells:
             return run_toy_chain(cfg)
 
         monkeypatch.setattr(toy, "run_toy_chain", dies_at_zero)
-        monkeypatch.setattr(experiments, "_WORKERS", 2)
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
         broken = _artifacts(run_experiment(_grid_spec(tmp_path / "broken", "toy")))
         assert multiprocessing.active_children() == []
         assert [f["cell"] for f in broken["failures"]] == [{"ratio": 0.0}]
