@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import metrics
-from .errors import CollapseLabError, InvalidInputError
+from .errors import CollapseLabError, InvalidConfigError, InvalidInputError
 from .experiments import FIGURE_KINDS, ResultStore, emit_plot_data, load_spec, run_experiment
 from .io import read_csv, read_embeddings, read_records_jsonl, write_csv, write_jsonl
 from .judge import JudgeConfig, annotate_lean, annotate_quality
@@ -26,6 +26,8 @@ ENV_TOKEN = "COLLAPSE_LAB_JUDGE_TOKEN"
 _IDENTIFIERS = ("cluster_id", "dataset", "domain", "ratio", "seed")
 # neighbours of the metrics subcommand's k-NN diversity and KL entropy
 _KNN_K = 50
+# spec kinds each run subcommand accepts; chain is cluster-regression's only one
+_RUN_KINDS = {"toy": ("toy",), "chain": ("chain", "cluster-regression"), "lean": ("lean",)}
 
 
 def main(argv=None) -> int:
@@ -33,7 +35,7 @@ def main(argv=None) -> int:
                                      description="recursive-training distribution-shift laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for kind in ("toy", "chain", "lean"):
+    for kind in _RUN_KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment from a config file")
         p.set_defaults(func=_cmd_run)
         p.add_argument("--config", required=True)
@@ -85,6 +87,10 @@ def main(argv=None) -> int:
 
 def _cmd_run(args) -> int:
     spec = load_spec(args.config)
+    if spec.kind not in _RUN_KINDS[args.command]:
+        raise InvalidConfigError(f"{args.config}: a {spec.kind} spec does not run under "
+                                 f"{args.command}; {args.command} runs "
+                                 f"{' or '.join(_RUN_KINDS[args.command])} specs")
     if args.out:
         spec.out_dir = args.out
     store = run_experiment(spec)

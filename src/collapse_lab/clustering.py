@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import _pool
 from .errors import DegenerateInputError, InvalidConfigError, InvalidInputError, ShortfallError
 
 __all__ = [
@@ -352,25 +353,37 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
     sample = points[sample_idx]
     min_size = max(1, int(cfg.min_cluster_fraction * n))
 
-    assignments = []
-    for k in cfg.kmeans_ks:
-        if k <= sample_size:
-            assignments.append(kmeans(sample, k, seed=int(rng.integers(2**31))))
-    for k in cfg.gmm_ks:
-        if 4 * k <= sample_size:
-            assignments.append(gmm_em(sample, k, seed=int(rng.integers(2**31))))
-    for eps, min_pts in cfg.dbscan_grid:
-        assignments.append(dbscan(sample, eps, min_pts))
+    # every fit's seed is drawn first, in grid order, so merge seeds follow
+    fits = [{"method": "kmeans", "k": k, "seed": int(rng.integers(2**31))}
+            for k in cfg.kmeans_ks if k <= sample_size]
+    fits += [{"method": "gmm", "k": k, "seed": int(rng.integers(2**31))}
+             for k in cfg.gmm_ks if 4 * k <= sample_size]
+    fits += [{"method": "dbscan", "eps": eps, "min_pts": min_pts}
+             for eps, min_pts in cfg.dbscan_grid]
 
+    def fit(method, **params):
+        """Both propagations (with, then without the noise cluster) of one
+        clustering of the sample, or None when it labels every point noise."""
+        labels = {"kmeans": kmeans, "gmm": gmm_em, "dbscan": dbscan}[method](
+            sample, **params).labels
+        if np.all(labels == NOISE):
+            return None
+        return [propagate_labels(sample, labels, points, exclude_noise=exclude_noise)
+                for exclude_noise in (False, True)]
+
+    # the GMM fits take longest, the more components the longer: they go first
+    order = sorted(range(len(fits)),
+                   key=lambda i: -fits[i]["k"] if fits[i]["method"] == "gmm" else 0)
     candidates = []
-    for assign in assignments:
-        if np.all(assign.labels == NOISE):
+    for task, (finished, propagated) in zip(fits, _pool.outcomes(fit, fits, order)):
+        if not finished:
+            # a worker sends back only "Type: message": rerun the fit here so
+            # that it raises its own exception, as in one process
+            propagated = fit(**task)
+        if propagated is None:
             continue
-        for exclude_noise in (False, True):
-            full = propagate_labels(sample, assign.labels, points,
-                                    exclude_noise=exclude_noise)
-            variant = dict(assign.params, exclude_noise=exclude_noise,
-                           method=assign.method)
+        params = {k: v for k, v in task.items() if k != "method"}
+        for exclude_noise, full in zip((False, True), propagated):
             labels_present = sorted(set(full[full != NOISE].tolist()))
             clusters = []
             for lab in labels_present:
@@ -391,8 +404,8 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
                 small = [c for i, c in enumerate(small) if i not in set(chosen)]
             for centroid, idx in taken:
                 candidates.append({
-                    "method": variant["method"],
-                    "params": {k: v for k, v in variant.items() if k != "method"},
+                    "method": task["method"],
+                    "params": dict(params, exclude_noise=exclude_noise),
                     "record_indices": np.sort(np.asarray(idx)),
                 })
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import toy
+from . import _pool, toy
 from .chain import ChainConfig, HumanCorpus, relative_metrics, run_chain
 from .errors import InvalidConfigError, InvalidInputError, InvalidTraceError
 from .generators import default_factory
@@ -38,6 +38,16 @@ _PARAM_KEYS = {
     "toy": {f.name for f in fields(toy.ToyConfig)} - {"ratio"},
     "chain": {f.name for f in fields(ChainConfig)} - {"ratio", "seed"},
     "lean": {"mixture_size", "left_fractions"},
+}
+# (description, test) of the values a toy or chain params field of each type
+# takes: a bool is not a number, and a list holds names (null is the no-domain tag)
+_PARAM_TYPES = {
+    "int": ("an integer", lambda v: _is_number(v, numbers.Integral)),
+    "float": ("a number", lambda v: _is_number(v, numbers.Real)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple": ("a list of strings or nulls",
+              lambda v: isinstance(v, (list, tuple))
+              and all(x is None or isinstance(x, str) for x in v)),
 }
 # ChainConfig's default without self_bleu: summary.csv stays byte-identical for
 # grid specs that leave eval_metrics unset, while a lone ChainConfig keeps self_bleu
@@ -100,6 +110,7 @@ class ExperimentSpec:
             raise InvalidConfigError(f"unknown params.{section} keys: {', '.join(unknown)}")
         # a value that fails every cell alike is rejected here
         if section == "toy":
+            _check_param_types("toy", given, toy.ToyConfig)
             for r in self.ratios:
                 toy.ToyConfig(ratio=r, **given).validate()
         elif section == "chain":
@@ -109,6 +120,7 @@ class ExperimentSpec:
                     "params.chain.generator_kinds must be a list of kind names")
             for kind in kinds:
                 default_factory(kind, 0)  # raises InvalidConfigError on a name it does not know
+            _check_param_types("chain", given, ChainConfig)
             for r in self.ratios:
                 _chain_config(self, r, self.seeds[0]).validate()
         else:
@@ -247,98 +259,15 @@ def run_experiment(spec: ExperimentSpec) -> ResultStore:
 def _run_cells(cells: list[dict], run_cell, failures: list) -> list:
     """Call ``run_cell(**cell)`` for each cell and return, in cell order, the
     results of those that finish. A cell that raises is recorded in
-    ``failures`` and the grid goes on (cell isolation by contract).
-
-    The cells run on forked worker processes, one per CPU, and only their
-    results are pickled back. They run in this process where there is one
-    cell, one CPU or no ``fork`` start method."""
-    workers = min(len(cells), _cpu_count())
-    context = _fork_context() if workers > 1 else None
-    if context is None:
-        outcomes = [_outcome(run_cell, cell) for cell in cells]
-    else:
-        outcomes = _forked_outcomes(context, workers, run_cell, cells)
+    ``failures`` and the grid goes on (cell isolation by contract). The cells
+    run on forked worker processes, as ``_pool.outcomes`` says."""
     results = []
-    for cell, (finished, value) in zip(cells, outcomes):
+    for cell, (finished, value) in zip(cells, _pool.outcomes(run_cell, cells)):
         if finished:
             results.append(value)
         else:
             failures.append({"cell": cell, "error": value})
     return results
-
-
-# a worker's (run_cell, cells), set by the pool's initializer: a forked worker
-# inherits both, so neither the runner's closure nor its corpus is pickled
-_JOB: tuple | None = None
-
-
-def _outcome(run_cell, cell: dict) -> tuple[bool, object]:
-    """(True, result) of a cell, or (False, "Type: message") if it raised.
-    An exception is not sent back from a worker as itself: not every one
-    unpickles (DataExhaustedError's ``__init__`` takes three arguments)."""
-    try:
-        return True, run_cell(**cell)
-    except Exception as exc:
-        return False, f"{type(exc).__name__}: {exc}"
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _fork_context():
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    # explicit: Python 3.14 makes forkserver the default on Linux
-    return multiprocessing.get_context("fork")
-
-
-def _set_job(run_cell, cells: list[dict]) -> None:
-    global _JOB
-    _JOB = (run_cell, cells)
-
-
-def _forked_cell(index: int) -> tuple[bool, object]:
-    run_cell, cells = _JOB
-    return _outcome(run_cell, cells[index])
-
-
-def _forked_outcomes(context, workers: int, run_cell, cells: list[dict]) -> list:
-    """``_outcome`` of each cell, computed on ``workers`` forked processes. A
-    worker that dies breaks the pool and leaves the cells it had not finished
-    without an outcome; each of those runs again alone in a fresh pool, so
-    only a cell that kills its own worker fails, as BrokenProcessPool."""
-    outcomes, broken = _pool_outcomes(context, workers, run_cell, cells, range(len(cells)))
-    for index in broken:
-        outcomes.update(_pool_outcomes(context, 1, run_cell, cells, [index])[0])
-    return [outcomes[index] for index in range(len(cells))]
-
-
-def _pool_outcomes(context, workers: int, run_cell, cells: list[dict], indices):
-    """({index: outcome}, [index left by a broken pool]) for the cells at
-    ``indices``. The pool's processes are joined before this returns."""
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    outcomes, broken = {}, []
-    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_set_job,
-                               initargs=(run_cell, cells))
-    try:
-        futures = {index: pool.submit(_forked_cell, index) for index in indices}
-        for index, future in futures.items():
-            try:
-                outcomes[index] = future.result()
-            except BrokenProcessPool as exc:
-                outcomes[index] = False, f"{type(exc).__name__}: {exc}"
-                broken.append(index)
-    finally:
-        # on an error, cells not yet started are dropped rather than run
-        pool.shutdown(wait=True, cancel_futures=True)
-    return outcomes, broken
 
 
 def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
@@ -464,6 +393,16 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
                    "rel_distinct_count", "rel_word_entropy"],
                   sorted(_run_cells(cells, run_cell, failures),
                          key=lambda r: (r[0], r[1], r[2])))
+
+
+def _check_param_types(section: str, given: dict, config) -> None:
+    """Reject a params value whose type is not its ``config`` field's."""
+    annotations = {f.name: f.type for f in fields(config)}
+    for key, value in given.items():
+        what, ok = _PARAM_TYPES[annotations[key]]
+        if not ok(value):
+            raise InvalidConfigError(f"params.{section}.{key} must be {what}, "
+                                     f"not {json.dumps(value, default=repr)}")
 
 
 def _is_number(x, kind) -> bool:

@@ -26,6 +26,8 @@ def test_toy_subcommand(tmp_path, capsys):
 @pytest.mark.parametrize("body, message", [
     ({"kind": "toy", "ratio": [0.5]}, "unknown config keys: ratio"),
     ({"kind": "toy", "params": {"toy": {"steps": 0}}}, "steps and runs must be >= 1"),
+    ({"kind": "toy", "params": {"toy": {"runs": "2"}}},
+     'params.toy.runs must be an integer, not "2"'),
 ])
 def test_config_error_is_one_line(tmp_path, capsys, body, message):
     """A bad config ends in one stderr line and exit code 2, not a traceback,
@@ -39,6 +41,48 @@ def test_config_error_is_one_line(tmp_path, capsys, body, message):
     assert captured.err.startswith("collapse-lab: error: ") and captured.err.count("\n") == 1
     assert message in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("lean", "toy"), ("chain", "toy"), ("toy", "lean"), ("toy", "cluster-regression"),
+    ("lean", "cluster-regression"), ("lean", "chain"),
+])
+def test_spec_of_another_kind_is_one_line(tmp_path, capsys, command, kind):
+    """toy and lean run only their own kind, chain runs chain and
+    cluster-regression specs; any other pairing stops before any output."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_records_jsonl([TextRecord(text=f"text {i}", annotations={"lean": 10})
+                         for i in range(40)], corpus)
+    manifest = tmp_path / "clusters.jsonl"
+    write_jsonl(manifest, [{"cluster_id": 0, "record_indices": list(range(40))}])
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({"kind": kind, "ratios": [0.5], "seeds": [0],
+                                  "corpus_path": str(corpus),
+                                  "cluster_manifest": str(manifest)}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("collapse-lab: error: ") and captured.err.count("\n") == 1
+    assert f"a {kind} spec does not run under {command}" in captured.err
+    assert not out.exists()
+
+
+def test_chain_subcommand_runs_cluster_regression(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_records_jsonl([TextRecord(text=f"text number {i} here") for i in range(40)], corpus)
+    manifest = tmp_path / "clusters.jsonl"
+    write_jsonl(manifest, [{"cluster_id": 0, "record_indices": list(range(40))}])
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({
+        "kind": "cluster-regression", "ratios": [0.5], "seeds": [0],
+        "corpus_path": str(corpus), "cluster_manifest": str(manifest),
+        "params": {"chain": {"generations": 2, "initial_human": 20, "per_gen_total": 10,
+                             "eval_sample": 5}},
+    }))
+    out = tmp_path / "out"
+    assert main(["chain", "--config", str(config), "--out", str(out)]) == 0
+    assert len(read_csv(out / "observations.csv")) == 1
 
 
 def test_chain_value_error_is_one_line(tmp_path, capsys):

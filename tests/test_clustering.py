@@ -1,3 +1,4 @@
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from collapse_lab import _pool, clustering
 from collapse_lab.clustering import (
     NOISE,
     ClusterSuiteConfig,
@@ -15,7 +17,12 @@ from collapse_lab.clustering import (
     merge_clusters,
     propagate_labels,
 )
-from collapse_lab.errors import InvalidInputError, ShortfallError
+from collapse_lab.errors import DegenerateInputError, InvalidInputError, ShortfallError
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the suite's fits run on worker processes only where fork exists")
 
 
 # ---------------------------------------------------------------------------
@@ -386,3 +393,45 @@ class TestBuildClusterSuite:
         )
         with pytest.raises(ShortfallError):
             build_cluster_suite(self._points(300), cfg)
+
+    @staticmethod
+    def _every_method_config():
+        """k-means, GMM and DBSCAN each contribute clusters; DBSCAN's first
+        setting finds only noise, and k-means' k=12 tops up its quota by
+        merging, so merge seeds are drawn after the fits' seeds."""
+        return ClusterSuiteConfig(projection_sample=300, kmeans_ks=(2, 12), gmm_ks=(2, 3),
+                                  dbscan_grid=((0.2, 50), (1.0, 4), (1.5, 4)),
+                                  quota_per_clustering=5, min_cluster_fraction=0.1,
+                                  final_count=30, seed=3)
+
+    @needs_fork
+    def test_forked_fits_give_the_one_process_suite(self, monkeypatch):
+        pools = []
+        forked_outcomes = _pool._forked_outcomes
+        monkeypatch.setattr(_pool, "_forked_outcomes",
+                            lambda context, workers, *rest: pools.append(workers)
+                            or forked_outcomes(context, workers, *rest))
+        suites = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(_pool, "_cpu_count", lambda: workers)
+            suite = build_cluster_suite(self._points(), self._every_method_config())
+            assert multiprocessing.active_children() == []
+            suites[workers] = [(s["cluster_id"], s["method"], s["params"],
+                                s["record_indices"].tolist()) for s in suite]
+        assert pools == [2]
+        assert {method for _, method, _, _ in suites[1]} == {"kmeans", "gmm", "dbscan"}
+        assert suites[2] == suites[1]
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+    def test_a_failing_fit_raises_its_own_error(self, monkeypatch, workers):
+        """Both GMM fits raise; the first in grid order (k=2) is the one
+        reported, as when the fits ran one after another."""
+        def singular(points, k, seed=0):
+            raise DegenerateInputError(f"component covariance stayed singular (k={k})")
+
+        monkeypatch.setattr(clustering, "gmm_em", singular)
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: workers)
+        with pytest.raises(DegenerateInputError,
+                           match=r"^component covariance stayed singular \(k=2\)$"):
+            build_cluster_suite(self._points(), self._every_method_config())
+        assert multiprocessing.active_children() == []

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapse_lab import experiments, toy
+from collapse_lab import _pool, experiments, toy
 from collapse_lab.chain import TextRecord
 from collapse_lab.errors import InvalidConfigError, InvalidInputError
 from collapse_lab.cli import main
@@ -184,6 +184,29 @@ class TestSpecLoading:
                               out_dir=str(tmp_path / "run"),
                               params={"chain": {"generator_kinds": kinds}})
         with pytest.raises(InvalidConfigError, match=message):
+            run_experiment(spec)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("toy", "runs", "2", 'must be an integer, not "2"'),
+        ("toy", "steps", True, "must be an integer, not true"),
+        ("toy", "support_size", 60.0, "must be an integer, not 60.0"),
+        ("toy", "bias_strength", "4", 'must be a number, not "4"'),
+        ("toy", "overlap", 0, "must be true or false, not 0"),
+        ("chain", "generations", "2", 'must be an integer, not "2"'),
+        ("chain", "per_gen_total", False, "must be an integer, not false"),
+        ("chain", "domains", "news", 'must be a list of strings or nulls, not "news"'),
+        ("chain", "eval_metrics", [["word_entropy"]],
+         'must be a list of strings or nulls, not \\[\\["word_entropy"\\]\\]'),
+    ])
+    def test_param_of_wrong_type_rejected_before_output(self, tmp_path, kind, key, value,
+                                                        message):
+        """A toy or chain value of the wrong type (a bool is not a number)
+        is a config error, not a TypeError in every cell or in validate."""
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40)
+        spec = ExperimentSpec(kind=kind, ratios=[0.5], seeds=[0], corpus_path=corpus,
+                              out_dir=str(tmp_path / "run"), params={kind: {key: value}})
+        with pytest.raises(InvalidConfigError, match=f"^params.{kind}.{key} {message}$"):
             run_experiment(spec)
         assert not (tmp_path / "run").exists()
 
@@ -618,7 +641,7 @@ class TestForkedCells:
     def test_one_and_two_workers_write_the_same_bytes(self, tmp_path, monkeypatch, kind):
         runs = {}
         for workers in (1, 2):
-            monkeypatch.setattr(experiments, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(_pool, "_cpu_count", lambda: workers)
             (tmp_path / str(workers)).mkdir()
             spec = _grid_spec(tmp_path / str(workers), kind)
             runs[workers] = _artifacts(run_experiment(spec))
@@ -641,7 +664,7 @@ class TestForkedCells:
             return run_toy_chain(cfg)
 
         monkeypatch.setattr(toy, "run_toy_chain", dies_at_zero)
-        monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: 2)
         broken = _artifacts(run_experiment(_grid_spec(tmp_path / "broken", "toy")))
         assert multiprocessing.active_children() == []
         assert [f["cell"] for f in broken["failures"]] == [{"ratio": 0.0}]

@@ -1,6 +1,6 @@
 """Start-up guard: the package and its light modules load numpy and the
 stdlib only, no module loads scipy.stats (about 1 s of import time), and
-experiments loads no process pool."""
+neither experiments nor clustering loads a process pool."""
 
 import pkgutil
 import subprocess
@@ -41,3 +41,11 @@ def test_experiments_loads_no_process_pool():
     assert "collapse_lab.experiments" in loaded
     assert sorted(m for m in loaded if m == "multiprocessing" or m.startswith("multiprocessing.")
                   or m == "concurrent.futures.process") == []
+
+
+def test_clustering_loads_no_process_pool_and_no_experiment_module():
+    loaded = _modules_after_import(["clustering"])
+    assert "collapse_lab.clustering" in loaded
+    assert sorted(m for m in loaded if m in {"multiprocessing", "concurrent.futures.process",
+                                             "collapse_lab.experiments", "collapse_lab.chain",
+                                             "collapse_lab.toy"}) == []
