@@ -174,7 +174,7 @@ def _cmd_regress(args) -> int:
         print(f"{args.observations} has no observations", file=sys.stderr)
         return 1
     observations = []
-    for r in raw:
+    for rownum, r in enumerate(raw, 1):
         obs = {}
         for k, v in r.items():
             if k in ("cluster_id", "dataset", "domain"):
@@ -183,6 +183,9 @@ def _cmd_regress(args) -> int:
                 try:
                     obs[k] = float(v)
                 except (TypeError, ValueError):
+                    if k is not None and k.split(":", 1)[0] not in _IDENTIFIERS:
+                        raise InvalidInputError(f"{args.observations}: row {rownum}, column "
+                                                f"{k}: {v!r} is not a number") from None
                     obs[k] = v
         obs.setdefault("dataset", obs.get("domain", "all"))
         observations.append(obs)

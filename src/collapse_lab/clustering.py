@@ -37,11 +37,9 @@ _GMM_TOL = 1e-6
 
 @dataclass
 class ClusterAssignment:
-    """Per-point integer labels (-1 = noise) plus provenance."""
+    """Per-point integer labels (-1 = noise) plus what the fit learned."""
 
     labels: np.ndarray
-    method: str
-    params: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     @property
@@ -99,9 +97,7 @@ def kmeans(points, k: int, seed: int = 0) -> ClusterAssignment:
             mask = labels == j
             if mask.any():
                 centers[j] = points[mask].mean(axis=0)
-    return ClusterAssignment(labels=labels, method="kmeans",
-                             params={"k": k, "seed": seed},
-                             extras={"centers": centers})
+    return ClusterAssignment(labels=labels, extras={"centers": centers})
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +175,9 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
             covs[j] = cov
 
     labels = resp.argmax(axis=1)
-    return ClusterAssignment(labels=labels, method="gmm",
-                             params={"k": k, "seed": seed},
+    return ClusterAssignment(labels=labels,
                              extras={"log_likelihoods": lls, "means": means,
-                                     "covariances": covs, "weights": weights,
-                                     "responsibilities": resp})
+                                     "covariances": covs, "responsibilities": resp})
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +211,7 @@ def dbscan(points, eps: float, min_pts: int) -> ClusterAssignment:
                     if core[q]:
                         frontier.append(q)
         cluster += 1
-    return ClusterAssignment(labels=labels, method="dbscan",
-                             params={"eps": eps, "min_pts": min_pts})
+    return ClusterAssignment(labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +248,7 @@ def propagate_labels(sample_points, sample_labels, query_points,
     order = np.argsort(sample_labels, kind="stable")
     ref = sample_points[order]
     ref_labels = sample_labels[order]
-    if ref.shape[0] == 1:
-        return np.full(query_points.shape[0], ref_labels[0])
-
+    # with one reference the second distance is inf, so no query is unsure
     dist, idx = cKDTree(ref).query(query_points, k=2)
     out = ref_labels[idx[:, 0]]
     unsure = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1 + _TIE_RTOL))
@@ -362,14 +353,18 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
              for eps, min_pts in cfg.dbscan_grid]
 
     def fit(method, **params):
-        """Both propagations (with, then without the noise cluster) of one
-        clustering of the sample, or None when it labels every point noise."""
+        """The propagations of one clustering of the sample with, then without
+        the noise cluster, or None when it labels every point noise. Only
+        DBSCAN labels noise; without noise the two are one array."""
         labels = {"kmeans": kmeans, "gmm": gmm_em, "dbscan": dbscan}[method](
             sample, **params).labels
-        if np.all(labels == NOISE):
+        noise = labels == NOISE
+        if noise.all():
             return None
-        return [propagate_labels(sample, labels, points, exclude_noise=exclude_noise)
-                for exclude_noise in (False, True)]
+        full = propagate_labels(sample, labels, points)
+        if not noise.any():
+            return [full, full]
+        return [full, propagate_labels(sample, labels, points, exclude_noise=True)]
 
     # the GMM fits take longest, the more components the longer: they go first
     order = sorted(range(len(fits)),
@@ -384,36 +379,23 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
             continue
         params = {k: v for k, v in task.items() if k != "method"}
         for exclude_noise, full in zip((False, True), propagated):
-            labels_present = sorted(set(full[full != NOISE].tolist()))
-            clusters = []
-            for lab in labels_present:
-                idx = np.flatnonzero(full == lab)
-                clusters.append((points[idx].mean(axis=0), idx))
-            big = [c for c in clusters if len(c[1]) >= min_size]
-            big.sort(key=lambda c: -len(c[1]))
-            taken = big[:cfg.quota_per_clustering]
-            small = [c for c in clusters if len(c[1]) < min_size]
+            clusters = [np.flatnonzero(full == lab) for lab in np.unique(full[full != NOISE])]
+            taken = sorted((idx for idx in clusters if len(idx) >= min_size),
+                           key=len, reverse=True)[:cfg.quota_per_clustering]
+            # merge_clusters reads the centroids of the small clusters only
+            small = [(points[idx].mean(axis=0), idx) for idx in clusters if len(idx) < min_size]
             # top up the quota by merging small clusters
-            while len(taken) < cfg.quota_per_clustering and small:
-                if sum(len(c[1]) for c in small) < min_size:
-                    break
+            while (len(taken) < cfg.quota_per_clustering
+                   and sum(len(idx) for _, idx in small) >= min_size):
                 members, chosen = merge_clusters(small, min_size,
                                                  seed=int(rng.integers(2**31)))
-                merged_centroid = points[members].mean(axis=0)
-                taken.append((merged_centroid, members))
-                small = [c for i, c in enumerate(small) if i not in set(chosen)]
-            for centroid, idx in taken:
-                candidates.append({
-                    "method": task["method"],
-                    "params": dict(params, exclude_noise=exclude_noise),
-                    "record_indices": np.sort(np.asarray(idx)),
-                })
+                taken.append(members)
+                small = [c for i, c in enumerate(small) if i not in chosen]
+            candidates += [{"method": task["method"],
+                            "params": dict(params, exclude_noise=exclude_noise),
+                            "record_indices": np.sort(idx)} for idx in taken]
 
     if len(candidates) < cfg.final_count:
         raise ShortfallError(cfg.final_count, len(candidates), "candidate clusters")
     pick = rng.choice(len(candidates), size=cfg.final_count, replace=False)
-    out = []
-    for cid, pos in enumerate(sorted(pick.tolist())):
-        spec = candidates[pos]
-        out.append({"cluster_id": cid, **spec})
-    return out
+    return [{"cluster_id": cid, **candidates[pos]} for cid, pos in enumerate(sorted(pick.tolist()))]

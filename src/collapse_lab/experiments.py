@@ -83,6 +83,12 @@ class ExperimentSpec:
         alike or that the kind would silently ignore."""
         if self.kind not in KINDS:
             raise InvalidConfigError(f"unknown experiment kind {self.kind!r}")
+        if not isinstance(self.out_dir, str):
+            raise InvalidConfigError(f"out_dir must be a path, not {self.out_dir!r}")
+        for name in ("corpus_path", "cluster_manifest"):
+            path = getattr(self, name)
+            if not isinstance(path, (str, type(None))):
+                raise InvalidConfigError(f"{name} must be a path or null, not {path!r}")
         missing = [name for name in _REQUIRED.get(self.kind, ()) if not getattr(self, name)]
         if missing:
             raise InvalidConfigError(f"{self.kind} experiments need {' and '.join(missing)}")

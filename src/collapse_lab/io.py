@@ -26,13 +26,15 @@ __all__ = [
 ]
 
 _EMB1_MAGIC = b"EMB1"
+_OPTIONAL_NUMBER = (int, float, type(None))
+# the types a record row's fields may hold
+_RECORD_TYPES = {"text": str, "source": str, "generation": int, "domain": (str, type(None)),
+                 "quality": _OPTIONAL_NUMBER, "lean": _OPTIONAL_NUMBER,
+                 "positivity": _OPTIONAL_NUMBER}
 
 
-def read_jsonl(path, required=()) -> list:
-    """One JSON value per non-blank line. A line that is not JSON, or not an
-    object holding every ``required`` key, raises InvalidInputError naming
-    ``path:line``."""
-    rows = []
+def _jsonl_rows(path, required):
+    """(line number, value) of each non-blank line; see ``read_jsonl``."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -45,8 +47,14 @@ def read_jsonl(path, required=()) -> list:
             if required and not (isinstance(row, dict) and all(k in row for k in required)):
                 raise InvalidInputError(
                     f"{path}:{lineno}: not an object with {', '.join(required)}")
-            rows.append(row)
-    return rows
+            yield lineno, row
+
+
+def read_jsonl(path, required=()) -> list:
+    """One JSON value per non-blank line. A line that is not JSON, or not an
+    object holding every ``required`` key, raises InvalidInputError naming
+    ``path:line``."""
+    return [row for _, row in _jsonl_rows(path, required)]
 
 
 def write_jsonl(path, rows) -> None:
@@ -58,9 +66,13 @@ def write_jsonl(path, rows) -> None:
 
 def read_records_jsonl(path) -> list[TextRecord]:
     """One record per line: {"text": str, "domain"?: str, "quality"?: int,
-    "lean"?: int, "positivity"?: float}."""
+    "lean"?: int, "positivity"?: float}. A field of another type raises
+    InvalidInputError naming ``path:line``."""
     records = []
-    for row in read_jsonl(path, required=("text",)):
+    for lineno, row in _jsonl_rows(path, required=("text",)):
+        for key, value in row.items():
+            if key in _RECORD_TYPES and not isinstance(value, _RECORD_TYPES[key]):
+                raise InvalidInputError(f"{path}:{lineno}: {key} of the wrong type: {value!r}")
         annotations = {k: row[k] for k in ("quality", "lean", "positivity") if k in row}
         records.append(TextRecord(
             text=row["text"],
@@ -103,11 +115,15 @@ def write_embeddings_emb1(matrix: np.ndarray, path) -> None:
 
 def read_embeddings(path) -> np.ndarray:
     """Read an embedding matrix from an EMB1 binary file or a CSV with an id
-    column (first column) followed by the vector components."""
+    column (first column) followed by the vector components. A malformed file
+    raises InvalidInputError naming the path, and for a CSV the line."""
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == _EMB1_MAGIC:
-            n, d = struct.unpack("<II", fh.read(8))
+            shape = fh.read(8)
+            if len(shape) != 8:
+                raise InvalidInputError(f"{path}: truncated EMB1 header")
+            n, d = struct.unpack("<II", shape)
             data = np.frombuffer(fh.read(4 * n * d), dtype="<f4")
             if data.size != n * d:
                 raise InvalidInputError(f"{path}: truncated EMB1 payload")
@@ -120,7 +136,13 @@ def read_embeddings(path) -> np.ndarray:
                 continue
             if i == 0 and not _is_float(row[-1]):
                 continue  # header line
-            rows.append([float(v) for v in row[1:]])
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from exc
+            if len(rows[-1]) != len(rows[0]):
+                raise InvalidInputError(f"{path}:{reader.line_num}: {len(rows[-1])} "
+                                        f"components, the first row has {len(rows[0])}")
     if not rows:
         raise InvalidInputError(f"{path}: no embedding rows found")
     return np.asarray(rows, dtype=float)

@@ -142,7 +142,10 @@ class _Cache:
 
     A crash mid-append can leave the last row without its newline. If that
     row still parses it is kept, and the next append starts a new line; if
-    it does not, it is ignored, and the next append cuts it off first.
+    it does not, it is ignored, and the next append cuts it off first. Any
+    other line that is not an object with a string ``key`` raises
+    InvalidInputError naming ``path:line``. A row that does not make a valid
+    Annotation is a miss, so a later row under its key replaces it.
 
     The first append opens the file; each row is flushed as it is written,
     and ``close`` closes the file.
@@ -158,18 +161,36 @@ class _Cache:
         if path and os.path.exists(path):
             with open(path, "rb") as fh:
                 data = fh.read()
-            end = data.rfind(b"\n") + 1
-            rows = [json.loads(line) for line in data[:end].splitlines() if line.strip()]
-            if data[end:].strip():
+            *lines, tail = data.split(b"\n")
+            rows = []
+            for lineno, line in enumerate(lines, 1):
+                if line.strip():
+                    try:
+                        rows.append((lineno, json.loads(line)))
+                    except ValueError as exc:
+                        raise InvalidInputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if tail.strip():
                 try:
-                    rows.append(json.loads(data[end:]))
+                    rows.append((len(lines) + 1, json.loads(tail)))
                     self._lead = "\n"
                 except ValueError:
-                    self._torn_at = end
-            self._mem = {row["key"]: row for row in rows}
+                    self._torn_at = len(data) - len(tail)
+            for lineno, row in rows:
+                if not (isinstance(row, dict) and isinstance(row.get("key"), str)):
+                    raise InvalidInputError(f"{path}:{lineno}: not an object with a key")
+                self._mem[row["key"]] = row
 
-    def get(self, key: str):
-        return self._mem.get(key)
+    def get(self, key: str) -> Annotation | None:
+        """The annotation cached under ``key``, or None when there is none or
+        its row does not make a valid one."""
+        row = self._mem.get(key)
+        if row is None:
+            return None
+        try:
+            return Annotation(text_hash=row["text_hash"], kind=row["kind"], score=row["score"],
+                              raw_response=row["raw_response"], timestamp=row["timestamp"])
+        except (KeyError, TypeError, InvalidInputError):
+            return None
 
     def put(self, key: str, annotation: Annotation) -> None:
         row = {
@@ -332,9 +353,7 @@ def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
             if hit is None:
                 pending.setdefault(text, []).append(i)
                 continue
-            result.entries[i] = Annotation(text_hash=hit["text_hash"], kind=hit["kind"],
-                                           score=hit["score"], raw_response=hit["raw_response"],
-                                           timestamp=hit["timestamp"])
+            result.entries[i] = hit
             result.cache_hits += 1
         with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
             for positions, (entry, counts) in zip(pending.values(), pool.map(ask, pending)):

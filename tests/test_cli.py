@@ -141,15 +141,66 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert "cosine_diversity" in body
 
 
-def test_metrics_non_numeric_score_raises(tmp_path):
+def test_metrics_non_numeric_score_raises(tmp_path, capsys):
     """A score that is not a number is an error, not a silently missing
-    mean_* row."""
+    mean_* row: the reader names its line."""
     records = tmp_path / "records.jsonl"
     write_jsonl(records, [{"text": "the quick brown fox", "quality": "high"},
                           {"text": "lazy dogs sleep all day"}])
     out = tmp_path / "metrics.csv"
-    with pytest.raises(ValueError, match="'high'"):
-        main(["metrics", "--records", str(records), "--out", str(out)])
+    assert main(["metrics", "--records", str(records), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"collapse-lab: error: {records}:1: "
+                                       "quality of the wrong type: 'high'\n")
+    assert not out.exists()
+
+
+def _bad_input(tmp_path, case):
+    """The argv of a subcommand run on an input file that holds one bad value,
+    and the error line that names it."""
+    records = tmp_path / "records.jsonl"
+    write_records_jsonl([TextRecord(text=f"t{i}") for i in range(3)], records)
+    proj = tmp_path / "proj.csv"
+    cluster = ["cluster", "--projection", str(proj), "--records", str(records)]
+    if case == "csv cell":
+        proj.write_text("id,x,y\n0,1.0,2.0\n1,1.5,oops\n2,0.0,0.0\n")
+        return cluster, f"{proj}:3: could not convert string to float: 'oops'"
+    if case == "csv row width":
+        proj.write_text("0,1.0,2.0\n1,1.5\n2,0.0,0.0\n")
+        return cluster, f"{proj}:2: 1 components, the first row has 2"
+    if case == "emb1 header":
+        proj.write_bytes(b"EMB1\x03\x00")
+        return cluster, f"{proj}: truncated EMB1 header"
+    if case == "record text":
+        records.write_text('{"text": "fine"}\n\n{"text": 5}\n')
+        return ["metrics", "--records", str(records)], f"{records}:3: text of the wrong type: 5"
+    obs = tmp_path / "observations.csv"
+    regress = ["regress", "--observations", str(obs)]
+    header = "cluster_id,ratio,quality,rel_diversity\nc0,0.5,1.0,0.2\n"
+    if case == "regress dependent":
+        obs.write_text(header + "c1,0.5,1.0,x\n")
+        return regress, f"{obs}: row 2, column rel_diversity: 'x' is not a number"
+    if case == "regress predictor":
+        obs.write_text(header + "c1,0.5,n/a,0.1\n")
+        return regress, f"{obs}: row 2, column quality: 'n/a' is not a number"
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"key": "a"}\n{"key": \n{"key": "b"}\n')
+    return (["annotate", "--kind", "quality", "--records", str(records), "--endpoint",
+             "http://127.0.0.1:9/chat", "--model", "m", "--cache", str(cache)],
+            f"{cache}:2: invalid JSON: ")
+
+
+@pytest.mark.parametrize("case", ["csv cell", "csv row width", "emb1 header", "record text",
+                                  "regress dependent", "regress predictor", "judge cache"])
+def test_bad_input_file_is_one_line(tmp_path, capsys, case):
+    """A malformed input file ends in one stderr line naming it, and exit
+    code 2, before any output or judge request."""
+    argv, message = _bad_input(tmp_path, case)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"collapse-lab: error: {message}")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

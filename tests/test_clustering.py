@@ -1,3 +1,5 @@
+import hashlib
+import json
 import multiprocessing
 import tracemalloc
 
@@ -403,6 +405,36 @@ class TestBuildClusterSuite:
                                   dbscan_grid=((0.2, 50), (1.0, 4), (1.5, 4)),
                                   quota_per_clustering=5, min_cluster_fraction=0.1,
                                   final_count=30, seed=3)
+
+    # sha256 of the every-method suite, recorded before build_cluster_suite
+    # propagated a labelling without noise only once
+    EVERY_METHOD = "4ecd4af7e948afb4023fa9856496f4a45f6402db709fac80d5206b110f66d9ff"
+
+    def test_every_method_suite_digest(self, monkeypatch):
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: 1)
+        suite = build_cluster_suite(self._points(), self._every_method_config())
+        blob = json.dumps([[s["cluster_id"], s["method"], s["params"],
+                            s["record_indices"].tolist()] for s in suite], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.EVERY_METHOD
+
+    def test_one_propagation_per_distinct_labelling(self, monkeypatch):
+        """Of the six fits, DBSCAN eps=0.2 labels every sample point noise and
+        propagates nothing, eps=1.0 labels 3 of them noise and propagates
+        twice, and the other four label none and propagate once."""
+        calls = []
+        propagate = clustering.propagate_labels
+
+        def counting(sample, labels, points, exclude_noise=False):
+            calls.append((int(np.sum(labels == NOISE)), exclude_noise))
+            return propagate(sample, labels, points, exclude_noise=exclude_noise)
+
+        monkeypatch.setattr(clustering, "propagate_labels", counting)
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: 1)
+        suite = build_cluster_suite(self._points(), self._every_method_config())
+        assert calls == [(0, False)] * 4 + [(3, False), (3, True), (0, False)]
+        assert {(s["method"], s["params"]["exclude_noise"]) for s in suite} == {
+            (method, exclude) for method in ("kmeans", "gmm", "dbscan")
+            for exclude in (False, True)}
 
     @needs_fork
     def test_forked_fits_give_the_one_process_suite(self, monkeypatch):

@@ -295,6 +295,10 @@ class TestSpecLoading:
         ({"seeds": [-1]}, "seeds must be a non-empty list of non-negative integers$"),
         ({"seeds": [False]}, "seeds must be a non-empty list of non-negative integers$"),
         ({"seeds": 3}, "seeds must be a non-empty list of non-negative integers$"),
+        ({"out_dir": 7}, "out_dir must be a path, not 7$"),
+        ({"corpus_path": 2}, "corpus_path must be a path or null, not 2$"),
+        ({"cluster_manifest": ["m.jsonl"]},
+         r"cluster_manifest must be a path or null, not \['m.jsonl'\]$"),
     ])
     @pytest.mark.parametrize("kind", ["toy", "chain"])
     def test_malformed_grid_values_rejected(self, tmp_path, kind, grid, message):

@@ -226,8 +226,37 @@ class TestCache:
     def test_corrupt_inner_row_still_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text('{"key": \n{"key": "k"}\n')
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(InvalidInputError, match=f"^{path}:1: invalid JSON: "):
             annotate_quality(["x"], cfg(cache_path=str(path)), transport=scripted(["1"]))
+
+    @pytest.mark.parametrize("row", ['5', '{"score": 1}', '{"key": 3}', '["key"]'])
+    def test_inner_row_without_a_key_raises(self, tmp_path, row):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(f'{{"key": "k"}}\n\n{row}\n{{"key": "j"}}\n')
+        with pytest.raises(InvalidInputError, match=f"^{path}:3: not an object with a key$"):
+            annotate_quality(["x"], cfg(cache_path=str(path)), transport=scripted(["1"]))
+
+    @pytest.mark.parametrize("bad", [{"score": 500}, {"score": "60"}, {"kind": "tone"},
+                                     {"timestamp": None}])
+    def test_invalid_cached_row_is_a_miss(self, tmp_path, bad):
+        """Only the text whose row does not make an Annotation (a None in
+        ``bad`` drops that field) is asked again, and its fresh row wins when
+        the cache is next loaded."""
+        path = tmp_path / "cache.jsonl"
+        annotate_quality(["good", "bad"], cfg(cache_path=str(path), concurrency=1),
+                         transport=scripted(["11", "22"]))
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[1] = {k: v for k, v in {**rows[1], **bad}.items() if v is not None}
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+        transport = scripted(["33"])
+        result = annotate_quality(["good", "bad"], cfg(cache_path=str(path)),
+                                  transport=transport)
+        assert result.scores == [11, 33]
+        assert (result.cache_hits, len(transport.calls)) == (1, 1)
+        again = annotate_quality(["good", "bad"], cfg(cache_path=str(path)),
+                                 transport=self._no_network)
+        assert again.scores == [11, 33] and again.cache_hits == 2
 
 
 class TestTransportFaults:
