@@ -181,10 +181,12 @@ def _load_with_includes(path, seen) -> dict:
         raise InvalidConfigError(f"circular include at {path}")
     seen.add(real)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             body = json.load(fh)
     except OSError as exc:
         raise InvalidConfigError(f"{path}: cannot read config: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfigError(f"{path}: config is not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(body, dict):
@@ -225,7 +227,7 @@ class ResultStore:
             "artifacts": sorted(self.artifacts),
             "failures": failures,
         }
-        with open(self._new_file("manifest.json"), "w") as fh:
+        with open(self._new_file("manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
     def add_csv(self, name: str, header: list[str], rows) -> str:

@@ -33,11 +33,18 @@ _RECORD_TYPES = {"text": str, "source": str, "generation": int, "domain": (str, 
                  "positivity": _OPTIONAL_NUMBER}
 
 
+def _not_utf8(where, exc: UnicodeDecodeError) -> InvalidInputError:
+    return InvalidInputError(f"{where}: not UTF-8 text ({exc.reason})")
+
+
 def _jsonl_rows(path, required):
     """(line number, value) of each non-blank line; see ``read_jsonl``."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(f"{path}:{lineno}", exc) from exc
             if not line:
                 continue
             try:
@@ -51,15 +58,15 @@ def _jsonl_rows(path, required):
 
 
 def read_jsonl(path, required=()) -> list:
-    """One JSON value per non-blank line. A line that is not JSON, or not an
-    object holding every ``required`` key, raises InvalidInputError naming
-    ``path:line``."""
+    """One JSON value per non-blank line of UTF-8 text. A line that is not
+    UTF-8 or not JSON, or not an object holding every ``required`` key,
+    raises InvalidInputError naming ``path:line``."""
     return [row for _, row in _jsonl_rows(path, required)]
 
 
 def write_jsonl(path, rows) -> None:
     """One JSON object per line, keys sorted, so reruns are byte-identical."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
@@ -116,7 +123,8 @@ def write_embeddings_emb1(matrix: np.ndarray, path) -> None:
 def read_embeddings(path) -> np.ndarray:
     """Read an embedding matrix from an EMB1 binary file or a CSV with an id
     column (first column) followed by the vector components. A malformed file
-    raises InvalidInputError naming the path, and for a CSV the line."""
+    raises InvalidInputError naming the path, and for a CSV the line; a CSV
+    that is not UTF-8 names only the path."""
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == _EMB1_MAGIC:
@@ -129,20 +137,23 @@ def read_embeddings(path) -> np.ndarray:
                 raise InvalidInputError(f"{path}: truncated EMB1 payload")
             return data.reshape(n, d).astype(float)
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if i == 0 and not _is_float(row[-1]):
-                continue  # header line
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from exc
-            if len(rows[-1]) != len(rows[0]):
-                raise InvalidInputError(f"{path}:{reader.line_num}: {len(rows[-1])} "
-                                        f"components, the first row has {len(rows[0])}")
+        try:
+            for i, row in enumerate(reader):
+                if not row:
+                    continue
+                if i == 0 and not _is_float(row[-1]):
+                    continue  # header line
+                try:
+                    rows.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise InvalidInputError(f"{path}:{reader.line_num}: {exc}") from exc
+                if len(rows[-1]) != len(rows[0]):
+                    raise InvalidInputError(f"{path}:{reader.line_num}: {len(rows[-1])} "
+                                            f"components, the first row has {len(rows[0])}")
+        except UnicodeDecodeError as exc:  # decoded a block at a time: the line is not known
+            raise _not_utf8(path, exc) from exc
     if not rows:
         raise InvalidInputError(f"{path}: no embedding rows found")
     return np.asarray(rows, dtype=float)
@@ -157,19 +168,21 @@ def _is_float(s: str) -> bool:
 
 
 def read_csv(path) -> list[dict]:
-    """Rows of a CSV with a header line, as dicts of strings. A missing file
-    raises InvalidInputError."""
+    """Rows of a UTF-8 CSV with a header line, as dicts of strings. A missing
+    file or one that is not UTF-8 raises InvalidInputError."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return list(csv.DictReader(fh))
     except FileNotFoundError as exc:
         raise InvalidInputError(f"required file missing: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
 def write_csv(path, header: list[str], rows) -> None:
     """Write a tidy CSV with shortest round-trip float formatting so reruns
     are byte-identical."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:

@@ -10,6 +10,8 @@ import hashlib
 import http.client
 import json
 import os
+import re
+import socket
 import threading
 import time
 import urllib.parse
@@ -132,10 +134,6 @@ def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-def _cache_key(template: str, text: str, model: str) -> str:
-    return f"{_sha(template)[:16]}:{_sha(text)}:{model}"
-
-
 class _Cache:
     """Append-only JSONL cache of annotations keyed on
     (prompt-template hash, text hash, model id).
@@ -240,6 +238,84 @@ def _tls_context():
     return context
 
 
+_MAX_LINE = 65536  # http.client's limits on a response line and header count
+_MAX_HEADERS = 100
+_HEX = re.compile(rb"[0-9A-Fa-f]+")
+_NOT_URL_CHAR = re.compile("[^\x21-\x7e]")  # a request target is visible ASCII
+_NOT_HEADER_CHAR = re.compile("[^\t\x20-\x7e\x80-\xff]")  # a header value is Latin-1 text
+
+
+def _readline(fp, what: str) -> bytes:
+    line = fp.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_exact(fp, n: int) -> bytes:
+    data = fp.read(n)
+    if len(data) < n:
+        raise http.client.IncompleteRead(data, n - len(data))
+    return data
+
+
+def _read_headers(fp) -> dict:
+    """The header block's fields up to the blank line, names lowercased; the
+    first of repeated fields wins."""
+    headers: dict = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _readline(fp, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.partition(b":")
+        headers.setdefault(name.strip().lower(), value.strip())
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_chunked(fp) -> bytes:
+    chunks = []
+    try:
+        while True:
+            size = _readline(fp, "chunk size").split(b";", 1)[0].strip()
+            if not _HEX.fullmatch(size):
+                raise http.client.IncompleteRead(b"")
+            size = int(size, 16)
+            if size == 0:
+                break
+            chunks.append(_read_exact(fp, size))
+            _read_exact(fp, 2)  # the CRLF that ends the chunk
+    except http.client.IncompleteRead as exc:  # counted, as http.client counts, in whole chunks
+        raise http.client.IncompleteRead(b"".join(chunks)) from exc
+    while _readline(fp, "trailer line") not in (b"\r\n", b"\n", b""):
+        pass
+    return b"".join(chunks)
+
+
+def _read_response(fp) -> bytes:
+    """The body of a 2xx response read from ``fp``, after any 1xx interim
+    responses; framing faults raise http.client's exceptions."""
+    while True:
+        line = _readline(fp, "status line")
+        if not line:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        text = line.decode("iso-8859-1")
+        version, status, reason = (text.split(None, 2) + ["", ""])[:3]
+        status = int(status) if status.isascii() and status.isdigit() else 0
+        if not version.startswith("HTTP/") or not 100 <= status <= 999:
+            raise http.client.BadStatusLine(text)
+        headers = _read_headers(fp)
+        if status >= 200:
+            break
+    if not 200 <= status < 300:
+        raise OSError(f"HTTP Error {status}: {reason.strip()}")
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return _read_chunked(fp)
+    length = headers.get(b"content-length", b"")
+    if length.isdigit():
+        return _read_exact(fp, int(length))
+    return fp.read()  # until the server closes
+
+
 def _post(url: str, data: bytes, headers: dict, timeout: float) -> bytes:
     parts = urllib.parse.urlsplit(url)
     proxies, opener = _proxy_opener()
@@ -247,37 +323,49 @@ def _post(url: str, data: bytes, headers: dict, timeout: float) -> bytes:
         with opener.open(urllib.request.Request(url, data=data, headers=headers),
                          timeout=timeout) as resp:
             return resp.read()
-    if parts.scheme not in ("http", "https") or not parts.netloc:
+    if parts.scheme not in ("http", "https") or not parts.hostname:
         raise OSError(f"not an http(s) URL: {url!r}")
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    if parts.scheme == "https":
-        conn = http.client.HTTPSConnection(parts.netloc, timeout=timeout, context=_tls_context())
-    else:
-        conn = http.client.HTTPConnection(parts.netloc, timeout=timeout)
+    if _NOT_URL_CHAR.search(target):
+        raise http.client.InvalidURL(f"request target {target!r} is not visible ASCII")
     try:
-        conn.request("POST", target, body=data, headers=headers)
-        resp = conn.getresponse()
-        if not 200 <= resp.status < 300:
-            raise OSError(f"HTTP Error {resp.status}: {resp.reason}")
-        return resp.read()
-    finally:
-        conn.close()
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+        host = parts.netloc.encode("idna").decode("ascii")  # as http.client sends a non-ASCII host
+    except ValueError as exc:
+        raise http.client.InvalidURL(str(exc)) from exc
+    fields = {"Host": host, "Accept-Encoding": "identity",
+              "Content-Length": str(len(data)), **headers}
+    if any(_NOT_HEADER_CHAR.search(value) for value in fields.values()):
+        raise http.client.HTTPException("a header value holds a control or non-Latin-1 character")
+    head = "".join(f"{name}: {value}\r\n" for name, value in fields.items())
+    request = f"POST {target} HTTP/1.1\r\n{head}\r\n".encode("latin-1") + data
+    # a wrap that succeeds detaches ``raw``, so closing it then is a no-op
+    with socket.create_connection((parts.hostname, port), timeout) as raw:
+        sock = (_tls_context().wrap_socket(raw, server_hostname=parts.hostname)
+                if parts.scheme == "https" else raw)
+        with sock, sock.makefile("rb") as fp:
+            sock.sendall(request)
+            return _read_response(fp)
 
 
 def post_json(url: str, payload: dict, timeout: float, token: str | None = None):
-    """POST ``payload`` as JSON over a connection of its own and return the
-    parsed response body, sending a bearer header only when ``token`` is
-    given. An endpoint that the environment's proxy settings cover is reached
+    """POST ``payload`` as JSON over a connection of its own (HTTP/1.1,
+    ``Connection: close``) and return the parsed response body, sending a
+    bearer header only when ``token`` is given. The response body is framed
+    by ``Transfer-Encoding: chunked``, else by ``Content-Length``, else by
+    the server closing the connection; 1xx interim responses are skipped.
+    An endpoint that the environment's proxy settings cover is reached
     through urllib, the one path that speaks to proxies. A failed request, a
-    malformed HTTP response or a non-2xx status raises OSError; a body that is
-    not JSON raises ValueError."""
+    framing fault (a garbled status line, an over-long line, a truncated
+    body) or a non-2xx status raises OSError; a body that is not JSON raises
+    ValueError."""
     headers = {"Content-Type": "application/json", "Connection": "close",
                "User-Agent": "collapse-lab"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
     try:
         body = _post(url, json.dumps(payload).encode(), headers, timeout)
-    except http.client.HTTPException as exc:  # a garbled status line, a truncated body
+    except http.client.HTTPException as exc:
         raise OSError(f"{type(exc).__name__}: {exc}") from exc
     return json.loads(body.decode())
 
@@ -309,13 +397,17 @@ def _parse_score(raw: str, kind: str) -> int:
 def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
               transport=None) -> BatchResult:
     """Serve each text from the cache in the calling thread, and ask the judge
-    once per distinct uncached text, on up to ``cfg.concurrency`` threads."""
+    once per distinct uncached text, on up to ``cfg.concurrency`` threads.
+    The cache key is the template's hash prefix, the text's hash and the
+    model; each is hashed once."""
     if not texts:
         raise InvalidInputError("at least one text is required")
     transport = transport or _default_transport
+    template_hash = _sha(template)[:16]
 
     def ask(text: str):
         """The text's entry and the counts of its requests and failures."""
+        text_hash, key, _ = pending[text]
         prompt = template.format(text=text)
         payload = {
             "model": cfg.model,
@@ -338,25 +430,27 @@ def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
                 last_error = f"parse: {exc}"
                 counts["parse"] += 1
                 continue
-            ann = Annotation(text_hash=_sha(text), kind=kind, score=score,
+            ann = Annotation(text_hash=text_hash, kind=kind, score=score,
                              raw_response=raw, timestamp=time.time())
-            cache.put(_cache_key(template, text, cfg.model), ann)
+            cache.put(key, ann)
             return ann, counts
-        return AnnotationFailure(text_hash=_sha(text), kind=kind, error=last_error), counts
+        return AnnotationFailure(text_hash=text_hash, kind=kind, error=last_error), counts
 
     result = BatchResult(entries=[None] * len(texts))
-    pending: dict = {}  # uncached text -> its positions in ``texts``
+    pending: dict = {}  # uncached text -> (its hash, its key, its positions in ``texts``)
     cache = _Cache(cfg.cache_path)
     try:
         for i, text in enumerate(texts):
-            hit = cache.get(_cache_key(template, text, cfg.model))
+            text_hash = _sha(text)
+            key = f"{template_hash}:{text_hash}:{cfg.model}"
+            hit = cache.get(key)
             if hit is None:
-                pending.setdefault(text, []).append(i)
+                pending.setdefault(text, (text_hash, key, []))[2].append(i)
                 continue
             result.entries[i] = hit
             result.cache_hits += 1
         with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-            for positions, (entry, counts) in zip(pending.values(), pool.map(ask, pending)):
+            for (*_, positions), (entry, counts) in zip(pending.values(), pool.map(ask, pending)):
                 for i in positions:
                     result.entries[i] = entry
                 result.requests += counts["requests"]

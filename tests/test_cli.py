@@ -28,12 +28,16 @@ def test_toy_subcommand(tmp_path, capsys):
     ({"kind": "toy", "params": {"toy": {"steps": 0}}}, "steps and runs must be >= 1"),
     ({"kind": "toy", "params": {"toy": {"runs": "2"}}},
      'params.toy.runs must be an integer, not "2"'),
+    (b'\xff\xfe{"kind": "toy"}', "config is not UTF-8 text (invalid start byte)"),
 ])
 def test_config_error_is_one_line(tmp_path, capsys, body, message):
     """A bad config ends in one stderr line and exit code 2, not a traceback,
     and leaves no output."""
     config = tmp_path / "toy.json"
-    config.write_text(json.dumps(body))
+    if isinstance(body, bytes):
+        config.write_bytes(body)
+    else:
+        config.write_text(json.dumps(body))
     out = tmp_path / "out"
     assert main(["toy", "--config", str(config), "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -167,12 +171,18 @@ def _bad_input(tmp_path, case):
     if case == "csv row width":
         proj.write_text("0,1.0,2.0\n1,1.5\n2,0.0,0.0\n")
         return cluster, f"{proj}:2: 1 components, the first row has 2"
+    if case == "csv not utf-8":
+        proj.write_bytes(b"\xff\xfe0,1.0,2.0\n1,1.5,0.5\n2,0.0,0.0\n")
+        return cluster, f"{proj}: not UTF-8 text (invalid start byte)"
     if case == "emb1 header":
         proj.write_bytes(b"EMB1\x03\x00")
         return cluster, f"{proj}: truncated EMB1 header"
     if case == "record text":
         records.write_text('{"text": "fine"}\n\n{"text": 5}\n')
         return ["metrics", "--records", str(records)], f"{records}:3: text of the wrong type: 5"
+    if case == "records not utf-8":
+        records.write_bytes(b'\xff\xfe{"text": "x"}\n')
+        return ["metrics", "--records", str(records)], f"{records}:1: not UTF-8 text (invalid start byte)"
     obs = tmp_path / "observations.csv"
     regress = ["regress", "--observations", str(obs)]
     header = "cluster_id,ratio,quality,rel_diversity\nc0,0.5,1.0,0.2\n"
@@ -182,6 +192,9 @@ def _bad_input(tmp_path, case):
     if case == "regress predictor":
         obs.write_text(header + "c1,0.5,n/a,0.1\n")
         return regress, f"{obs}: row 2, column quality: 'n/a' is not a number"
+    if case == "regress not utf-8":
+        obs.write_bytes(b"\xff\xfe" + header.encode())
+        return regress, f"{obs}: not UTF-8 text (invalid start byte)"
     cache = tmp_path / "cache.jsonl"
     cache.write_text('{"key": "a"}\n{"key": \n{"key": "b"}\n')
     return (["annotate", "--kind", "quality", "--records", str(records), "--endpoint",
@@ -189,8 +202,9 @@ def _bad_input(tmp_path, case):
             f"{cache}:2: invalid JSON: ")
 
 
-@pytest.mark.parametrize("case", ["csv cell", "csv row width", "emb1 header", "record text",
-                                  "regress dependent", "regress predictor", "judge cache"])
+@pytest.mark.parametrize("case", ["csv cell", "csv row width", "csv not utf-8", "emb1 header",
+                                  "record text", "records not utf-8", "regress dependent",
+                                  "regress predictor", "regress not utf-8", "judge cache"])
 def test_bad_input_file_is_one_line(tmp_path, capsys, case):
     """A malformed input file ends in one stderr line naming it, and exit
     code 2, before any output or judge request."""

@@ -1,7 +1,10 @@
 import contextlib
 import gc
 import json
+import os
+import socket
 import socketserver
+import ssl
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -71,11 +74,11 @@ class _RawHandler(socketserver.StreamRequestHandler):
 
 
 @contextlib.contextmanager
-def raw_server(respond):
+def raw_server(respond, server_class=socketserver.TCPServer):
     """Loopback server that answers each request with the raw bytes
     ``respond(body)`` returns and then closes the connection. Yields the
     server; ``server.request_lines`` lists the request lines it read."""
-    server = socketserver.TCPServer(("127.0.0.1", 0), _RawHandler)
+    server = server_class(("127.0.0.1", 0), _RawHandler)
     server.respond, server.request_lines = respond, []
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
@@ -90,6 +93,20 @@ def raw_server(respond):
 
 def http_ok(body: bytes) -> bytes:
     return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+CHUNKED = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+
+
+def _certdata():
+    """CPython's test certificate directory, or None where the interpreter
+    ships without its ``test`` package."""
+    try:
+        import test
+    except ImportError:
+        return None
+    path = os.path.join(os.path.dirname(test.__file__), "certdata")
+    return path if os.path.exists(os.path.join(path, "keycert3.pem")) else None
 
 
 class TestAnnotateQuality:
@@ -180,6 +197,23 @@ class TestCache:
 
         again = annotate_quality(["text a"], cfg(cache_path=path), transport=failing)
         assert again.scores == [33]
+
+    def test_cache_key_bytes_pinned(self, tmp_path):
+        """The cache key is the template hash's first 16 hex digits, the
+        text's hash and the model, so caches written before stay valid."""
+        path = tmp_path / "cache.jsonl"
+        annotate_quality(["THE TEXT"], cfg(cache_path=str(path)), transport=scripted(["10"]))
+        [row] = [json.loads(line) for line in path.read_text().splitlines()]
+        text_hash = "b3e3c1080eae5a442e92c17f34aa5d9f46e25447e3d730eb5b8c4012ab9a65db"
+        assert row["key"] == f"f8b1132cc0b88125:{text_hash}:judge-model"
+        assert row["text_hash"] == text_hash
+
+    def test_each_text_hashed_once(self, monkeypatch):
+        """A cold batch hashes the template once and each text once."""
+        hashed, sha = [], judge._sha
+        monkeypatch.setattr(judge, "_sha", lambda data: hashed.append(data) or sha(data))
+        annotate_quality(["a", "b", "c"], cfg(), transport=scripted(["10"]))
+        assert sorted(hashed) == sorted([QUALITY_PROMPT, "a", "b", "c"])
 
     def test_kinds_do_not_collide(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
@@ -389,35 +423,69 @@ class TestDefaultTransportHttp:
 
 
     def test_malformed_http_fails_only_its_text(self):
-        """A garbled status line or a truncated body is a transport failure of
-        its own text; the rest of the batch is annotated."""
-        def respond(body):
-            if b"garbled" in body:
-                return b"GARBAGE\r\n\r\n"
-            if b"truncated" in body:
-                return b"HTTP/1.0 200 OK\r\nContent-Length: 40\r\n\r\n{\"text\""
-            if b"unavailable" in body:
-                return b"HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n"
-            return http_ok(b'{"text": "64"}')
+        """Each framing the client reads (chunked with an extension, no
+        length, a 100 Continue first) annotates its text; a garbled status
+        line, a truncated body, a non-2xx status, a bad chunk size, an
+        over-long header line or a close mid-chunk is a transport failure of
+        its own text, and the rest of the batch is annotated."""
+        replies = {
+            b"garbled": b"GARBAGE\r\n\r\n",
+            b"truncated": b"HTTP/1.0 200 OK\r\nContent-Length: 40\r\n\r\n{\"text\"",
+            b"unavailable": b"HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n",
+            b"extension": CHUNKED + b'4;x=y\r\n{"te\r\na\r\nxt": "64"}\r\n0\r\n\r\n',
+            b"no length": b'HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{"text": "64"}',
+            b"interim": b"HTTP/1.1 100 Continue\r\n\r\n" + http_ok(b'{"text": "64"}'),
+            b"chunk size": CHUNKED + b'zz\r\n{"text": "64"}\r\n0\r\n\r\n',
+            b"long header": b"HTTP/1.0 200 OK\r\nX-Pad: " + b"a" * 65536 + b"\r\n\r\n{}",
+            b"mid-chunk": CHUNKED + b'4\r\n{"te\r\na\r\nxt',  # then the server closes
+        }
 
-        texts = ["fine one", "garbled", "truncated", "unavailable", "fine two"]
+        def respond(body):
+            return next((raw for key, raw in replies.items() if key in body),
+                        http_ok(b'{"text": "64"}'))
+
+        texts = ["fine one", "garbled", "truncated", "unavailable", "chunk extension",
+                 "no length", "interim", "bad chunk size", "long header", "mid-chunk",
+                 "fine two"]
         with raw_server(respond) as server:
             c = JudgeConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}/chat",
                             model="m", max_retries=1)
             result = annotate_quality(texts, c)
-        assert result.scores == [64, None, None, None, 64]
+        assert result.scores == [64, None, None, None, 64, 64, 64, None, None, None, 64]
         assert [f.error for f in result.failures] == [
             "transport: BadStatusLine: GARBAGE\r\n",
             "transport: IncompleteRead: IncompleteRead(7 bytes read, 33 more expected)",
-            "transport: HTTP Error 503: Service Unavailable"]
-        assert result.transport_failures == 6 and result.requests == 8
+            "transport: HTTP Error 503: Service Unavailable",
+            "transport: IncompleteRead: IncompleteRead(0 bytes read)",
+            "transport: LineTooLong: got more than 65536 bytes when reading header line",
+            "transport: IncompleteRead: IncompleteRead(4 bytes read)"]
+        assert result.transport_failures == 12 and result.requests == 17
 
     def test_malformed_http_is_a_generator_transport_error(self):
-        with raw_server(lambda body: b"GARBAGE\r\n\r\n") as server:
-            gen = ExternalGenerator(GeneratorEndpointConfig(
-                endpoint=f"http://127.0.0.1:{server.server_address[1]}/gen", model="m"))
-            with pytest.raises(TransportError, match="BadStatusLine"):
-                gen.generate(1)
+        """A garbled status line or a bad chunk size is a TransportError, not
+        a ProtocolError."""
+        for reply, error in [(b"GARBAGE\r\n\r\n", "BadStatusLine"),
+                             (CHUNKED + b'zz\r\n{"text": "x"}\r\n0\r\n\r\n', "IncompleteRead")]:
+            with raw_server(lambda body: reply) as server:
+                gen = ExternalGenerator(GeneratorEndpointConfig(
+                    endpoint=f"http://127.0.0.1:{server.server_address[1]}/gen", model="m"))
+                with pytest.raises(TransportError, match=error):
+                    gen.generate(1)
+
+    @pytest.mark.parametrize("url, token, error", [
+        ("http://127.0.0.1:9/a b", None, "InvalidURL"),
+        ("http://127.0.0.1:x/chat", None, "InvalidURL"),
+        ("http://127.0.0.1:9/chat", "t\r\nX-Injected: 1", "HTTPException"),
+        ("http://127.0.0.1:9/chat", "\u20ac", "HTTPException")])
+    def test_malformed_request_fails_before_connecting(self, monkeypatch, url, token, error):
+        """A request target that is not visible ASCII, a port that is not a
+        number or a header value with a line break or a character beyond
+        Latin-1 is an OSError, and no connection is made."""
+        monkeypatch.setattr(judge.socket, "create_connection",
+                            lambda *args: pytest.fail("a connection was made"))
+        monkeypatch.setattr(judge, "_proxy_opener", lambda: ({}, None))
+        with pytest.raises(OSError, match=f"^{error}: "):
+            judge.post_json(url, {}, 1.0, token)
 
     def test_proxy_from_environment(self, monkeypatch):
         """An endpoint that http_proxy covers is requested through the proxy,
@@ -436,35 +504,28 @@ class TestDefaultTransportHttp:
         assert proxy.request_lines == ["POST http://127.0.0.1:9/v1/chat HTTP/1.1"]
 
     def test_https_posts_share_one_tls_context(self, monkeypatch):
-        """Two HTTPS posts make one TLS context and hand it to both
-        connections (no network: the connection class is a stand-in)."""
-        import ssl
-
-        made, given = [], []
+        """Two HTTPS posts make one TLS context, and each wraps its socket
+        with it for the URL's host (no network: the connection is one end of
+        a socket pair whose other end holds the reply)."""
+        made, wrapped, addresses, peers = [], [], [], []
         make = ssl._create_default_https_context
-        monkeypatch.setattr(ssl, "_create_default_https_context",
-                            lambda: made.append(make()) or made[-1])
 
-        class Response:
-            status, reason = 200, "OK"
+        def make_context():
+            context = make()
+            context.wrap_socket = lambda sock, server_hostname: (
+                wrapped.append((context, server_hostname)) or sock)
+            made.append(context)
+            return context
 
-            def read(self):
-                return b'{"text": "5"}'
+        def connect(address, timeout):
+            ours, theirs = socket.socketpair()
+            theirs.sendall(http_ok(b'{"text": "5"}'))
+            addresses.append(address)
+            peers.append(theirs)
+            return ours
 
-        class Connection:
-            def __init__(self, host, timeout, context):
-                given.append(context)
-
-            def request(self, *args, **kwargs):
-                pass
-
-            def getresponse(self):
-                return Response()
-
-            def close(self):
-                pass
-
-        monkeypatch.setattr(judge.http.client, "HTTPSConnection", Connection)
+        monkeypatch.setattr(ssl, "_create_default_https_context", make_context)
+        monkeypatch.setattr(judge.socket, "create_connection", connect)
         monkeypatch.setattr(judge, "_proxy_opener", lambda: ({}, None))
         judge._tls_context.cache_clear()
         try:
@@ -472,7 +533,61 @@ class TestDefaultTransportHttp:
                 assert judge.post_json("https://judge.invalid/v1/chat", {}, 1.0) == {"text": "5"}
         finally:
             judge._tls_context.cache_clear()
-        assert len(made) == 1 and given == made * 2
+            for peer in peers:
+                peer.close()
+        assert len(made) == 1
+        assert wrapped == [(made[0], "judge.invalid")] * 2
+        assert addresses == [("judge.invalid", 443)] * 2
+
+    def test_failed_tls_wrap_closes_the_socket(self, monkeypatch):
+        """A TLS wrap that fails before it takes the socket over is an error
+        of that request, and the socket is closed."""
+        sockets = []
+
+        def connect(address, timeout):
+            sockets.extend(socket.socketpair())
+            return sockets[0]
+
+        class Context:
+            def wrap_socket(self, sock, server_hostname):
+                raise ssl.SSLError("handshake failed")
+
+        monkeypatch.setattr(judge.socket, "create_connection", connect)
+        monkeypatch.setattr(judge, "_tls_context", Context)
+        monkeypatch.setattr(judge, "_proxy_opener", lambda: ({}, None))
+        try:
+            with pytest.raises(ssl.SSLError, match="handshake failed"):
+                judge.post_json("https://judge.invalid/v1/chat", {}, 1.0)
+            assert sockets[0].fileno() == -1
+        finally:
+            sockets[1].close()
+
+    @pytest.mark.skipif(_certdata() is None,
+                        reason="CPython's test certificates (the test package) are not installed")
+    def test_https_round_trip_on_loopback(self, monkeypatch):
+        """A real TLS handshake against a loopback server whose certificate
+        the test CA signed, answering with a chunked body."""
+        certdata = _certdata()
+        server_context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        server_context.load_cert_chain(os.path.join(certdata, "keycert3.pem"))
+
+        class TLSServer(socketserver.TCPServer):
+            def get_request(self):
+                sock, address = super().get_request()
+                return server_context.wrap_socket(sock, server_side=True), address
+
+        monkeypatch.setattr(ssl, "_create_default_https_context", lambda: ssl.create_default_context(
+            cafile=os.path.join(certdata, "pycacert.pem")))
+        monkeypatch.setattr(judge, "_proxy_opener", lambda: ({}, None))
+        judge._tls_context.cache_clear()
+        try:
+            reply = CHUNKED + b'4\r\n{"te\r\na\r\nxt": "42"}\r\n0\r\n\r\n'
+            with raw_server(lambda body: reply, TLSServer) as server:
+                url = f"https://localhost:{server.server_address[1]}/v1/chat"
+                assert judge.post_json(url, {"q": 1}, 5.0) == {"text": "42"}
+        finally:
+            judge._tls_context.cache_clear()
+        assert server.request_lines == ["POST /v1/chat HTTP/1.1"]
 
 
 class TestBatch:
