@@ -95,6 +95,10 @@ class ExperimentSpec:
         if not (isinstance(self.ratios, (list, tuple))
                 and all(_is_number(r, numbers.Real) and 0 <= r <= 1 for r in self.ratios)):
             raise InvalidConfigError("ratios must be a list of numbers in [0, 1]")
+        if self.kind == "cluster-regression" and 0 in self.ratios:
+            raise InvalidConfigError(
+                "cluster-regression ratios must be > 0: a ratio-0 chain evaluates no "
+                "synthetic generation")
         if not (isinstance(self.seeds, (list, tuple)) and self.seeds
                 and all(_is_number(s, numbers.Integral) and s >= 0 for s in self.seeds)):
             raise InvalidConfigError("seeds must be a non-empty list of non-negative integers")

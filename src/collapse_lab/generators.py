@@ -4,6 +4,7 @@ adapter for remote text-generation endpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,8 @@ class GeneratorEndpointConfig:
             raise InvalidConfigError("temperature must be > 0")
         if self.batch_size < 1:
             raise InvalidConfigError("batch_size must be >= 1")
+        if not (isinstance(self.timeout, (int, float)) and 0 < self.timeout < math.inf):
+            raise InvalidConfigError("timeout must be a positive finite number of seconds")
 
 
 class ExternalGenerator(GeneratorModel):

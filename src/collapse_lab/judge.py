@@ -5,18 +5,22 @@ bounded-concurrency request issuance and per-text failure isolation.
 
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import http.client
+import io
 import json
+import math
 import os
 import re
+import selectors
 import socket
-import threading
 import time
 import urllib.parse
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +71,15 @@ LEAN_LEFT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 @dataclass
 class JudgeConfig:
+    """Where and how a batch asks the judge. Each text gets up to
+    ``max_retries`` more attempts after a failed one. ``timeout`` bounds, in
+    seconds, each step of a request (connect, send, each read) with no
+    progress. Up to ``concurrency`` requests are in flight at once: sockets
+    on one selector loop on the calling thread, or, for an injected or
+    proxied transport, calls on as many helper threads. ``cache_path``
+    names the JSONL annotation cache, none when None; ``auth_token`` is
+    sent as a bearer token."""
+
     endpoint: str
     model: str
     max_retries: int = 3
@@ -80,6 +93,8 @@ class JudgeConfig:
             raise InvalidConfigError("max_retries must be >= 0")
         if self.concurrency < 1:
             raise InvalidConfigError("concurrency must be >= 1")
+        if not (isinstance(self.timeout, (int, float)) and 0 < self.timeout < math.inf):
+            raise InvalidConfigError("timeout must be a positive finite number of seconds")
 
 
 @dataclass(frozen=True)
@@ -151,7 +166,6 @@ class _Cache:
 
     def __init__(self, path: str | None):
         self._path = path
-        self._lock = threading.Lock()
         self._fh = None
         self._mem: dict = {}
         self._torn_at = None  # byte offset of an unparsable unfinished last row
@@ -199,16 +213,15 @@ class _Cache:
             "raw_response": annotation.raw_response,
             "timestamp": annotation.timestamp,
         }
-        with self._lock:
-            self._mem[key] = row
-            if self._path:
-                if self._fh is None:
-                    self._fh = open(self._path, "a")
-                    if self._torn_at is not None:
-                        self._fh.truncate(self._torn_at)
-                self._fh.write(self._lead + json.dumps(row, sort_keys=True) + "\n")
-                self._fh.flush()
-                self._torn_at, self._lead = None, ""
+        self._mem[key] = row
+        if self._path:
+            if self._fh is None:
+                self._fh = open(self._path, "a")
+                if self._torn_at is not None:
+                    self._fh.truncate(self._torn_at)
+            self._fh.write(self._lead + json.dumps(row, sort_keys=True) + "\n")
+            self._fh.flush()
+            self._torn_at, self._lead = None, ""
 
     def close(self) -> None:
         if self._fh is not None:
@@ -243,6 +256,8 @@ _MAX_HEADERS = 100
 _HEX = re.compile(rb"[0-9A-Fa-f]+")
 _NOT_URL_CHAR = re.compile("[^\x21-\x7e]")  # a request target is visible ASCII
 _NOT_HEADER_CHAR = re.compile("[^\t\x20-\x7e\x80-\xff]")  # a header value is Latin-1 text
+_IN_PROGRESS = (errno.EINPROGRESS, errno.EWOULDBLOCK)  # a non-blocking connect under way
+_RECV_SIZE = 65536
 
 
 def _readline(fp, what: str) -> bytes:
@@ -316,62 +331,295 @@ def _read_response(fp) -> bytes:
     return fp.read()  # until the server closes
 
 
-def _post(url: str, data: bytes, headers: dict, timeout: float) -> bytes:
-    parts = urllib.parse.urlsplit(url)
-    proxies, opener = _proxy_opener()
-    if parts.scheme in proxies and not urllib.request.proxy_bypass(parts.netloc):
-        with opener.open(urllib.request.Request(url, data=data, headers=headers),
-                         timeout=timeout) as resp:
-            return resp.read()
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise OSError(f"not an http(s) URL: {url!r}")
-    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    if _NOT_URL_CHAR.search(target):
-        raise http.client.InvalidURL(f"request target {target!r} is not visible ASCII")
-    try:
-        port = parts.port or (443 if parts.scheme == "https" else 80)
-        host = parts.netloc.encode("idna").decode("ascii")  # as http.client sends a non-ASCII host
-    except ValueError as exc:
-        raise http.client.InvalidURL(str(exc)) from exc
-    fields = {"Host": host, "Accept-Encoding": "identity",
-              "Content-Length": str(len(data)), **headers}
-    if any(_NOT_HEADER_CHAR.search(value) for value in fields.values()):
-        raise http.client.HTTPException("a header value holds a control or non-Latin-1 character")
-    head = "".join(f"{name}: {value}\r\n" for name, value in fields.items())
-    request = f"POST {target} HTTP/1.1\r\n{head}\r\n".encode("latin-1") + data
-    # a wrap that succeeds detaches ``raw``, so closing it then is a no-op
-    with socket.create_connection((parts.hostname, port), timeout) as raw:
-        sock = (_tls_context().wrap_socket(raw, server_hostname=parts.hostname)
-                if parts.scheme == "https" else raw)
-        with sock, sock.makefile("rb") as fp:
-            sock.sendall(request)
-            return _read_response(fp)
+def _as_oserror(exc: http.client.HTTPException) -> OSError:
+    """http.client's framing or request fault as the OSError callers catch."""
+    error = OSError(f"{type(exc).__name__}: {exc}")
+    error.__cause__ = exc
+    return error
 
 
-def post_json(url: str, payload: dict, timeout: float, token: str | None = None):
-    """POST ``payload`` as JSON over a connection of its own (HTTP/1.1,
-    ``Connection: close``) and return the parsed response body, sending a
-    bearer header only when ``token`` is given. The response body is framed
-    by ``Transfer-Encoding: chunked``, else by ``Content-Length``, else by
-    the server closing the connection; 1xx interim responses are skipped.
-    An endpoint that the environment's proxy settings cover is reached
-    through urllib, the one path that speaks to proxies. A failed request, a
-    framing fault (a garbled status line, an over-long line, a truncated
-    body) or a non-2xx status raises OSError; a body that is not JSON raises
-    ValueError."""
+def _headers(token: str | None) -> dict:
     headers = {"Content-Type": "application/json", "Connection": "close",
                "User-Agent": "collapse-lab"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
+    return headers
+
+
+def _proxied(url: str) -> bool:
+    """Whether the environment's proxy settings cover ``url``; a URL that
+    does not split is left to the default transport to report."""
     try:
-        body = _post(url, json.dumps(payload).encode(), headers, timeout)
+        parts = urllib.parse.urlsplit(url)
+    except ValueError:
+        return False
+    proxies, _ = _proxy_opener()
+    return parts.scheme in proxies and not urllib.request.proxy_bypass(parts.netloc)
+
+
+class _Endpoint:
+    """A URL that the default transport posts to, split and checked once:
+    where to connect, and the request head around its Content-Length
+    value. A URL or header fault raises OSError (ValueError for a URL that
+    does not split) before any connection."""
+
+    def __init__(self, url: str, token: str | None):
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise OSError(f"not an http(s) URL: {url!r}")
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if _NOT_URL_CHAR.search(target):
+            raise _as_oserror(
+                http.client.InvalidURL(f"request target {target!r} is not visible ASCII"))
+        try:
+            self.port = parts.port or (443 if parts.scheme == "https" else 80)
+            # as http.client sends a non-ASCII host
+            host = parts.netloc.encode("idna").decode("ascii")
+        except ValueError as exc:
+            raise _as_oserror(http.client.InvalidURL(str(exc))) from exc
+        headers = _headers(token)
+        if any(_NOT_HEADER_CHAR.search(value) for value in (host, *headers.values())):
+            raise _as_oserror(http.client.HTTPException(
+                "a header value holds a control or non-Latin-1 character"))
+        self.hostname, self.tls = parts.hostname, parts.scheme == "https"
+        self._head = (f"POST {target} HTTP/1.1\r\nHost: {host}\r\n"
+                      "Accept-Encoding: identity\r\nContent-Length: ").encode("latin-1")
+        self._tail = ("\r\n" + "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+                      + "\r\n").encode("latin-1")
+        self._addresses = None
+
+    def request(self, data: bytes) -> bytes:
+        """The whole HTTP/1.1 request that posts ``data``."""
+        return b"%s%d%s%s" % (self._head, len(data), self._tail, data)
+
+    def addresses(self) -> list:
+        """The host's addresses, from one ``getaddrinfo`` on first use; a
+        lookup that fails is tried again on the next use."""
+        if self._addresses is None:
+            self._addresses = socket.getaddrinfo(self.hostname, self.port, 0, socket.SOCK_STREAM)
+        return self._addresses
+
+
+class _Received(io.BytesIO):
+    """The response bytes received so far. ``short`` is set when a read ran
+    past their end, so a parse that used it may need more bytes."""
+
+    short = False
+
+    def read(self, size=-1):
+        data = super().read(size)
+        if size < 0 or len(data) < size:
+            self.short = True
+        return data
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        if not line.endswith(b"\n") and (size < 0 or len(line) < size):
+            self.short = True
+        return line
+
+
+def _connect(addresses: list):
+    """A non-blocking socket connected to the first of ``addresses`` that
+    accepts, tried in order as ``socket.create_connection`` tries them. A
+    step of an ``_exchange``: a TimeoutError thrown in at the wait fails
+    only the address being tried."""
+    error = OSError("getaddrinfo returns an empty list")
+    for family, type_, proto, _, address in addresses:
+        sock = None
+        try:
+            sock = socket.socket(family, type_, proto)
+            sock.setblocking(False)
+            code = sock.connect_ex(address)
+            if code in _IN_PROGRESS:
+                yield sock, selectors.EVENT_WRITE
+                code = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if not code:
+                connected, sock = sock, None
+                return connected
+            error = OSError(code, os.strerror(code))
+        except OSError as exc:
+            error = exc
+        finally:
+            if sock is not None:
+                sock.close()
+    raise error
+
+
+def _handshake(sock):
+    """The TLS handshake of a non-blocking socket, as a step of an ``_exchange``."""
+    import ssl
+
+    while True:
+        try:
+            return sock.do_handshake()
+        except ssl.SSLWantReadError:
+            yield sock, selectors.EVENT_READ
+        except ssl.SSLWantWriteError:
+            yield sock, selectors.EVENT_WRITE
+
+
+def _exchange(endpoint: _Endpoint, request: bytes):
+    """One request over a socket of its own, as a generator that a _Loop
+    drives: it yields ``(socket, event)`` to wait for that event, and
+    returns the response body once ``_read_response`` parses the bytes
+    received so far without running past their end (or, after the server
+    closes, whatever it makes of them). The socket is closed however the
+    exchange ends; framing faults raise OSError."""
+    read, write = selectors.EVENT_READ, selectors.EVENT_WRITE
+    want_read = want_write = BlockingIOError  # what the socket raises to wait for an event
+    try:
+        raw = yield from _connect(endpoint.addresses())
+        with raw:  # a wrap that succeeds detaches ``raw``, so closing it then is a no-op
+            sock = raw
+            if endpoint.tls:
+                import ssl
+
+                want_read, want_write = ssl.SSLWantReadError, ssl.SSLWantWriteError
+                sock = _tls_context().wrap_socket(raw, server_hostname=endpoint.hostname,
+                                                  do_handshake_on_connect=False)
+            with sock:
+                if endpoint.tls:
+                    yield from _handshake(sock)
+                unsent = memoryview(request)
+                while unsent:
+                    try:
+                        unsent = unsent[sock.send(unsent):]
+                    except (BlockingIOError, want_write):
+                        yield sock, write
+                    except want_read:
+                        yield sock, read
+                received = b""
+                while True:
+                    yield sock, read
+                    # read until the socket would block: a TLS socket may hold
+                    # decrypted bytes that do not wake the selector
+                    while True:
+                        try:
+                            data = sock.recv(_RECV_SIZE)
+                        except (BlockingIOError, want_read):
+                            break
+                        except want_write:
+                            yield sock, write
+                            continue
+                        received += data
+                        fp = _Received(received)
+                        try:
+                            body = _read_response(fp)
+                        except (http.client.HTTPException, OSError):
+                            if data and fp.short:
+                                continue
+                            raise
+                        if not (data and fp.short):
+                            return body
     except http.client.HTTPException as exc:
-        raise OSError(f"{type(exc).__name__}: {exc}") from exc
+        raise _as_oserror(exc) from exc
+
+
+class _Loop:
+    """Default-transport exchanges with one endpoint over non-blocking
+    sockets, driven on the calling thread by one selector. ``start`` begins
+    an exchange and returns its handle; ``wait`` blocks until at least one
+    has ended and returns each as (handle, outcome). The outcome is the
+    response body passed through ``decode``, or the OSError or ValueError
+    the exchange failed with. An exchange fails with TimeoutError after
+    ``timeout`` seconds without progress, as a socket timeout bounds each
+    blocking call. A URL fault fails every exchange before it connects."""
+
+    def __init__(self, url: str, token: str | None, timeout: float, decode):
+        self._timeout, self._decode = timeout, decode
+        self._selector = selectors.DefaultSelector()
+        self._waits: dict = {}  # exchange -> (socket, fd, event, deadline) of its wait
+        self._ended: list = []
+        try:
+            self._endpoint, self._error = _Endpoint(url, token), None
+        except (OSError, ValueError) as exc:
+            self._endpoint, self._error = None, exc
+
+    def start(self, payload: dict):
+        if self._error is not None:
+            handle = object()
+            self._ended.append((handle, self._error))
+            return handle
+        exchange = _exchange(self._endpoint, self._endpoint.request(json.dumps(payload).encode()))
+        self._advance(exchange)
+        return exchange
+
+    def wait(self) -> list:
+        while not self._ended:
+            deadline = min(wait[3] for wait in self._waits.values())
+            for key, _ in self._selector.select(max(deadline - time.monotonic(), 0.0)):
+                self._advance(key.data)
+            now = time.monotonic()
+            for exchange in [e for e, wait in self._waits.items() if wait[3] <= now]:
+                self._advance(exchange, TimeoutError("timed out"))
+        ended, self._ended = self._ended, []
+        return ended
+
+    def _advance(self, exchange, error: Exception | None = None) -> None:
+        """Run ``exchange`` to its next wait, throwing ``error`` in first if
+        given, and watch its socket for that wait; or record how it ended."""
+        wait = self._waits.pop(exchange, None)  # (socket, fd, event, deadline) of its last wait
+        try:
+            sock, event = exchange.throw(error) if error else exchange.send(None)
+        except StopIteration as stop:
+            try:
+                outcome = self._decode(stop.value)
+            except (OSError, ValueError) as exc:
+                outcome = exc
+        except (OSError, ValueError) as exc:
+            outcome = exc
+        else:
+            if wait is not None and wait[0] is sock:
+                if wait[2] != event:
+                    self._selector.modify(wait[1], event, exchange)
+            else:
+                if wait is not None:  # a new socket: the last one is closed or wrapped
+                    self._selector.unregister(wait[1])
+                self._selector.register(sock.fileno(), event, exchange)
+            self._waits[exchange] = (sock, sock.fileno(), event, time.monotonic() + self._timeout)
+            return
+        if wait is not None:
+            self._selector.unregister(wait[1])
+        self._ended.append((exchange, outcome))
+
+    def close(self) -> None:
+        """Close every exchange still in flight, and its socket."""
+        for exchange in self._waits:
+            exchange.close()
+        self._waits.clear()
+        self._selector.close()
+
+
+class _Threads:
+    """Calls ``call(payload)`` of a blocking transport on up to
+    ``concurrency`` helper threads, with _Loop's start, wait and close; an
+    outcome is the call's return value or the exception it raised."""
+
+    def __init__(self, call, concurrency: int):
+        self._call = call
+        self._pool = ThreadPoolExecutor(max_workers=concurrency)
+        self._running: set = set()
+
+    def start(self, payload: dict):
+        future = self._pool.submit(self._call, payload)
+        self._running.add(future)
+        return future
+
+    def wait(self) -> list:
+        done, self._running = futures_wait(self._running, return_when=FIRST_COMPLETED)
+        return [(future, future.exception() or future.result()) for future in done]
+
+    def close(self) -> None:
+        self._pool.shutdown(cancel_futures=True)
+
+
+def _json_body(body: bytes):
     return json.loads(body.decode())
 
 
-def _default_transport(url: str, payload: dict, timeout: float, token: str | None) -> str:
-    body = post_json(url, payload, timeout, token)
+def _reply_text(body) -> str:
+    """The reply text of a parsed chat-completion response body."""
     if isinstance(body, dict):
         if isinstance(body.get("text"), str):
             return body["text"]
@@ -380,6 +628,43 @@ def _default_transport(url: str, payload: dict, timeout: float, token: str | Non
         except (KeyError, IndexError, TypeError):
             pass
     raise ValueError("response carries no text field")
+
+
+def post_json(url: str, payload: dict, timeout: float, token: str | None = None):
+    """POST ``payload`` as JSON over a connection of its own (HTTP/1.1,
+    ``Connection: close``) and return the parsed response body, sending a
+    bearer header only when ``token`` is given. The exchange runs on the
+    same selector loop that ``annotate_quality`` runs its batches on, with
+    ``timeout`` seconds allowed for each step (connect, send, each read).
+    The response body is framed by ``Transfer-Encoding: chunked``, else by
+    ``Content-Length``, else by the server closing the connection; 1xx
+    interim responses are skipped. An endpoint that the environment's proxy
+    settings cover is reached through urllib, the one path that speaks to
+    proxies. A failed request, a framing fault (a garbled status line, an
+    over-long line, a truncated body) or a non-2xx status raises OSError; a
+    body that is not JSON raises ValueError."""
+    if _proxied(url):
+        request = urllib.request.Request(url, data=json.dumps(payload).encode(),
+                                         headers=_headers(token))
+        try:
+            with _proxy_opener()[1].open(request, timeout=timeout) as resp:
+                body = resp.read()
+        except http.client.HTTPException as exc:
+            raise _as_oserror(exc) from exc
+        return _json_body(body)
+    loop = _Loop(url, token, timeout, _json_body)
+    try:
+        loop.start(payload)
+        [(_, outcome)] = loop.wait()
+    finally:
+        loop.close()
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
+def _default_transport(url: str, payload: dict, timeout: float, token: str | None) -> str:
+    return _reply_text(post_json(url, payload, timeout, token))
 
 
 def _parse_score(raw: str, kind: str) -> int:
@@ -396,49 +681,25 @@ def _parse_score(raw: str, kind: str) -> int:
 
 def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
               transport=None) -> BatchResult:
-    """Serve each text from the cache in the calling thread, and ask the judge
-    once per distinct uncached text, on up to ``cfg.concurrency`` threads.
-    The cache key is the template's hash prefix, the text's hash and the
-    model; each is hashed once."""
+    """Serve each text from the cache, and ask the judge once per distinct
+    uncached text, with up to ``cfg.concurrency`` requests in flight. The
+    default transport runs them as exchanges on one selector loop on the
+    calling thread. An injected ``transport``, or an endpoint that the
+    proxy settings cover, blocks, so its calls run on up to
+    ``cfg.concurrency`` helper threads. Either way the calling thread
+    schedules them in text order, retries a failed attempt at once in the
+    same slot, and keeps the counters and the cache appends. An error that
+    is not a transport or parse fault propagates once every request in
+    flight, helper thread and the cache are closed. The cache key is the
+    template's hash prefix, the text's hash and the model; each is hashed
+    once."""
     if not texts:
         raise InvalidInputError("at least one text is required")
-    transport = transport or _default_transport
     template_hash = _sha(template)[:16]
-
-    def ask(text: str):
-        """The text's entry and the counts of its requests and failures."""
-        text_hash, key, _ = pending[text]
-        prompt = template.format(text=text)
-        payload = {
-            "model": cfg.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": 0,
-        }
-        last_error = "no attempt made"
-        counts = {"requests": 0, "parse": 0, "transport": 0}
-        for _ in range(cfg.max_retries + 1):
-            counts["requests"] += 1
-            try:
-                raw = transport(cfg.endpoint, payload, cfg.timeout, cfg.auth_token)
-            except (OSError, ValueError) as exc:  # ValueError: a non-JSON or textless body
-                last_error = f"transport: {exc}"
-                counts["transport"] += 1
-                continue
-            try:
-                score = _parse_score(raw, kind)
-            except ValueError as exc:
-                last_error = f"parse: {exc}"
-                counts["parse"] += 1
-                continue
-            ann = Annotation(text_hash=text_hash, kind=kind, score=score,
-                             raw_response=raw, timestamp=time.time())
-            cache.put(key, ann)
-            return ann, counts
-        return AnnotationFailure(text_hash=text_hash, kind=kind, error=last_error), counts
-
     result = BatchResult(entries=[None] * len(texts))
     pending: dict = {}  # uncached text -> (its hash, its key, its positions in ``texts``)
     cache = _Cache(cfg.cache_path)
+    runner = None
     try:
         for i, text in enumerate(texts):
             text_hash = _sha(text)
@@ -449,14 +710,63 @@ def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
                 continue
             result.entries[i] = hit
             result.cache_hits += 1
-        with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-            for (*_, positions), (entry, counts) in zip(pending.values(), pool.map(ask, pending)):
+        if not pending:
+            return result
+        if transport is None and not _proxied(cfg.endpoint):
+            runner = _Loop(cfg.endpoint, cfg.auth_token, cfg.timeout,
+                           lambda body: _reply_text(_json_body(body)))
+        else:
+            call = transport or _default_transport
+            runner = _Threads(lambda payload: call(cfg.endpoint, payload, cfg.timeout,
+                                                   cfg.auth_token), cfg.concurrency)
+        queue = iter(pending)
+        in_flight: dict = {}  # handle -> (text, payload, attempt number from 0)
+
+        def start(text: str, payload: dict, attempt: int) -> None:
+            result.requests += 1
+            in_flight[runner.start(payload)] = (text, payload, attempt)
+
+        def start_next() -> None:
+            text = next(queue, None)
+            if text is not None:
+                start(text, {"model": cfg.model,
+                             "messages": [{"role": "user", "content": template.format(text=text)}],
+                             "temperature": 0}, 0)
+
+        for _ in range(cfg.concurrency):
+            start_next()
+        while in_flight:
+            for handle, outcome in runner.wait():
+                text, payload, attempt = in_flight.pop(handle)
+                text_hash, key, positions = pending[text]
+                error = None
+                if isinstance(outcome, BaseException):
+                    # ValueError: a body that is not JSON or carries no text
+                    if not isinstance(outcome, (OSError, ValueError)):
+                        raise outcome
+                    error = f"transport: {outcome}"
+                    result.transport_failures += 1
+                else:
+                    try:
+                        score = _parse_score(outcome, kind)
+                    except ValueError as exc:
+                        error = f"parse: {exc}"
+                        result.parse_failures += 1
+                if error is None:
+                    entry = Annotation(text_hash=text_hash, kind=kind, score=score,
+                                       raw_response=outcome, timestamp=time.time())
+                    cache.put(key, entry)
+                elif attempt < cfg.max_retries:
+                    start(text, payload, attempt + 1)  # at once, in the same slot
+                    continue
+                else:
+                    entry = AnnotationFailure(text_hash=text_hash, kind=kind, error=error)
                 for i in positions:
                     result.entries[i] = entry
-                result.requests += counts["requests"]
-                result.parse_failures += counts["parse"]
-                result.transport_failures += counts["transport"]
+                start_next()
     finally:
+        if runner is not None:
+            runner.close()
         cache.close()
     return result
 

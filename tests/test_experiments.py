@@ -124,6 +124,21 @@ class TestSpecLoading:
                 run_experiment(spec)
             assert not (tmp_path / "run").exists()
 
+    def test_cluster_regression_rejects_ratio_zero(self, tmp_path):
+        """A ratio-0 chain evaluates no synthetic generation, so every
+        cluster-regression cell at ratio 0 would fail: the spec is rejected
+        before any output. A chain spec keeps ratio 0."""
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40)
+        manifest = tmp_path / "clusters.jsonl"
+        manifest.write_text(json.dumps({"cluster_id": 0, "record_indices": [0, 1]}) + "\n")
+        spec = ExperimentSpec(kind="cluster-regression", ratios=[0.0, 0.5], seeds=[0],
+                              out_dir=str(tmp_path / "run"), corpus_path=corpus,
+                              cluster_manifest=str(manifest))
+        with pytest.raises(InvalidConfigError, match="ratio-0 chain evaluates no synthetic"):
+            run_experiment(spec)
+        assert not (tmp_path / "run").exists()
+        ExperimentSpec(kind="chain", ratios=[0.0, 0.5], seeds=[0], corpus_path=corpus).validate()
+
     def test_failed_read_leaves_no_output(self, tmp_path, capsys):
         """A malformed input line stops a run before anything is on disk, and
         emit from a results directory that does not exist creates none and
@@ -136,8 +151,8 @@ class TestSpecLoading:
         for kind, paths, message in [
             ("chain", {"corpus_path": str(bad_corpus)}, ":2: invalid JSON"),
             ("lean", {"corpus_path": str(bad_corpus)}, ":2: invalid JSON"),
-            ("cluster-regression", {"corpus_path": corpus,
-                                    "cluster_manifest": str(bad_manifest)}, ":1: invalid JSON"),
+            ("cluster-regression", {"corpus_path": corpus, "cluster_manifest": str(bad_manifest),
+                                    "ratios": [0.25, 0.5]}, ":1: invalid JSON"),
         ]:
             spec = ExperimentSpec(kind=kind, out_dir=str(tmp_path / "run"), **paths)
             with pytest.raises(InvalidInputError, match=message):

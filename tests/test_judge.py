@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from collapse_lab import judge
-from collapse_lab.errors import InvalidInputError, TransportError
+from collapse_lab.errors import InvalidConfigError, InvalidInputError, TransportError
 from collapse_lab.generators import ExternalGenerator, GeneratorEndpointConfig
 from collapse_lab.judge import (
     LEAN_PROMPT,
@@ -63,23 +63,36 @@ def by_text(reply):
 
 class _RawHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        request_line = self.rfile.readline().decode().strip()
+        head = [self.rfile.readline()]
         length = 0
         for line in iter(self.rfile.readline, b"\r\n"):
+            head.append(line)
             name, _, value = line.partition(b":")
             if name.lower() == b"content-length":
                 length = int(value)
-        self.server.request_lines.append(request_line)
-        self.wfile.write(self.server.respond(self.rfile.read(length)))
+        body = self.rfile.read(length)
+        self.server.request_lines.append(head[0].decode().strip())
+        self.server.requests.append(b"".join(head) + b"\r\n" + body)
+        reply = self.server.respond(body)
+        if reply is None:  # no reply: note whether the client gives up and closes
+            self.connection.settimeout(10)
+            self.server.closed_unanswered.append(self.connection.recv(1) == b"")
+            return
+        self.wfile.write(reply)
 
 
 @contextlib.contextmanager
 def raw_server(respond, server_class=socketserver.TCPServer):
     """Loopback server that answers each request with the raw bytes
-    ``respond(body)`` returns and then closes the connection. Yields the
-    server; ``server.request_lines`` lists the request lines it read."""
+    ``respond(body)`` returns and then closes the connection; when
+    ``respond`` returns None it sends nothing and waits for the client to
+    close. Yields the server: ``server.request_lines`` lists the request
+    lines it read, ``server.requests`` each whole request, and
+    ``server.closed_unanswered`` whether the client closed each unanswered
+    connection (read once the block has ended and the server has stopped)."""
     server = server_class(("127.0.0.1", 0), _RawHandler)
-    server.respond, server.request_lines = respond, []
+    server.respond, server.request_lines, server.requests = respond, [], []
+    server.closed_unanswered = []
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
@@ -96,6 +109,41 @@ def http_ok(body: bytes) -> bytes:
 
 
 CHUNKED = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+
+
+class _Connected(socket.socket):
+    """One end of a socket pair standing in for a TCP connection: its
+    connect succeeds at once, and when a fake TLS context hands it back as
+    the wrapped socket, its handshake does nothing."""
+
+    def connect_ex(self, address):
+        return 0
+
+    def do_handshake(self):
+        pass
+
+
+def paired_sockets(monkeypatch, replies):
+    """Patch the judge loop's address lookup and socket creation, with no
+    network: each socket it makes is one end of a socket pair whose other
+    end already holds the next of ``replies``. Returns the lookups made,
+    the sockets made and every pair, for the caller to close."""
+    lookups, made = [], []
+    pairs = [socket.socketpair() for _ in replies]  # before socket.socket is patched
+    for (_, theirs), reply in zip(pairs, replies):
+        theirs.sendall(reply)
+
+    def getaddrinfo(host, port, *args):
+        lookups.append((host, port))
+        return [(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP, "", ("192.0.2.1", port))]
+
+    def make_socket(family, type_, proto):
+        made.append(_Connected(fileno=pairs[len(made)][0].detach()))
+        return made[-1]
+
+    monkeypatch.setattr(judge.socket, "getaddrinfo", getaddrinfo)
+    monkeypatch.setattr(judge.socket, "socket", make_socket)
+    return lookups, made, pairs
 
 
 def _certdata():
@@ -333,8 +381,9 @@ class TestConcurrency:
         assert state["peak"] <= 3
 
     def test_shared_cache_handle_under_thread_switches(self, tmp_path):
-        """Eight threads append through one cache handle: every row lands
-        whole, once, and a fresh batch serves them all."""
+        """Eight helper threads answer while the batch's thread appends
+        through one cache handle: every row lands whole, once, and a fresh
+        batch serves them all."""
         path = tmp_path / "cache.jsonl"
         texts = [f"text {i}" for i in range(400)]
         interval = sys.getswitchinterval()
@@ -350,6 +399,41 @@ class TestConcurrency:
         again = annotate_quality(texts, cfg(cache_path=str(path)),
                                  transport=TestCache._no_network)
         assert again.cache_hits == len(texts) and again.scores == first.scores
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_loop_keeps_concurrency_requests_in_flight(self, monkeypatch, concurrency):
+        """The default transport keeps exactly ``concurrency`` requests in
+        flight: the server holds each reply until that many requests have
+        arrived (or 2 s pass), and counts the client sockets open whenever a
+        request arrives."""
+        client_sockets, make = [], socket.socket
+
+        def make_socket(*args, **kwargs):  # an accept passes ``fileno``; the client does not
+            sock = make(*args, **kwargs)
+            if "fileno" not in kwargs:
+                client_sockets.append(sock)
+            return sock
+
+        peak, barrier = [], threading.Barrier(concurrency, timeout=2)
+
+        def respond(body):
+            peak.append(sum(sock.fileno() != -1 for sock in client_sockets))
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return http_ok(b'{"text": "7"}')
+
+        texts = [f"text {i}" for i in range(4 * concurrency)]
+        with raw_server(respond, socketserver.ThreadingTCPServer) as server:
+            monkeypatch.setattr(judge.socket, "socket", make_socket)
+            c = JudgeConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}/chat",
+                            model="m", concurrency=concurrency)
+            result = annotate_quality(texts, c)
+            monkeypatch.undo()
+        assert result.scores == [7] * len(texts)
+        assert max(peak) == concurrency and len(client_sockets) == len(texts)
+        assert not barrier.broken
 
     def test_order_stable(self):
         def transport(url, payload, timeout, token):
@@ -461,6 +545,66 @@ class TestDefaultTransportHttp:
             "transport: IncompleteRead: IncompleteRead(4 bytes read)"]
         assert result.transport_failures == 12 and result.requests == 17
 
+    def test_silent_server_times_out_only_its_text(self):
+        """A connection that is accepted and never answered fails its text
+        with ``transport: timed out`` after ``timeout`` seconds on each
+        attempt, while the rest of the batch is annotated; the client closes
+        each timed-out socket."""
+        def respond(body):
+            return None if b"silent" in body else http_ok(b'{"text": "64"}')
+
+        with raw_server(respond, socketserver.ThreadingTCPServer) as server:
+            c = JudgeConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}/chat",
+                            model="m", timeout=0.3, max_retries=1, concurrency=2)
+            result = annotate_quality(["one", "silent", "two", "three"], c)
+            gc.collect()
+        assert result.scores == [64, None, 64, 64]
+        assert [f.error for f in result.failures] == ["transport: timed out"]
+        assert (result.requests, result.transport_failures) == (5, 2)
+        assert server.closed_unanswered == [True, True]
+
+    def test_unexpected_error_closes_requests_in_flight(self, monkeypatch):
+        """An error that is not a transport or parse fault propagates from
+        the loop at once, and the request still in flight is closed first."""
+        parse = judge._parse_score
+
+        def parse_or_fail(raw, kind):
+            if raw == "boom":
+                raise RuntimeError("judge client bug")
+            return parse(raw, kind)
+
+        def respond(body):
+            return None if b"held" in body else http_ok(b'{"text": "boom"}')
+
+        monkeypatch.setattr(judge, "_parse_score", parse_or_fail)
+        with raw_server(respond, socketserver.ThreadingTCPServer) as server:
+            c = JudgeConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}/chat",
+                            model="m", timeout=30.0, concurrency=2)
+            # ``raised`` keeps the batch's frames alive, so only an explicit
+            # close, not garbage collection, can close the held socket
+            with pytest.raises(RuntimeError, match="judge client bug") as raised:
+                annotate_quality(["held", "fails"], c)
+        assert server.closed_unanswered == [True]
+        assert raised.traceback
+
+    @pytest.mark.parametrize("token, auth", [(None, b""),
+                                             ("tok", b"Authorization: Bearer tok\r\n")])
+    def test_request_bytes_pinned(self, token, auth):
+        """The exact bytes of a post, with and without a bearer token."""
+        with raw_server(lambda body: http_ok(b'{"text": "1"}')) as server:
+            port = server.server_address[1]
+            payload = {"model": "m", "messages": [{"role": "user", "content": "caf\u00e9"}],
+                       "temperature": 0}
+            assert judge.post_json(f"http://127.0.0.1:{port}/v1/chat?x=1", payload, 5.0,
+                                   token) == {"text": "1"}
+        assert server.requests == [
+            b"POST /v1/chat?x=1 HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n"
+            b"Accept-Encoding: identity\r\nContent-Length: 88\r\n"
+            b"Content-Type: application/json\r\nConnection: close\r\n"
+            b"User-Agent: collapse-lab\r\n%s\r\n"
+            b'{"model": "m", "messages": [{"role": "user", "content": "caf\\u00e9"}], '
+            b'"temperature": 0}' % (port, auth)]
+
     def test_malformed_http_is_a_generator_transport_error(self):
         """A garbled status line or a bad chunk size is a TransportError, not
         a ProtocolError."""
@@ -481,11 +625,28 @@ class TestDefaultTransportHttp:
         """A request target that is not visible ASCII, a port that is not a
         number or a header value with a line break or a character beyond
         Latin-1 is an OSError, and no connection is made."""
-        monkeypatch.setattr(judge.socket, "create_connection",
-                            lambda *args: pytest.fail("a connection was made"))
+        monkeypatch.setattr(judge.socket, "getaddrinfo",
+                            lambda *args: pytest.fail("an address was looked up"))
+        monkeypatch.setattr(judge.socket, "socket", lambda *args: pytest.fail("a socket was made"))
         monkeypatch.setattr(judge, "_proxy_opener", lambda: ({}, None))
         with pytest.raises(OSError, match=f"^{error}: "):
             judge.post_json(url, {}, 1.0, token)
+
+    @pytest.mark.parametrize("endpoint, error", [
+        ("ftp://judge.invalid/chat", "transport: not an http(s) URL: 'ftp://judge.invalid/chat'"),
+        ("http://[::1/chat", "transport: Invalid IPv6 URL")])
+    def test_bad_endpoint_fails_every_attempt_before_connecting(self, monkeypatch, endpoint,
+                                                                error):
+        """An endpoint the default transport cannot post to fails every
+        attempt of every text with the same error, and no connection is made."""
+        monkeypatch.setattr(judge.socket, "getaddrinfo",
+                            lambda *args: pytest.fail("an address was looked up"))
+        monkeypatch.setattr(judge.socket, "socket", lambda *args: pytest.fail("a socket was made"))
+        monkeypatch.setattr(judge, "_proxy_opener", lambda: ({}, None))
+        result = annotate_quality(["a", "b"], JudgeConfig(endpoint=endpoint, model="m",
+                                                          max_retries=1))
+        assert [f.error for f in result.failures] == [error] * 2
+        assert (result.requests, result.transport_failures) == (4, 4)
 
     def test_proxy_from_environment(self, monkeypatch):
         """An endpoint that http_proxy covers is requested through the proxy,
@@ -507,60 +668,50 @@ class TestDefaultTransportHttp:
         """Two HTTPS posts make one TLS context, and each wraps its socket
         with it for the URL's host (no network: the connection is one end of
         a socket pair whose other end holds the reply)."""
-        made, wrapped, addresses, peers = [], [], [], []
+        made, wrapped = [], []
         make = ssl._create_default_https_context
 
         def make_context():
             context = make()
-            context.wrap_socket = lambda sock, server_hostname: (
+            context.wrap_socket = lambda sock, server_hostname, do_handshake_on_connect: (
                 wrapped.append((context, server_hostname)) or sock)
             made.append(context)
             return context
 
-        def connect(address, timeout):
-            ours, theirs = socket.socketpair()
-            theirs.sendall(http_ok(b'{"text": "5"}'))
-            addresses.append(address)
-            peers.append(theirs)
-            return ours
-
         monkeypatch.setattr(ssl, "_create_default_https_context", make_context)
-        monkeypatch.setattr(judge.socket, "create_connection", connect)
         monkeypatch.setattr(judge, "_proxy_opener", lambda: ({}, None))
+        lookups, sockets, pairs = paired_sockets(monkeypatch, [http_ok(b'{"text": "5"}')] * 2)
         judge._tls_context.cache_clear()
         try:
             for _ in range(2):
                 assert judge.post_json("https://judge.invalid/v1/chat", {}, 1.0) == {"text": "5"}
         finally:
             judge._tls_context.cache_clear()
-            for peer in peers:
-                peer.close()
+            for pair in pairs:
+                for end in pair:
+                    end.close()
         assert len(made) == 1
         assert wrapped == [(made[0], "judge.invalid")] * 2
-        assert addresses == [("judge.invalid", 443)] * 2
+        assert lookups == [("judge.invalid", 443)] * 2
+        assert [sock.fileno() for sock in sockets] == [-1, -1]
 
     def test_failed_tls_wrap_closes_the_socket(self, monkeypatch):
         """A TLS wrap that fails before it takes the socket over is an error
         of that request, and the socket is closed."""
-        sockets = []
-
-        def connect(address, timeout):
-            sockets.extend(socket.socketpair())
-            return sockets[0]
-
         class Context:
-            def wrap_socket(self, sock, server_hostname):
+            def wrap_socket(self, sock, server_hostname, do_handshake_on_connect):
                 raise ssl.SSLError("handshake failed")
 
-        monkeypatch.setattr(judge.socket, "create_connection", connect)
         monkeypatch.setattr(judge, "_tls_context", Context)
         monkeypatch.setattr(judge, "_proxy_opener", lambda: ({}, None))
+        _, sockets, pairs = paired_sockets(monkeypatch, [b""])
         try:
             with pytest.raises(ssl.SSLError, match="handshake failed"):
                 judge.post_json("https://judge.invalid/v1/chat", {}, 1.0)
             assert sockets[0].fileno() == -1
         finally:
-            sockets[1].close()
+            for end in pairs[0]:
+                end.close()
 
     @pytest.mark.skipif(_certdata() is None,
                         reason="CPython's test certificates (the test package) are not installed")
@@ -632,6 +783,18 @@ class TestBatch:
                              transport=transport)
         gc.collect()
         assert [json.loads(line)["score"] for line in path.read_text().splitlines()] == [50]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf"), "5"])
+    def test_bad_timeout_rejected(self, timeout):
+        """A timeout that is not a positive finite number would fail every
+        request alike, so it is a config error."""
+        with pytest.raises(InvalidConfigError, match="^timeout must be a positive finite number"):
+            cfg(timeout=timeout)
+        with pytest.raises(InvalidConfigError, match="^timeout must be a positive finite number"):
+            GeneratorEndpointConfig(endpoint="http://test.invalid/gen", model="m",
+                                    timeout=timeout)
 
 
 class TestAnnotationValidation:
