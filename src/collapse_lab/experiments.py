@@ -71,12 +71,17 @@ FIGURE_KINDS = tuple(_FIGURES)
 @dataclass
 class ExperimentSpec:
     kind: str
-    ratios: list = field(default_factory=lambda: [0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0])
+    ratios: list | None = None  # None: the paper's grid
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
     out_dir: str = "results"
     corpus_path: str | None = None
     cluster_manifest: str | None = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.ratios is None:  # without ratio 0 for cluster-regression, which rejects it
+            grid = [0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0]
+            self.ratios = grid[1:] if self.kind == "cluster-regression" else grid
 
     def validate(self) -> None:
         """Reject, before any output, every value that would fail each cell

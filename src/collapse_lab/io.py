@@ -72,22 +72,25 @@ def write_jsonl(path, rows) -> None:
 
 
 def read_records_jsonl(path) -> list[TextRecord]:
-    """One record per line: {"text": str, "domain"?: str, "quality"?: int,
-    "lean"?: int, "positivity"?: float}. A field of another type raises
+    """One record per line: {"text": str, "source"?: str, "generation"?: int,
+    "domain"?: str, "quality"?, "lean"?, "positivity"?: number}. A field of
+    another type (a bool is not a number) or an invalid TextRecord raises
     InvalidInputError naming ``path:line``."""
     records = []
     for lineno, row in _jsonl_rows(path, required=("text",)):
         for key, value in row.items():
-            if key in _RECORD_TYPES and not isinstance(value, _RECORD_TYPES[key]):
+            if key in _RECORD_TYPES and (isinstance(value, bool)
+                                         or not isinstance(value, _RECORD_TYPES[key])):
                 raise InvalidInputError(f"{path}:{lineno}: {key} of the wrong type: {value!r}")
         annotations = {k: row[k] for k in ("quality", "lean", "positivity") if k in row}
-        records.append(TextRecord(
-            text=row["text"],
-            source=row.get("source", "human"),
-            generation=row.get("generation", -1 if row.get("source", "human") == "human" else 0),
-            domain=row.get("domain"),
-            annotations=annotations or None,
-        ))
+        source = row.get("source", "human")
+        try:
+            records.append(TextRecord(
+                text=row["text"], source=source,
+                generation=row.get("generation", -1 if source == "human" else 0),
+                domain=row.get("domain"), annotations=annotations or None))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 

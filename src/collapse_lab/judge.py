@@ -5,6 +5,7 @@ bounded-concurrency request issuance and per-text failure isolation.
 
 from __future__ import annotations
 
+import base64
 import errno
 import functools
 import hashlib
@@ -19,9 +20,8 @@ import socket
 import time
 import urllib.parse
 import urllib.request
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
+from urllib.parse import unquote
 
 import numpy as np
 
@@ -74,11 +74,11 @@ class JudgeConfig:
     """Where and how a batch asks the judge. Each text gets up to
     ``max_retries`` more attempts after a failed one. ``timeout`` bounds, in
     seconds, each step of a request (connect, send, each read) with no
-    progress. Up to ``concurrency`` requests are in flight at once: sockets
-    on one selector loop on the calling thread, or, for an injected or
-    proxied transport, calls on as many helper threads. ``cache_path``
-    names the JSONL annotation cache, none when None; ``auth_token`` is
-    sent as a bearer token."""
+    progress. Up to ``concurrency`` requests are in flight at once, proxied
+    or not, on one selector loop on the calling thread; an injected
+    transport ignores it and runs one call at a time. ``cache_path`` names
+    the JSONL annotation cache, none when None; ``auth_token`` is sent as a
+    bearer token."""
 
     endpoint: str
     model: str
@@ -230,11 +230,10 @@ class _Cache:
 
 
 @functools.cache
-def _proxy_opener():
-    """The environment's proxy map and a urllib opener that uses it, read once
-    per process as ``urlopen``'s default opener reads it."""
-    proxies = urllib.request.getproxies()
-    return proxies, urllib.request.build_opener(urllib.request.ProxyHandler(proxies))
+def _proxies() -> dict:
+    """The environment's proxy map, read once per process as ``urlopen``'s
+    default opener reads it."""
+    return urllib.request.getproxies()
 
 
 @functools.cache
@@ -251,6 +250,7 @@ def _tls_context():
     return context
 
 
+_SCORE = re.compile("[+-]?[0-9]+")
 _MAX_LINE = 65536  # http.client's limits on a response line and header count
 _MAX_HEADERS = 100
 _HEX = re.compile(rb"[0-9A-Fa-f]+")
@@ -306,23 +306,37 @@ def _read_chunked(fp) -> bytes:
     return b"".join(chunks)
 
 
+def _read_status(fp) -> tuple[int, str]:
+    """The status code and reason of the status line read from ``fp``."""
+    line = _readline(fp, "status line")
+    if not line:
+        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+    text = line.decode("iso-8859-1")
+    version, status, reason = (text.split(None, 2) + ["", ""])[:3]
+    status = int(status) if status.isascii() and status.isdigit() else 0
+    if not version.startswith("HTTP/") or not 100 <= status <= 999:
+        raise http.client.BadStatusLine(text)
+    return status, reason.strip()
+
+
+def _read_tunnel(fp) -> None:
+    """A proxy's reply to CONNECT read from ``fp``: only a 200 opens the tunnel."""
+    status, reason = _read_status(fp)
+    if status != 200:
+        raise OSError(f"Tunnel connection failed: {status} {reason}")
+    _read_headers(fp)
+
+
 def _read_response(fp) -> bytes:
     """The body of a 2xx response read from ``fp``, after any 1xx interim
     responses; framing faults raise http.client's exceptions."""
     while True:
-        line = _readline(fp, "status line")
-        if not line:
-            raise http.client.RemoteDisconnected("Remote end closed connection without response")
-        text = line.decode("iso-8859-1")
-        version, status, reason = (text.split(None, 2) + ["", ""])[:3]
-        status = int(status) if status.isascii() and status.isdigit() else 0
-        if not version.startswith("HTTP/") or not 100 <= status <= 999:
-            raise http.client.BadStatusLine(text)
+        status, reason = _read_status(fp)
         headers = _read_headers(fp)
         if status >= 200:
             break
     if not 200 <= status < 300:
-        raise OSError(f"HTTP Error {status}: {reason.strip()}")
+        raise OSError(f"HTTP Error {status}: {reason}")
     if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
         return _read_chunked(fp)
     length = headers.get(b"content-length", b"")
@@ -338,54 +352,57 @@ def _as_oserror(exc: http.client.HTTPException) -> OSError:
     return error
 
 
-def _headers(token: str | None) -> dict:
-    headers = {"Content-Type": "application/json", "Connection": "close",
-               "User-Agent": "collapse-lab"}
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    return headers
-
-
-def _proxied(url: str) -> bool:
-    """Whether the environment's proxy settings cover ``url``; a URL that
-    does not split is left to the default transport to report."""
-    try:
-        parts = urllib.parse.urlsplit(url)
-    except ValueError:
-        return False
-    proxies, _ = _proxy_opener()
-    return parts.scheme in proxies and not urllib.request.proxy_bypass(parts.netloc)
-
-
 class _Endpoint:
     """A URL that the default transport posts to, split and checked once:
-    where to connect, and the request head around its Content-Length
-    value. A URL or header fault raises OSError (ValueError for a URL that
-    does not split) before any connection."""
+    where to connect, the host a TLS handshake names (``tls_host``), the
+    CONNECT request that opens a tunnel first (``tunnel``) and the request
+    head around its Content-Length value. A proxy that the environment
+    names for the URL is used as urllib's ProxyHandler uses it. A URL or
+    header fault raises OSError (ValueError for a URL that does not split)
+    before any connection."""
 
     def __init__(self, url: str, token: str | None):
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise OSError(f"not an http(s) URL: {url!r}")
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        tls, proxy = parts.scheme == "https", _proxies().get(parts.scheme)
+        fields = ("Content-Type: application/json\r\nConnection: close\r\nUser-Agent: "
+                  "collapse-lab\r\n" + (f"Authorization: Bearer {token}\r\n" if token else ""))
+        self.hostname, self.tls_host, self.tunnel = parts.hostname, tls and parts.hostname, None
+        try:
+            self.port = parts.port or (443 if tls else 80)
+            # as http.client sends a non-ASCII host
+            host = parts.netloc.encode("idna").decode("ascii")
+            if proxy and not urllib.request.proxy_bypass(parts.netloc):
+                kind, user, password, hostport = urllib.request._parse_proxy(proxy)
+                kind, via = kind or parts.scheme, urllib.parse.urlsplit("//" + unquote(hostport))
+                if kind not in ("http", "https") or not via.hostname:
+                    raise OSError(f"not an http(s) proxy: {proxy!r}")
+                auth = ""
+                if user and password:
+                    creds = f"{unquote(user)}:{unquote(password)}".encode()
+                    auth = f"Proxy-Authorization: Basic {base64.b64encode(creds).decode()}\r\n"
+                if tls:  # the bytes http.client sends to open a tunnel
+                    name = parts.hostname.encode("idna").decode("ascii")
+                    self.tunnel = f"CONNECT {name}:{self.port} HTTP/1.0\r\n{auth}\r\n".encode()
+                else:
+                    target, fields = f"http://{host}{target}", fields + auth
+                    self.tls_host = kind == "https" and via.hostname
+                # a proxy without a port: the one http.client's connection defaults to
+                self.hostname = via.hostname
+                self.port = via.port or (443 if tls or kind == "https" else 80)
+        except ValueError as exc:
+            raise _as_oserror(http.client.InvalidURL(str(exc))) from exc
         if _NOT_URL_CHAR.search(target):
             raise _as_oserror(
                 http.client.InvalidURL(f"request target {target!r} is not visible ASCII"))
-        try:
-            self.port = parts.port or (443 if parts.scheme == "https" else 80)
-            # as http.client sends a non-ASCII host
-            host = parts.netloc.encode("idna").decode("ascii")
-        except ValueError as exc:
-            raise _as_oserror(http.client.InvalidURL(str(exc))) from exc
-        headers = _headers(token)
-        if any(_NOT_HEADER_CHAR.search(value) for value in (host, *headers.values())):
+        if any(_NOT_HEADER_CHAR.search(value) for value in (host, token or "")):
             raise _as_oserror(http.client.HTTPException(
                 "a header value holds a control or non-Latin-1 character"))
-        self.hostname, self.tls = parts.hostname, parts.scheme == "https"
         self._head = (f"POST {target} HTTP/1.1\r\nHost: {host}\r\n"
                       "Accept-Encoding: identity\r\nContent-Length: ").encode("latin-1")
-        self._tail = ("\r\n" + "".join(f"{name}: {value}\r\n" for name, value in headers.items())
-                      + "\r\n").encode("latin-1")
+        self._tail = f"\r\n{fields}\r\n".encode("latin-1")
         self._addresses = None
 
     def request(self, data: bytes) -> bytes:
@@ -459,87 +476,104 @@ def _handshake(sock):
             yield sock, selectors.EVENT_WRITE
 
 
+def _round_trip(sock, data: bytes, parse, want_read, want_write):
+    """Send ``data``, then return what ``parse`` makes of the bytes received
+    once it parses them without running past their end (or, after the
+    server closes, whatever it makes of them); a step of an ``_exchange``.
+    ``want_read`` and ``want_write`` are what the socket raises to wait."""
+    unsent = memoryview(data)
+    while unsent:
+        try:
+            unsent = unsent[sock.send(unsent):]
+        except (BlockingIOError, want_write):
+            yield sock, selectors.EVENT_WRITE
+        except want_read:
+            yield sock, selectors.EVENT_READ
+    received = b""
+    while True:
+        yield sock, selectors.EVENT_READ
+        # read until the socket would block: a TLS socket may hold
+        # decrypted bytes that do not wake the selector
+        while True:
+            try:
+                data = sock.recv(_RECV_SIZE)
+            except (BlockingIOError, want_read):
+                break
+            except want_write:
+                yield sock, selectors.EVENT_WRITE
+                continue
+            received += data
+            fp = _Received(received)
+            try:
+                parsed = parse(fp)
+            except (http.client.HTTPException, OSError):
+                if data and fp.short:
+                    continue
+                raise
+            if not (data and fp.short):
+                return parsed
+
+
 def _exchange(endpoint: _Endpoint, request: bytes):
     """One request over a socket of its own, as a generator that a _Loop
     drives: it yields ``(socket, event)`` to wait for that event, and
-    returns the response body once ``_read_response`` parses the bytes
-    received so far without running past their end (or, after the server
-    closes, whatever it makes of them). The socket is closed however the
+    returns the response body. Through a proxy's tunnel it first sends the
+    CONNECT request and reads the reply. The socket is closed however the
     exchange ends; framing faults raise OSError."""
-    read, write = selectors.EVENT_READ, selectors.EVENT_WRITE
-    want_read = want_write = BlockingIOError  # what the socket raises to wait for an event
+    want = BlockingIOError, BlockingIOError  # what the socket raises to wait to read, to write
     try:
         raw = yield from _connect(endpoint.addresses())
         with raw:  # a wrap that succeeds detaches ``raw``, so closing it then is a no-op
+            if endpoint.tunnel:
+                yield from _round_trip(raw, endpoint.tunnel, _read_tunnel, *want)
             sock = raw
-            if endpoint.tls:
+            if endpoint.tls_host:
                 import ssl
 
-                want_read, want_write = ssl.SSLWantReadError, ssl.SSLWantWriteError
-                sock = _tls_context().wrap_socket(raw, server_hostname=endpoint.hostname,
+                want = ssl.SSLWantReadError, ssl.SSLWantWriteError
+                sock = _tls_context().wrap_socket(raw, server_hostname=endpoint.tls_host,
                                                   do_handshake_on_connect=False)
             with sock:
-                if endpoint.tls:
+                if endpoint.tls_host:
                     yield from _handshake(sock)
-                unsent = memoryview(request)
-                while unsent:
-                    try:
-                        unsent = unsent[sock.send(unsent):]
-                    except (BlockingIOError, want_write):
-                        yield sock, write
-                    except want_read:
-                        yield sock, read
-                received = b""
-                while True:
-                    yield sock, read
-                    # read until the socket would block: a TLS socket may hold
-                    # decrypted bytes that do not wake the selector
-                    while True:
-                        try:
-                            data = sock.recv(_RECV_SIZE)
-                        except (BlockingIOError, want_read):
-                            break
-                        except want_write:
-                            yield sock, write
-                            continue
-                        received += data
-                        fp = _Received(received)
-                        try:
-                            body = _read_response(fp)
-                        except (http.client.HTTPException, OSError):
-                            if data and fp.short:
-                                continue
-                            raise
-                        if not (data and fp.short):
-                            return body
+                return (yield from _round_trip(sock, request, _read_response, *want))
     except http.client.HTTPException as exc:
         raise _as_oserror(exc) from exc
 
 
 class _Loop:
-    """Default-transport exchanges with one endpoint over non-blocking
-    sockets, driven on the calling thread by one selector. ``start`` begins
-    an exchange and returns its handle; ``wait`` blocks until at least one
-    has ended and returns each as (handle, outcome). The outcome is the
-    response body passed through ``decode``, or the OSError or ValueError
-    the exchange failed with. An exchange fails with TimeoutError after
-    ``timeout`` seconds without progress, as a socket timeout bounds each
-    blocking call. A URL fault fails every exchange before it connects."""
+    """Requests to one endpoint, each an exchange over a non-blocking socket
+    of its own, driven on the calling thread by one selector. ``start``
+    begins one and returns its handle; ``wait`` blocks until at least one
+    has ended and returns each as (handle, outcome): the response body
+    passed through ``decode``, or the OSError or ValueError it failed with.
+    An exchange fails with TimeoutError after ``timeout`` seconds without
+    progress. A URL fault fails every request before it connects. An
+    injected ``transport(url, payload, timeout, token)`` is called at
+    ``start`` in place of an exchange, and what it returns or raises is the
+    outcome; an exception other than OSError or ValueError propagates."""
 
-    def __init__(self, url: str, token: str | None, timeout: float, decode):
+    def __init__(self, url: str, token: str | None, timeout: float, decode, transport=None):
         self._timeout, self._decode = timeout, decode
         self._selector = selectors.DefaultSelector()
         self._waits: dict = {}  # exchange -> (socket, fd, event, deadline) of its wait
         self._ended: list = []
-        try:
-            self._endpoint, self._error = _Endpoint(url, token), None
-        except (OSError, ValueError) as exc:
-            self._endpoint, self._error = None, exc
+        self._call = transport and (lambda payload: transport(url, payload, timeout, token))
+        self._endpoint = self._error = None
+        if transport is None:
+            try:
+                self._endpoint = _Endpoint(url, token)
+            except (OSError, ValueError) as exc:
+                self._error = exc
 
     def start(self, payload: dict):
-        if self._error is not None:
+        if self._endpoint is None:
             handle = object()
-            self._ended.append((handle, self._error))
+            try:
+                outcome = self._error or self._call(payload)
+            except (OSError, ValueError) as exc:
+                outcome = exc
+            self._ended.append((handle, outcome))
             return handle
         exchange = _exchange(self._endpoint, self._endpoint.request(json.dumps(payload).encode()))
         self._advance(exchange)
@@ -591,29 +625,6 @@ class _Loop:
         self._selector.close()
 
 
-class _Threads:
-    """Calls ``call(payload)`` of a blocking transport on up to
-    ``concurrency`` helper threads, with _Loop's start, wait and close; an
-    outcome is the call's return value or the exception it raised."""
-
-    def __init__(self, call, concurrency: int):
-        self._call = call
-        self._pool = ThreadPoolExecutor(max_workers=concurrency)
-        self._running: set = set()
-
-    def start(self, payload: dict):
-        future = self._pool.submit(self._call, payload)
-        self._running.add(future)
-        return future
-
-    def wait(self) -> list:
-        done, self._running = futures_wait(self._running, return_when=FIRST_COMPLETED)
-        return [(future, future.exception() or future.result()) for future in done]
-
-    def close(self) -> None:
-        self._pool.shutdown(cancel_futures=True)
-
-
 def _json_body(body: bytes):
     return json.loads(body.decode())
 
@@ -639,19 +650,10 @@ def post_json(url: str, payload: dict, timeout: float, token: str | None = None)
     The response body is framed by ``Transfer-Encoding: chunked``, else by
     ``Content-Length``, else by the server closing the connection; 1xx
     interim responses are skipped. An endpoint that the environment's proxy
-    settings cover is reached through urllib, the one path that speaks to
-    proxies. A failed request, a framing fault (a garbled status line, an
-    over-long line, a truncated body) or a non-2xx status raises OSError; a
-    body that is not JSON raises ValueError."""
-    if _proxied(url):
-        request = urllib.request.Request(url, data=json.dumps(payload).encode(),
-                                         headers=_headers(token))
-        try:
-            with _proxy_opener()[1].open(request, timeout=timeout) as resp:
-                body = resp.read()
-        except http.client.HTTPException as exc:
-            raise _as_oserror(exc) from exc
-        return _json_body(body)
+    settings cover is reached through the proxy on the same loop. A failed
+    request, a framing fault (a garbled status line, an over-long line, a
+    truncated body), a proxy's refusal to open a tunnel or a non-2xx status
+    raises OSError; a body that is not JSON raises ValueError."""
     loop = _Loop(url, token, timeout, _json_body)
     try:
         loop.start(payload)
@@ -668,12 +670,14 @@ def _default_transport(url: str, payload: dict, timeout: float, token: str | Non
 
 
 def _parse_score(raw: str, kind: str) -> int:
+    """The score in ``raw``: an optional sign and ASCII digits, with
+    whitespace around them, in the ``kind``'s range; anything else raises
+    ValueError."""
     lo, hi, allow_minus_one = _RANGES[kind]
     stripped = raw.strip()
-    try:
-        value = int(stripped)
-    except ValueError as exc:
-        raise ValueError(f"non-integer response {raw!r}") from exc
+    if not _SCORE.fullmatch(stripped):
+        raise ValueError(f"non-integer response {raw!r}")
+    value = int(stripped)
     if lo <= value <= hi or (allow_minus_one and value == -1):
         return value
     raise ValueError(f"score {value} outside the {kind} range")
@@ -682,24 +686,20 @@ def _parse_score(raw: str, kind: str) -> int:
 def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
               transport=None) -> BatchResult:
     """Serve each text from the cache, and ask the judge once per distinct
-    uncached text, with up to ``cfg.concurrency`` requests in flight. The
-    default transport runs them as exchanges on one selector loop on the
-    calling thread. An injected ``transport``, or an endpoint that the
-    proxy settings cover, blocks, so its calls run on up to
-    ``cfg.concurrency`` helper threads. Either way the calling thread
-    schedules them in text order, retries a failed attempt at once in the
-    same slot, and keeps the counters and the cache appends. An error that
-    is not a transport or parse fault propagates once every request in
-    flight, helper thread and the cache are closed. The cache key is the
-    template's hash prefix, the text's hash and the model; each is hashed
-    once."""
+    uncached text, in text order, on one ``_Loop``: up to ``cfg.concurrency``
+    requests in flight, or one call at a time of an injected ``transport``.
+    A failed attempt is retried at once in the same slot. An error that is
+    not a transport or parse fault propagates once every request in flight
+    and the cache are closed. The cache key is the template's hash prefix,
+    the text's hash and the model; each is hashed once."""
     if not texts:
         raise InvalidInputError("at least one text is required")
     template_hash = _sha(template)[:16]
     result = BatchResult(entries=[None] * len(texts))
     pending: dict = {}  # uncached text -> (its hash, its key, its positions in ``texts``)
     cache = _Cache(cfg.cache_path)
-    runner = None
+    runner = _Loop(cfg.endpoint, cfg.auth_token, cfg.timeout,
+                   lambda body: _reply_text(_json_body(body)), transport)
     try:
         for i, text in enumerate(texts):
             text_hash = _sha(text)
@@ -712,13 +712,6 @@ def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
             result.cache_hits += 1
         if not pending:
             return result
-        if transport is None and not _proxied(cfg.endpoint):
-            runner = _Loop(cfg.endpoint, cfg.auth_token, cfg.timeout,
-                           lambda body: _reply_text(_json_body(body)))
-        else:
-            call = transport or _default_transport
-            runner = _Threads(lambda payload: call(cfg.endpoint, payload, cfg.timeout,
-                                                   cfg.auth_token), cfg.concurrency)
         queue = iter(pending)
         in_flight: dict = {}  # handle -> (text, payload, attempt number from 0)
 
@@ -740,10 +733,7 @@ def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
                 text, payload, attempt = in_flight.pop(handle)
                 text_hash, key, positions = pending[text]
                 error = None
-                if isinstance(outcome, BaseException):
-                    # ValueError: a body that is not JSON or carries no text
-                    if not isinstance(outcome, (OSError, ValueError)):
-                        raise outcome
+                if isinstance(outcome, BaseException):  # OSError or ValueError
                     error = f"transport: {outcome}"
                     result.transport_failures += 1
                 else:
@@ -765,8 +755,7 @@ def _annotate(texts: list[str], cfg: JudgeConfig, kind: str, template: str,
                     result.entries[i] = entry
                 start_next()
     finally:
-        if runner is not None:
-            runner.close()
+        runner.close()
         cache.close()
     return result
 

@@ -180,6 +180,19 @@ def _bad_input(tmp_path, case):
     if case == "record text":
         records.write_text('{"text": "fine"}\n\n{"text": 5}\n')
         return ["metrics", "--records", str(records)], f"{records}:3: text of the wrong type: 5"
+    for name, row, error in [
+            ("record source", '{"text": "x", "source": "robot"}', "unknown source 'robot'"),
+            ("human generation", '{"text": "x", "generation": 3}',
+             "human records must have generation -1"),
+            ("synthetic generation", '{"text": "x", "source": "synthetic", "generation": -1}',
+             "synthetic records must have generation >= 0"),
+            ("bool generation", '{"text": "x", "source": "synthetic", "generation": true}',
+             "generation of the wrong type: True"),
+            *((f"bool {key}", f'{{"text": "x", "{key}": true}}', f"{key} of the wrong type: True")
+              for key in ("quality", "lean", "positivity"))]:
+        if case == name:
+            records.write_text('{"text": "fine"}\n' + row + "\n")
+            return ["metrics", "--records", str(records)], f"{records}:2: {error}"
     if case == "records not utf-8":
         records.write_bytes(b'\xff\xfe{"text": "x"}\n')
         return ["metrics", "--records", str(records)], f"{records}:1: not UTF-8 text (invalid start byte)"
@@ -203,7 +216,10 @@ def _bad_input(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["csv cell", "csv row width", "csv not utf-8", "emb1 header",
-                                  "record text", "records not utf-8", "regress dependent",
+                                  "record text", "records not utf-8", "record source",
+                                  "human generation", "synthetic generation", "bool generation",
+                                  "bool quality", "bool lean", "bool positivity",
+                                  "regress dependent",
                                   "regress predictor", "regress not utf-8", "judge cache"])
 def test_bad_input_file_is_one_line(tmp_path, capsys, case):
     """A malformed input file ends in one stderr line naming it, and exit

@@ -139,6 +139,31 @@ class TestSpecLoading:
         assert not (tmp_path / "run").exists()
         ExperimentSpec(kind="chain", ratios=[0.0, 0.5], seeds=[0], corpus_path=corpus).validate()
 
+    def test_cluster_regression_default_ratios_leave_out_zero(self, tmp_path):
+        """A cluster-regression spec that leaves ratios unset gets the paper
+        grid without 0, from a config file too, and validates."""
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40)
+        manifest = tmp_path / "clusters.jsonl"
+        manifest.write_text(json.dumps({"cluster_id": 0, "record_indices": [0, 1]}) + "\n")
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"kind": "cluster-regression", "seeds": [0],
+                                      "corpus_path": corpus, "cluster_manifest": str(manifest)}))
+        assert load_spec(config).ratios == [1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0]
+
+    @pytest.mark.parametrize("kind, ratios, digest", [
+        ("toy", None, "53c24fabd7c05325"), ("chain", None, "0cef51b4480d9be3"),
+        ("lean", None, "6c2c17dba9700e17"),
+        ("cluster-regression", [0.25, 0.5], "ec1de8586f33a108")])
+    def test_spec_hash_of_default_and_listed_ratios_kept(self, kind, ratios, digest):
+        """The default ratios of every other kind, and ratios a spec lists,
+        keep the canonical JSON and spec hash they had when every kind
+        defaulted to the full paper grid."""
+        extra = {} if ratios is None else {"ratios": ratios, "seeds": [0, 1],
+                                           "corpus_path": "c.jsonl", "cluster_manifest": "m.jsonl"}
+        spec = ExperimentSpec(kind=kind, **extra)
+        assert spec.canonical()["ratios"] == (ratios or [0.0, 0.0625, 0.125, 0.25, 0.5, 0.75, 1.0])
+        assert spec_hash(spec) == digest
+
     def test_failed_read_leaves_no_output(self, tmp_path, capsys):
         """A malformed input line stops a run before anything is on disk, and
         emit from a results directory that does not exist creates none and

@@ -1,6 +1,7 @@
 """Start-up guard: the package and its light modules load numpy and the
-stdlib only, no module loads scipy.stats (about 1 s of import time), and
-neither experiments nor clustering loads a process pool."""
+stdlib only, no module loads scipy.stats (about 1 s of import time),
+neither experiments nor clustering loads a process pool, and the judge
+loads no thread pool."""
 
 import pkgutil
 import subprocess
@@ -49,3 +50,11 @@ def test_clustering_loads_no_process_pool_and_no_experiment_module():
     assert sorted(m for m in loaded if m in {"multiprocessing", "concurrent.futures.process",
                                              "collapse_lab.experiments", "collapse_lab.chain",
                                              "collapse_lab.toy"}) == []
+
+
+def test_judge_loads_no_thread_pool():
+    """The judge runs every request on the calling thread; concurrent.futures
+    would cost about 10 ms of import time."""
+    loaded = _modules_after_import(["judge"])
+    assert "collapse_lab.judge" in loaded
+    assert sorted(m for m in loaded if m == "concurrent" or m.startswith("concurrent.")) == []
