@@ -18,6 +18,7 @@ from .errors import (
     InvalidInputError,
     InvalidTraceError,
 )
+from .io import HUMAN, SYNTHETIC, TextRecord
 
 __all__ = [
     "TextRecord",
@@ -31,28 +32,9 @@ __all__ = [
     "evaluate_batch",
 ]
 
-HUMAN = "human"
-SYNTHETIC = "synthetic"
 # the metrics evaluate_batch computes
 EVAL_METRICS = ("distinct_count", "word_entropy", "type_token_ratio", "avg_text_length",
                 "self_bleu")
-
-
-@dataclass(frozen=True)
-class TextRecord:
-    text: str
-    source: str = HUMAN
-    generation: int = -1
-    domain: str | None = None
-    annotations: dict | None = None
-
-    def __post_init__(self):
-        if self.source not in (HUMAN, SYNTHETIC):
-            raise InvalidInputError(f"unknown source {self.source!r}")
-        if self.source == HUMAN and self.generation != -1:
-            raise InvalidInputError("human records must have generation -1")
-        if self.source == SYNTHETIC and self.generation < 0:
-            raise InvalidInputError("synthetic records must have generation >= 0")
 
 
 class DataPool:
@@ -133,6 +115,8 @@ class ChainConfig:
             raise InvalidConfigError("ratio must lie in [0, 1]")
         if self.generations < 1 or self.per_gen_total < 1 or self.initial_human < 1:
             raise InvalidConfigError("counts must be positive")
+        if self.eval_sample < 1:
+            raise InvalidConfigError("eval_sample must be >= 1")
         if self.models_per_generation < 1:
             raise InvalidConfigError("models_per_generation must be >= 1")
         if not self.generator_kinds:

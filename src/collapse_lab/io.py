@@ -1,6 +1,7 @@
 """File formats: JSONL rows and record corpora, the EMB1 binary embedding
 container, CSV embeddings, and tidy CSV reading and writing with round-trip
-float formatting.
+float formatting. The corpus record type lives here, so that reading files
+loads no numpy until embeddings are read or written.
 """
 
 from __future__ import annotations
@@ -8,11 +9,13 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .chain import TextRecord
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "read_jsonl",
@@ -24,6 +27,27 @@ __all__ = [
     "read_csv",
     "write_csv",
 ]
+
+HUMAN = "human"
+SYNTHETIC = "synthetic"
+
+
+@dataclass(frozen=True)
+class TextRecord:
+    text: str
+    source: str = HUMAN
+    generation: int = -1
+    domain: str | None = None
+    annotations: dict | None = None
+
+    def __post_init__(self):
+        if self.source not in (HUMAN, SYNTHETIC):
+            raise InvalidInputError(f"unknown source {self.source!r}")
+        if self.source == HUMAN and self.generation != -1:
+            raise InvalidInputError("human records must have generation -1")
+        if self.source == SYNTHETIC and self.generation < 0:
+            raise InvalidInputError("synthetic records must have generation >= 0")
+
 
 _EMB1_MAGIC = b"EMB1"
 _OPTIONAL_NUMBER = (int, float, type(None))
@@ -113,6 +137,8 @@ def write_records_jsonl(records, path) -> None:
 def write_embeddings_emb1(matrix: np.ndarray, path) -> None:
     """Binary container: magic "EMB1", u32 n, u32 d, then n*d little-endian
     float32 values row-major."""
+    import numpy as np
+
     matrix = np.asarray(matrix, dtype=np.float32)
     if matrix.ndim != 2:
         raise InvalidInputError("embedding matrix must be 2-D")
@@ -128,6 +154,8 @@ def read_embeddings(path) -> np.ndarray:
     column (first column) followed by the vector components. A malformed file
     raises InvalidInputError naming the path, and for a CSV the line; a CSV
     that is not UTF-8 names only the path."""
+    import numpy as np
+
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == _EMB1_MAGIC:

@@ -6,17 +6,21 @@ distribution, with the histogram multiplied by a bias vector (favoring indices
 divisible by ``bias_period``) before normalization. Diversity of the fitted
 distribution is tracked per step.
 
-The chain only ever looks at the histogram of its samples, so it draws counts
-rather than samples. ``Generator.choice(..., p=probs)`` maps ``rng.random(k)``
-through ``cdf.searchsorted(u, side="right")``; counting how many of the same
-uniforms, sorted, fall below each CDF value gives that histogram without
-building the draws, scattering them with ``np.bincount`` or re-concatenating
-the pool. The chain consumes exactly the random stream the sample-based loop
-did, so its traces (and the CSVs written from them) are bit-identical to it.
+The chain only ever looks at the histogram of its samples, and ``run_toy_chain``
+advances all of its runs together, one step at a time. Each run keeps its own
+generator and draws as ``Generator.choice(..., p=probs)`` does: ``rng.random(k)``
+looked up in the run's CDF with ``cdf.searchsorted(u, side="right")`` (the
+uniforms sorted first, which keeps the lookups' branches predictable). One
+``np.bincount`` over bins offset by ``run * (N + 1)`` then counts every run's
+draws, and the biased fit, its checks and the support fraction are computed on
+the ``(runs, N + 1)`` matrix. Counts are integers and each entropy is summed
+over its own row's nonzero entries, so the traces (and the CSVs written from
+them) are bit-identical to a sample-based loop over one run at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,22 +51,34 @@ class DiscreteDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size < 1:
             raise InvalidInputError("probs must be a non-empty 1-D vector")
-        if np.any(probs < 0):
-            raise InvalidInputError("probabilities must be non-negative")
-        total = probs.sum()
-        if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
-            raise InvalidInputError(f"probabilities must sum to 1 (got {total!r})")
+        _check_rows(probs)
 
     @cached_property
     def cdf(self) -> np.ndarray:
         """Cumulative probabilities, built as ``Generator.choice`` builds them."""
-        cdf = self.probs.cumsum()
-        cdf /= cdf[-1]
-        return cdf
+        return _cdf_rows(self.probs)
 
     @property
     def support_size(self) -> int:
         return self.probs.size
+
+
+def _check_rows(probs: np.ndarray) -> None:
+    """Each row (last axis) of ``probs`` is non-negative and sums to 1."""
+    if np.any(probs < 0):
+        raise InvalidInputError("probabilities must be non-negative")
+    totals = probs.sum(axis=-1)
+    bad = ~(np.abs(totals - 1.0) <= 1e-9)  # also rejects NaN
+    if bad.any():
+        raise InvalidInputError(f"probabilities must sum to 1 (got {totals[bad][0]!r})")
+
+
+def _cdf_rows(probs: np.ndarray) -> np.ndarray:
+    """Cumulative probabilities of each row, built as ``Generator.choice``
+    builds them."""
+    cdf = probs.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def make_true_distribution(n: int, exclude_period: int | None = None) -> DiscreteDistribution:
@@ -96,15 +112,16 @@ def fit_biased_histogram(
         raise InvalidInputError("bias_period must be a positive integer")
     if samples.min() < 0 or samples.max() > n:
         raise InvalidInputError(f"samples must lie in [0, {n}]")
-    return _biased_histogram(np.bincount(samples, minlength=n + 1), bias_period, bias_strength)
+    return DiscreteDistribution(
+        _biased_rows(np.bincount(samples, minlength=n + 1), bias_period, bias_strength))
 
 
-def _biased_histogram(counts: np.ndarray, bias_period: int,
-                      bias_strength: float) -> DiscreteDistribution:
-    """Integer counts over {0..n} times the bias vector, renormalized."""
+def _biased_rows(counts: np.ndarray, bias_period: int, bias_strength: float) -> np.ndarray:
+    """Each row (last axis) of integer counts over {0..n} times the bias
+    vector, renormalized."""
     weighted = counts.astype(float)
-    weighted[::bias_period] *= bias_strength
-    return DiscreteDistribution(weighted / weighted.sum())
+    weighted[..., ::bias_period] *= bias_strength
+    return weighted / weighted.sum(axis=-1, keepdims=True)
 
 
 def sample_discrete(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -115,18 +132,6 @@ def sample_discrete(dist: DiscreteDistribution, n: int, rng: np.random.Generator
     if n < 1:
         raise InvalidInputError("sample size must be >= 1")
     return dist.cdf.searchsorted(rng.random(n), side="right")
-
-
-def _draw_counts(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``np.bincount(sample_discrete(dist, n, rng), minlength=dist.support_size)``,
-    consuming the same random stream."""
-    u = rng.random(n)
-    # sorted keys keep searchsorted's branches predictable
-    u.sort()
-    below = u.searchsorted(dist.cdf, side="left")  # draws below each CDF value
-    counts = below.copy()
-    counts[1:] -= below[:-1]
-    return counts
 
 
 def discrete_diversity(dist: DiscreteDistribution) -> dict:
@@ -170,8 +175,8 @@ class ToyConfig:
             raise InvalidConfigError("steps and runs must be >= 1")
         if self.bias_period < 1:
             raise InvalidConfigError("bias_period must be >= 1")
-        if self.bias_strength <= 0:
-            raise InvalidConfigError("bias_strength must be > 0")
+        if not 0 < self.bias_strength < math.inf:  # also rejects NaN
+            raise InvalidConfigError("bias_strength must be finite and > 0")
         if self.support_size < self.bias_period:
             raise InvalidConfigError("support_size must be >= bias_period")
         if not self.overlap and self.bias_period == 1:
@@ -203,42 +208,67 @@ class ToyTrace:
         return float(final.mean()), float(se)
 
 
-def _run_single(cfg: ToyConfig, run_index: int,
-                true: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng([cfg.seed, run_index])
-    n = cfg.support_size
-    period, strength = cfg.bias_period, cfg.bias_strength
+def _draw(cdf: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """``sample_discrete``'s k draws from the distribution with this CDF, in
+    ascending order."""
+    u = rng.random(k)
+    # sorted keys keep searchsorted's branches predictable
+    u.sort()
+    return cdf.searchsorted(u, side="right")
 
+
+# the most values a group's (runs, N + 1) matrices hold; further runs form further groups
+_GROUP_VALUES = 1 << 18
+
+
+def _histograms(bins: np.ndarray, width: int) -> np.ndarray:
+    """Each row's counts of its bin indices, which lie in [0, width)."""
+    rows = bins.shape[0]
+    flat = bins + np.arange(0, rows * width, width)[:, None]
+    return np.bincount(flat.ravel(), minlength=rows * width).reshape(rows, width)
+
+
+def _run_group(cfg: ToyConfig, runs: range,
+               true: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Support fraction and entropy, each of shape (len(runs), steps), of the
+    given runs, advanced together one step at a time."""
+    rngs = [np.random.default_rng([cfg.seed, run]) for run in runs]
+    n, period = cfg.support_size, cfg.bias_period
     n_syn = int(np.floor(cfg.ratio * n))
     n_hum = n - n_syn
-    # the generation prior maps draw i to i - i % period
-    lattice = np.arange(0, n + 1, period)
 
-    support = np.empty(cfg.steps)
-    entropy = np.empty(cfg.steps)
+    support = np.empty((len(rngs), cfg.steps))
+    entropy = np.empty((len(rngs), cfg.steps))
+    drawn = np.empty((len(rngs), n), dtype=np.intp)
 
-    pool = _draw_counts(true, n, rng)
-    model = _biased_histogram(pool, period, strength)
-    d = discrete_diversity(model)
-    support[0], entropy[0] = d["support_fraction"], d["shannon_entropy"]
-
-    for step in range(1, cfg.steps):
-        new = np.zeros(n + 1, dtype=np.intp)
-        if n_syn:
-            syn = _draw_counts(model, n_syn, rng)
+    for rng, row in zip(rngs, drawn):
+        row[:] = _draw(true.cdf, n, rng)
+    pool = _histograms(drawn, n + 1)
+    for step in range(cfg.steps):
+        if step:
+            # a run's stream gives its synthetic draws first, then its human ones
+            for rng, row, cdf in zip(rngs, drawn, cdfs):
+                if n_syn:
+                    row[:n_syn] = _draw(cdf, n_syn, rng)
+                if n_hum:
+                    row[n_syn:] = _draw(true.cdf, n_hum, rng)
             if cfg.generation_prior:
-                new[lattice] = np.add.reduceat(syn, lattice)
+                syn = drawn[:, :n_syn]
+                syn -= syn % period
+            new = _histograms(drawn, n + 1)
+            if cfg.accumulate:
+                pool += new
             else:
-                new += syn
-        if n_hum:
-            new += _draw_counts(true, n_hum, rng)
-        if cfg.accumulate:
-            pool += new
-        else:
-            pool = new
-        model = _biased_histogram(pool, period, strength)
-        d = discrete_diversity(model)
-        support[step], entropy[step] = d["support_fraction"], d["shannon_entropy"]
+                pool = new
+        probs = _biased_rows(pool, period, cfg.bias_strength)
+        _check_rows(probs)
+        cdfs = _cdf_rows(probs)
+        mask = probs > 0
+        support[:, step] = mask.sum(axis=1) / probs.shape[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = probs * np.log(probs)
+        # summed over each row's own nonzero entries, as discrete_diversity sums
+        entropy[:, step] = [-(row[nz]).sum() for row, nz in zip(plogp, mask)]
 
     return support, entropy
 
@@ -247,13 +277,16 @@ def run_toy_chain(cfg: ToyConfig) -> ToyTrace:
     """Run ``cfg.runs`` independent chains and record per-step diversity of the
     fitted model. Step 0 fits on N true draws; step t >= 1 fits on
     floor(r*N) model draws plus the human remainder, over the accumulated
-    union (accumulate) or the current step only (replace)."""
+    union (accumulate) or the current step only (replace). Each run's rows
+    depend on its own seed only, not on how many runs there are."""
     cfg.validate()
     true = make_true_distribution(cfg.support_size, None if cfg.overlap else cfg.bias_period)
     support = np.empty((cfg.runs, cfg.steps))
     entropy = np.empty((cfg.runs, cfg.steps))
-    for run in range(cfg.runs):
-        support[run], entropy[run] = _run_single(cfg, run, true)
+    group = max(1, _GROUP_VALUES // (cfg.support_size + 1))
+    for first in range(0, cfg.runs, group):
+        rows = slice(first, first + group)
+        support[rows], entropy[rows] = _run_group(cfg, range(cfg.runs)[rows], true)
     return ToyTrace(config=cfg, support_fraction=support, shannon_entropy=entropy)
 
 

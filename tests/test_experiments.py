@@ -264,8 +264,22 @@ class TestSpecLoading:
             run_experiment(spec)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_bias_strength_rejected_before_output(self, tmp_path, literal):
+        """JSON's NaN and Infinity parse as floats; either would fail every
+        toy cell with a NaN distribution."""
+        f = tmp_path / "spec.json"
+        f.write_text('{"kind": "toy", "seeds": [0], "out_dir": %s, '
+                     '"params": {"toy": {"bias_strength": %s}}}'
+                     % (json.dumps(str(tmp_path / "run")), literal))
+        with pytest.raises(InvalidConfigError, match="bias_strength must be finite and > 0"):
+            load_spec(f)
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("kind, section, message", [
         ("chain", {"generations": 0}, "counts must be positive"),
+        ("chain", {"eval_sample": 0}, "eval_sample must be >= 1"),
+        ("chain", {"eval_sample": -3}, "eval_sample must be >= 1"),
         ("chain", {"eval_sample": 6}, r"eval_sample \(6\) exceeds .* synthetic count \(5\)"),
         ("chain", {"domains": ["a", "b", "c"]}, "divisible by the domain count"),
         ("chain", {"eval_metrics": ["self_blue"]}, "eval_metrics must be drawn from"),

@@ -1,7 +1,7 @@
 """Start-up guard: the package and its light modules load numpy and the
 stdlib only, no module loads scipy.stats (about 1 s of import time),
-neither experiments nor clustering loads a process pool, and the judge
-loads no thread pool."""
+neither experiments nor clustering loads a process pool, io loads no numpy,
+and the judge loads no thread pool."""
 
 import pkgutil
 import subprocess
@@ -50,6 +50,14 @@ def test_clustering_loads_no_process_pool_and_no_experiment_module():
     assert sorted(m for m in loaded if m in {"multiprocessing", "concurrent.futures.process",
                                              "collapse_lab.experiments", "collapse_lab.chain",
                                              "collapse_lab.toy"}) == []
+
+
+def test_io_loads_no_numpy_and_no_chain():
+    """Reading and writing files loads numpy only when embeddings are read
+    or written."""
+    loaded = _modules_after_import(["io"])
+    assert "collapse_lab.io" in loaded
+    assert sorted(m for m in loaded if m in {"numpy", "collapse_lab.chain"}) == []
 
 
 def test_judge_loads_no_thread_pool():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from collapse_lab import toy
 from collapse_lab.errors import InvalidConfigError, InvalidInputError
 from collapse_lab.toy import (
     DiscreteDistribution,
@@ -184,6 +185,13 @@ class TestRunToyChain:
         with pytest.raises(InvalidConfigError):
             run_toy_chain(ToyConfig(ratio=0.5, support_size=1, bias_period=2))
 
+    def test_a_fit_that_overflows_is_rejected(self):
+        # counts of 2 or more times 1e308 overflow, so every run's mass is NaN
+        cfg = ToyConfig(ratio=0.5, support_size=50, steps=2, runs=3, bias_strength=1e308)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidInputError, match=r"must sum to 1 \(got np.float64\(nan\)\)"):
+            run_toy_chain(cfg)
+
     def test_exclusion_leaving_no_support_rejected(self):
         # every index is divisible by 1, so the true distribution has no mass
         with pytest.raises(InvalidConfigError, match="empty support"):
@@ -245,7 +253,7 @@ class TestRunToyChainOracle:
            bias_strength=st.sampled_from([0.5, 4.0]),
            overlap=st.booleans(), accumulate=st.booleans(),
            generation_prior=st.booleans(),
-           steps=st.integers(1, 6), runs=st.integers(1, 3), seed=st.integers(0, 2**16))
+           steps=st.integers(1, 6), runs=st.integers(1, 6), seed=st.integers(0, 2**16))
     @settings(max_examples=200, deadline=None)
     def test_equals_sample_based_chain(self, **params):
         cfg = ToyConfig(**params)
@@ -255,6 +263,25 @@ class TestRunToyChainOracle:
             support, entropy = _reference_single(cfg, run)
             assert np.array_equal(trace.support_fraction[run], support)
             assert np.array_equal(trace.shannon_entropy[run], entropy)
+
+    def test_a_run_does_not_depend_on_how_many_runs_there_are(self):
+        params = dict(ratio=0.5, support_size=60, steps=5, seed=4, overlap=False,
+                      generation_prior=True)
+        few = run_toy_chain(ToyConfig(runs=3, **params))
+        many = run_toy_chain(ToyConfig(runs=7, **params))
+        assert np.array_equal(many.support_fraction[:3], few.support_fraction)
+        assert np.array_equal(many.shannon_entropy[:3], few.shannon_entropy)
+
+    @pytest.mark.parametrize("accumulate", [True, False])
+    def test_groups_of_runs_equal_one_group(self, monkeypatch, accumulate):
+        cfg = ToyConfig(ratio=0.25, support_size=40, steps=4, runs=7, seed=11,
+                        accumulate=accumulate)
+        whole = run_toy_chain(cfg)
+        # 100 values hold two rows of 41: groups of 2, 2, 2 and 1 runs
+        monkeypatch.setattr(toy, "_GROUP_VALUES", 100)
+        grouped = run_toy_chain(cfg)
+        assert np.array_equal(grouped.support_fraction, whole.support_fraction)
+        assert np.array_equal(grouped.shannon_entropy, whole.shannon_entropy)
 
 
 class TestCsvEmission:
