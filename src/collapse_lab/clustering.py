@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 from scipy.spatial import cKDTree
 
 from . import _pool
@@ -115,9 +116,14 @@ def _log_gauss(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndar
             ridge = max(ridge * 10, 1e-6 * np.trace(cov) / d, 1e-12)
     else:
         raise DegenerateInputError("component covariance stayed singular after ridge")
+    # LAPACK's solve, as np.linalg.solve calls it, but on diff's own buffer:
+    # diff.T is already column-major, so no column is copied in or out
     diff = points - mean
-    sol = np.linalg.solve(chol, diff.T)
-    maha = np.sum(sol ** 2, axis=0)
+    _, _, sol, info = dgesv(chol, diff.T, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    # row-major, so that each column sums in np.linalg.solve's order
+    maha = np.sum(np.ascontiguousarray(sol) ** 2, axis=0)
     log_det = 2.0 * np.sum(np.log(np.diag(chol)))
     return -0.5 * (d * np.log(2 * np.pi) + log_det + maha)
 
@@ -168,11 +174,14 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
         for j in range(k):
             means[j] = resp[:, j] @ points / nk[j]
             diff = points - means[j]
-            cov = (resp[:, j][:, None] * diff).T @ diff / nk[j]
-            tr = np.trace(cov)
-            if not np.all(np.isfinite(cov)) or np.linalg.det(cov + 1e-12 * np.eye(d)) <= 0:
-                cov = cov + 1e-6 * max(tr, 1e-12) / d * np.eye(d)
-            covs[j] = cov
+            covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j]
+        # a covariance that is not finite or not positive definite takes a
+        # ridge; det sees finite matrices only
+        finite = np.isfinite(covs).all(axis=(1, 2))
+        bad = ~finite
+        bad[finite] = np.linalg.det(covs[finite] + 1e-12 * np.eye(d)) <= 0
+        for j in np.flatnonzero(bad):
+            covs[j] += 1e-6 * max(np.trace(covs[j]), 1e-12) / d * np.eye(d)
 
     labels = resp.argmax(axis=1)
     return ClusterAssignment(labels=labels,
@@ -187,8 +196,8 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
 def dbscan(points, eps: float, min_pts: int) -> ClusterAssignment:
     """Standard density-based labeling; noise points get label -1."""
     points = _as_points(points)
-    if eps <= 0:
-        raise InvalidInputError("eps must be > 0")
+    if not eps > 0:  # also rejects NaN
+        raise InvalidInputError(f"eps must be > 0 (got {eps})")
     if min_pts < 1:
         raise InvalidInputError("min_pts must be >= 1")
     n = points.shape[0]
@@ -236,6 +245,9 @@ def propagate_labels(sample_points, sample_labels, query_points,
     query_points = _as_points(query_points)
     if sample_points.shape[0] != sample_labels.shape[0]:
         raise InvalidInputError("sample points and labels must align")
+    if query_points.shape[1] != sample_points.shape[1]:
+        raise InvalidInputError(f"query points have {query_points.shape[1]} coordinates, "
+                                f"sample points {sample_points.shape[1]}")
     if exclude_noise:
         keep = sample_labels != NOISE
         if not keep.any():

@@ -106,8 +106,8 @@ def fit_biased_histogram(
     samples = np.asarray(samples)
     if samples.size == 0:
         raise InvalidInputError("cannot fit a histogram to an empty sample")
-    if bias_strength <= 0:
-        raise InvalidInputError("bias_strength must be > 0")
+    if not 0 < bias_strength < math.inf:  # also rejects NaN
+        raise InvalidInputError(f"bias_strength must be finite and > 0 (got {bias_strength})")
     if bias_period < 1:
         raise InvalidInputError("bias_period must be a positive integer")
     if samples.min() < 0 or samples.max() > n:

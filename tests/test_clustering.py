@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,111 @@ def propagate_reference(sample_points, sample_labels, query_points, exclude_nois
         candidates = sample_labels[d == best]
         out.append(candidates.min())
     return np.array(out)
+
+
+def _log_gauss_reference(points, mean, cov):
+    """The E-step's log-density with the Mahalanobis terms solved by
+    np.linalg.solve."""
+    d = points.shape[1]
+    ridge = 0.0
+    for _ in range(3):
+        try:
+            chol = np.linalg.cholesky(cov + ridge * np.eye(d))
+            break
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 10, 1e-6 * np.trace(cov) / d, 1e-12)
+    else:
+        raise DegenerateInputError("component covariance stayed singular after ridge")
+    sol = np.linalg.solve(chol, (points - mean).T)
+    maha = np.sum(sol ** 2, axis=0)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (d * np.log(2 * np.pi) + log_det + maha)
+
+
+def gmm_em_reference(points, k, seed=0, ridged=None):
+    """EM through _log_gauss_reference, with each component's covariance
+    checked on its own in the M-step. Each component that takes the M-step's
+    ridge is appended to ``ridged``."""
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    init = kmeans(points, k, seed=seed)
+    means = np.empty((k, d))
+    covs = np.empty((k, d, d))
+    weights = np.empty(k)
+    for j in range(k):
+        mask = init.labels == j
+        sub = points[mask] if mask.any() else points
+        means[j] = sub.mean(axis=0)
+        centered = sub - means[j]
+        cov = centered.T @ centered / max(len(sub), 1)
+        covs[j] = cov + 1e-6 * np.trace(cov) / d * np.eye(d) + 1e-12 * np.eye(d)
+        weights[j] = max(mask.mean(), 1e-12)
+    weights /= weights.sum()
+    lls = []
+    for _ in range(200):
+        log_p = np.stack([_log_gauss_reference(points, means[j], covs[j]) for j in range(k)],
+                         axis=1)
+        log_p = log_p + np.log(weights)[None, :]
+        mx = log_p.max(axis=1, keepdims=True)
+        log_norm = mx[:, 0] + np.log(np.exp(log_p - mx).sum(axis=1))
+        ll = float(log_norm.sum())
+        resp = np.exp(log_p - log_norm[:, None])
+        if lls and ll - lls[-1] < 1e-6:
+            lls.append(ll)
+            break
+        lls.append(ll)
+        nk = resp.sum(axis=0)
+        weights = nk / n
+        for j in range(k):
+            means[j] = resp[:, j] @ points / nk[j]
+            diff = points - means[j]
+            cov = (resp[:, j][:, None] * diff).T @ diff / nk[j]
+            tr = np.trace(cov)
+            if not np.all(np.isfinite(cov)) or np.linalg.det(cov + 1e-12 * np.eye(d)) <= 0:
+                cov = cov + 1e-6 * max(tr, 1e-12) / d * np.eye(d)
+                if ridged is not None:
+                    ridged.append(j)
+            covs[j] = cov
+    return clustering.ClusterAssignment(
+        labels=resp.argmax(axis=1),
+        extras={"log_likelihoods": lls, "means": means, "covariances": covs,
+                "responsibilities": resp})
+
+
+@st.composite
+def _gauss_fixture(draw):
+    """Points, a mean and an SPD covariance L @ L.T in d = 1..8 dimensions at
+    scales 1e-4..1e4. With ``pivot`` an entry of L's first column below the
+    diagonal outgrows the diagonal, so the LU factorization inside the solve
+    swaps rows."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 400))
+    scale = 10.0 ** draw(st.floats(-4, 4))
+    pivot = d >= 2 and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = np.tril(rng.normal(size=(d, d)), -1)
+    factor[np.diag_indices(d)] = rng.uniform(0.1, 1.0, size=d)
+    if pivot:
+        factor[d - 1, 0] = 10.0 * factor[0, 0]
+    factor *= scale
+    mean = rng.normal(size=d) * scale
+    points = mean + rng.normal(size=(n, d)) @ factor.T * rng.uniform(0.5, 4.0)
+    return points, mean, factor @ factor.T, pivot
+
+
+def _suite_sample(seed, n=1500):
+    """n points from the 30-blob layout of the benchmark's suite workload."""
+    layout = np.random.default_rng(12345)
+    centres, scales = layout.uniform(0.0, 100.0, size=(30, 2)), layout.uniform(1.0, 3.0, size=30)
+    rng = np.random.default_rng(seed)
+    which = rng.integers(30, size=n)
+    return centres[which] + rng.standard_normal((n, 2)) * scales[which, None]
+
+
+def _blobs(d, seed, n=600, k=5):
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-20.0, 20.0, size=(k, d))
+    return centres[rng.integers(k, size=n)] + rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
 
 
 # integer and half-integer coordinates: equal distances are exact, so ties,
@@ -174,6 +280,81 @@ class TestGmmEm:
             assert np.all(np.diff(lls) >= -1e-8)
 
 
+class TestGmmEmOracle:
+    """gmm_em is gmm_em_reference, bit for bit."""
+
+    @staticmethod
+    def _assert_same_fit(points, k, seed):
+        ridged = []
+        want = gmm_em_reference(points, k, seed=seed, ridged=ridged)
+        got = gmm_em(points, k, seed=seed)
+        assert np.array_equal(got.labels, want.labels)
+        for key in ("log_likelihoods", "means", "covariances", "responsibilities"):
+            assert np.array_equal(got.extras[key], want.extras[key]), key
+        return ridged
+
+    @given(_gauss_fixture())
+    @settings(max_examples=300, deadline=None)
+    def test_log_gauss_matches_solve(self, fixture):
+        """Equal up to d = 5. Beyond it the solves may differ in the last
+        place, as numpy and scipy may link different OpenBLAS builds. The
+        log-density can cancel to near 0, so the bound is relative to the
+        size of its terms, scaled by the factor's condition number as a
+        backward-stable solve's error is."""
+        points, mean, cov, pivot = fixture
+        chol = np.linalg.cholesky(cov)
+        if pivot:
+            assert scipy.linalg.lu_factor(chol)[1][0] != 0
+        got = clustering._log_gauss(points, mean, cov)
+        want = _log_gauss_reference(points, mean, cov)
+        if points.shape[1] <= 5:
+            assert np.array_equal(got, want)
+        else:
+            size = np.abs(want) + abs(np.linalg.slogdet(cov)[1])
+            bound = np.linalg.cond(chol) * np.finfo(float).eps * size
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_same_solution_same_density_at_any_width(self, monkeypatch):
+        """Given np.linalg.solve's solution, laid out column-major as LAPACK
+        returns it, _log_gauss is the reference bit for bit at every d: the
+        Mahalanobis terms sum in the same order (it differs from d = 8 on)."""
+        monkeypatch.setattr(clustering, "dgesv", lambda a, b, overwrite_b: (
+            None, None, np.asfortranarray(np.linalg.solve(a, b)), 0))
+        rng = np.random.default_rng(12)
+        for d in range(1, 11):
+            factor = np.tril(rng.normal(size=(d, d)), -1) + np.diag(rng.uniform(0.5, 1.0, size=d))
+            points = rng.normal(size=(300, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(300, d))
+            assert np.array_equal(clustering._log_gauss(points, np.zeros(d), factor @ factor.T),
+                                  _log_gauss_reference(points, np.zeros(d), factor @ factor.T))
+
+    def test_singular_factor_raises_as_solve_does(self, monkeypatch):
+        points, cov = np.ones((3, 2)), np.eye(2)
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.zeros_like(a))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _log_gauss_reference(points, np.zeros(2), cov)
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            clustering._log_gauss(points, np.zeros(2), cov)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("k", [8, 12, 16])
+    def test_suite_layout(self, seed, k):
+        self._assert_same_fit(_suite_sample(seed), k, seed)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_blobs(self, d, seed):
+        self._assert_same_fit(_blobs(d, seed), 5, seed)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e8])
+    def test_collinear_points_take_the_ridge(self, scale):
+        """Two clumps on one line: the M-step's covariances are rank 1, so
+        det(cov + 1e-12 I) <= 0 and the ridge is added."""
+        rng = np.random.default_rng(0)
+        t = rng.uniform(-1.0, 1.0, size=200)
+        points = (np.c_[t, 3 * t] + rng.integers(0, 2, size=200)[:, None] * [0.1, 0.3]) * scale
+        assert self._assert_same_fit(points, 2, 0)
+
+
 class TestDbscan:
     def test_two_pairs_one_noise(self):
         pts = np.array([[0.0, 0.0], [0.3, 0.0], [5.0, 5.0], [5.3, 5.0], [50.0, 50.0]])
@@ -188,6 +369,15 @@ class TestDbscan:
         pts = rng.normal(size=(30, 2))
         out = dbscan(pts, eps=100.0, min_pts=2)
         assert set(out.labels.tolist()) == {0}
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_eps_not_positive_rejected(self, eps):
+        with pytest.raises(InvalidInputError, match=rf"^eps must be > 0 \(got {eps}\)$"):
+            dbscan(np.zeros((3, 2)), eps, 2)
+
+    def test_infinite_eps_single_cluster(self):
+        pts = np.random.default_rng(6).normal(size=(30, 2))
+        assert set(dbscan(pts, eps=float("inf"), min_pts=2).labels.tolist()) == {0}
 
     def test_matches_reference_on_random_fixtures(self):
         rng = np.random.default_rng(7)
@@ -244,6 +434,11 @@ class TestPropagateLabels:
         with pytest.raises(InvalidInputError):
             propagate_labels(np.zeros((3, 2)), np.full(3, NOISE),
                              np.ones((2, 2)), exclude_noise=True)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"^query points have 3 coordinates, sample points 2$"):
+            propagate_labels(np.zeros((4, 2)), np.zeros(4, dtype=int), np.zeros((5, 3)))
 
     def test_idempotent_on_labeled_points(self):
         rng = np.random.default_rng(8)

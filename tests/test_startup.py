@@ -1,5 +1,6 @@
 """Start-up guard: the package and its light modules load numpy and the
 stdlib only, no module loads scipy.stats (about 1 s of import time),
+clustering loads no scipy module that scipy.spatial does not,
 neither experiments nor clustering loads a process pool, io loads no numpy,
 and the judge loads no thread pool."""
 
@@ -13,20 +14,27 @@ import collapse_lab
 LIGHT = ("io", "judge", "chain", "metrics", "toy", "experiments", "cli")
 
 
-def _modules_after_import(names):
+def _modules_after(*statements):
     src = str(Path(collapse_lab.__file__).resolve().parents[1])
-    code = "\n".join([f"import sys; sys.path.insert(0, {src!r})", "import collapse_lab"]
-                     + [f"import collapse_lab.{name}" for name in names]
-                     + ["print('\\n'.join(sys.modules))"])
+    code = "\n".join([f"import sys; sys.path.insert(0, {src!r})", *statements,
+                      "print('\\n'.join(sys.modules))"])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     return set(out.stdout.split())
 
 
+def _modules_after_import(names):
+    return _modules_after("import collapse_lab", *(f"import collapse_lab.{name}" for name in names))
+
+
+def _scipy(modules):
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
 def test_light_modules_load_no_scipy():
     loaded = _modules_after_import(LIGHT)
     assert {f"collapse_lab.{name}" for name in LIGHT} <= loaded
-    assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
+    assert sorted(_scipy(loaded)) == []
 
 
 def test_no_module_loads_scipy_stats():
@@ -50,6 +58,15 @@ def test_clustering_loads_no_process_pool_and_no_experiment_module():
     assert sorted(m for m in loaded if m in {"multiprocessing", "concurrent.futures.process",
                                              "collapse_lab.experiments", "collapse_lab.chain",
                                              "collapse_lab.toy"}) == []
+
+
+def test_clustering_loads_no_scipy_module_beyond_scipy_spatial():
+    """The GMM E-step's solve comes from scipy.linalg.lapack, which
+    scipy.spatial loads anyway, so it costs no import time."""
+    loaded = _modules_after_import(["clustering"])
+    assert "collapse_lab.clustering" in loaded
+    assert "scipy.linalg.lapack" in loaded
+    assert sorted(_scipy(loaded) - _scipy(_modules_after("import scipy.spatial"))) == []
 
 
 def test_io_loads_no_numpy_and_no_chain():

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -65,6 +68,14 @@ class TestFitBiasedHistogram:
     def test_empty_sample_rejected(self):
         with pytest.raises(InvalidInputError):
             fit_biased_histogram([], 3, 2, 2.0)
+
+    @pytest.mark.parametrize("strength", [0.0, -1.0, math.inf, math.nan])
+    def test_strength_not_finite_and_positive_rejected_without_warning(self, strength):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match=rf"^bias_strength must be finite and > 0 \(got {strength}\)$"):
+                fit_biased_histogram([1, 2], 3, 2, strength)
 
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=200),
            st.integers(1, 7), st.floats(0.1, 10.0))
