@@ -209,8 +209,10 @@ def advance_generation(pool: DataPool, corpus: HumanCorpus, generators: list,
 
 def run_chain(cfg: ChainConfig, corpus: HumanCorpus, generator_factory) -> ChainTrace:
     """Run the full chain. ``generator_factory(kind, seed)`` must return a
-    fresh generator instance; no generator state survives a generation. Each
-    generation draws its generator kind from ``cfg.generator_kinds``."""
+    fresh generator, with ``train(records)`` and ``generate(n, domain)``,
+    which returns exactly n strings, deterministic for the seed; no
+    generator state survives a generation. Each generation draws its
+    generator kind from ``cfg.generator_kinds``."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     pool = DataPool()

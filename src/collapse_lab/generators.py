@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, ProtocolError, TransportError
-from .judge import post_json
+from ._http import post_json
 
 __all__ = [
-    "GeneratorModel",
     "ResamplerGenerator",
     "GeneratorEndpointConfig",
     "ExternalGenerator",
@@ -23,18 +22,7 @@ __all__ = [
 _DROPOUT_RATE = 0.2
 
 
-class GeneratorModel:
-    """Behavior contract: train(records) fits state, generate(n, domain)
-    returns exactly n strings, deterministic given the instance's seed."""
-
-    def train(self, records) -> None:
-        raise NotImplementedError
-
-    def generate(self, n: int, domain: str | None = None) -> list[str]:
-        raise NotImplementedError
-
-
-class ResamplerGenerator(GeneratorModel):
+class ResamplerGenerator:
     """Stores its training texts and generates by sampling them uniformly with
     replacement. With ``smoothing`` > 0, each generated text is perturbed with
     that probability by token dropout (each token dropped with probability
@@ -107,14 +95,14 @@ class GeneratorEndpointConfig:
             raise InvalidConfigError("timeout must be a positive finite number of seconds")
 
 
-class ExternalGenerator(GeneratorModel):
-    """Adapter that turns a remote text-generation service into a
-    GeneratorModel. Training is a no-op; generation posts JSON requests
+class ExternalGenerator:
+    """Adapter that turns a remote text-generation service into a chain
+    generator. Training is a no-op; generation posts JSON requests
     {"model", "n", "domain", "temperature", "min_p"} and expects a JSON
     response {"texts": [...]} with exactly the requested count.
 
     ``transport(url, payload, timeout) -> dict`` may be injected for testing;
-    the default posts over HTTP with ``judge.post_json``.
+    the default posts over HTTP with ``_http.post_json``.
     """
 
     def __init__(self, cfg: GeneratorEndpointConfig, transport=None):
@@ -155,7 +143,7 @@ class ExternalGenerator(GeneratorModel):
         return out
 
 
-def default_factory(kind: str, seed: int) -> GeneratorModel:
+def default_factory(kind: str, seed: int) -> ResamplerGenerator:
     """Factory for the built-in generator kinds. Names of the form
     ``resampler`` or ``resampler:<smoothing>`` map to resamplers; anything
     else is rejected (external endpoints need their own factory closure)."""

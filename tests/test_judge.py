@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from collapse_lab import judge
+from collapse_lab import _http, judge
 from collapse_lab.errors import InvalidConfigError, InvalidInputError, TransportError
 from collapse_lab.generators import ExternalGenerator, GeneratorEndpointConfig
 from collapse_lab.judge import (
@@ -124,7 +124,7 @@ class _Connected(socket.socket):
 
 
 def paired_sockets(monkeypatch, replies):
-    """Patch the judge loop's address lookup and socket creation, with no
+    """Patch the HTTP client's address lookup and socket creation, with no
     network: each socket it makes is one end of a socket pair whose other
     end already holds the next of ``replies``. Returns the lookups made,
     the sockets made and every pair, for the caller to close."""
@@ -141,8 +141,8 @@ def paired_sockets(monkeypatch, replies):
         made.append(_Connected(fileno=pairs[len(made)][0].detach()))
         return made[-1]
 
-    monkeypatch.setattr(judge.socket, "getaddrinfo", getaddrinfo)
-    monkeypatch.setattr(judge.socket, "socket", make_socket)
+    monkeypatch.setattr(_http.socket, "getaddrinfo", getaddrinfo)
+    monkeypatch.setattr(_http.socket, "socket", make_socket)
     return lookups, made, pairs
 
 
@@ -160,18 +160,18 @@ def _certdata():
 @contextlib.contextmanager
 def proxy_env(monkeypatch, **env):
     """The environment's proxy settings replaced by ``env`` (``no_proxy``
-    too, unset unless given), and the judge's cached copy of them forgotten
+    too, unset unless given), and the client's cached copy of them forgotten
     on the way in and out."""
     for name in ("http_proxy", "https_proxy", "no_proxy"):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    judge._proxies.cache_clear()
+    _http._proxies.cache_clear()
     try:
         yield
     finally:
-        judge._proxies.cache_clear()
+        _http._proxies.cache_clear()
 
 
 class _TunnelHandler(socketserver.StreamRequestHandler):
@@ -199,7 +199,7 @@ class _TunnelHandler(socketserver.StreamRequestHandler):
 def trusted_tls_server(monkeypatch):
     """A TCPServer class whose connections are TLS with a certificate for
     ``localhost`` that the test CA signed, and a fresh judge TLS context that
-    trusts that CA (the caller clears ``judge._tls_context`` when done)."""
+    trusts that CA (the caller clears ``_http._tls_context`` when done)."""
     certdata = _certdata()
     server_context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     server_context.load_cert_chain(os.path.join(certdata, "keycert3.pem"))
@@ -211,7 +211,7 @@ def trusted_tls_server(monkeypatch):
 
     monkeypatch.setattr(ssl, "_create_default_https_context", lambda: ssl.create_default_context(
         cafile=os.path.join(certdata, "pycacert.pem")))
-    judge._tls_context.cache_clear()
+    _http._tls_context.cache_clear()
     return TLSServer
 
 
@@ -236,7 +236,7 @@ def tunnelled_origin(monkeypatch, reply, refuse=()):
         proxy.shutdown()
         proxy.server_close()
         thread.join(timeout=10)
-        judge._tls_context.cache_clear()
+        _http._tls_context.cache_clear()
 
 
 class TestAnnotateQuality:
@@ -503,11 +503,11 @@ class TestConcurrency:
         with raw_server(respond, socketserver.ThreadingTCPServer) as server:
             url = f"http://127.0.0.1:{server.server_address[1]}"
             with proxy_env(monkeypatch, **({"http_proxy": url} if proxied else {})):
-                monkeypatch.setattr(judge.socket, "socket", make_socket)
+                monkeypatch.setattr(_http.socket, "socket", make_socket)
                 c = JudgeConfig(endpoint="http://judge.invalid/chat" if proxied else f"{url}/chat",
                                 model="m", concurrency=concurrency)
                 result = annotate_quality(texts, c)
-                monkeypatch.setattr(judge.socket, "socket", make)
+                monkeypatch.setattr(_http.socket, "socket", make)
         return result, peak, barrier, client_sockets, server.request_lines
 
     @pytest.mark.parametrize("concurrency", [1, 3])
@@ -605,8 +605,9 @@ class TestDefaultTransportHttp:
         """Each framing the client reads (chunked with an extension, no
         length, a 100 Continue first) annotates its text; a garbled status
         line, a truncated body, a non-2xx status, a bad chunk size, an
-        over-long header line or a close mid-chunk is a transport failure of
-        its own text, and the rest of the batch is annotated."""
+        over-long header line, a close mid-chunk or a Content-Length that is
+        not digits only is a transport failure of its own text, and the rest
+        of the batch is annotated."""
         replies = {
             b"garbled": b"GARBAGE\r\n\r\n",
             b"truncated": b"HTTP/1.0 200 OK\r\nContent-Length: 40\r\n\r\n{\"text\"",
@@ -617,6 +618,7 @@ class TestDefaultTransportHttp:
             b"chunk size": CHUNKED + b'zz\r\n{"text": "64"}\r\n0\r\n\r\n',
             b"long header": b"HTTP/1.0 200 OK\r\nX-Pad: " + b"a" * 65536 + b"\r\n\r\n{}",
             b"mid-chunk": CHUNKED + b'4\r\n{"te\r\na\r\nxt',  # then the server closes
+            b"plus length": b'HTTP/1.0 200 OK\r\nContent-Length: +2\r\n\r\n{}',
         }
 
         def respond(body):
@@ -625,20 +627,21 @@ class TestDefaultTransportHttp:
 
         texts = ["fine one", "garbled", "truncated", "unavailable", "chunk extension",
                  "no length", "interim", "bad chunk size", "long header", "mid-chunk",
-                 "fine two"]
+                 "plus length", "fine two"]
         with raw_server(respond) as server:
             c = JudgeConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}/chat",
                             model="m", max_retries=1)
             result = annotate_quality(texts, c)
-        assert result.scores == [64, None, None, None, 64, 64, 64, None, None, None, 64]
+        assert result.scores == [64, None, None, None, 64, 64, 64, None, None, None, None, 64]
         assert [f.error for f in result.failures] == [
             "transport: BadStatusLine: GARBAGE\r\n",
             "transport: IncompleteRead: IncompleteRead(7 bytes read, 33 more expected)",
             "transport: HTTP Error 503: Service Unavailable",
             "transport: IncompleteRead: IncompleteRead(0 bytes read)",
             "transport: LineTooLong: got more than 65536 bytes when reading header line",
-            "transport: IncompleteRead: IncompleteRead(4 bytes read)"]
-        assert result.transport_failures == 12 and result.requests == 17
+            "transport: IncompleteRead: IncompleteRead(4 bytes read)",
+            "transport: HTTPException: invalid Content-Length '+2'"]
+        assert result.transport_failures == 14 and result.requests == 19
 
     def test_silent_server_times_out_only_its_text(self):
         """A connection that is accepted and never answered fails its text
@@ -720,24 +723,27 @@ class TestDefaultTransportHttp:
         """A request target that is not visible ASCII, a port that is not a
         number or a header value with a line break or a character beyond
         Latin-1 is an OSError, and no connection is made."""
-        monkeypatch.setattr(judge.socket, "getaddrinfo",
+        monkeypatch.setattr(_http.socket, "getaddrinfo",
                             lambda *args: pytest.fail("an address was looked up"))
-        monkeypatch.setattr(judge.socket, "socket", lambda *args: pytest.fail("a socket was made"))
-        monkeypatch.setattr(judge, "_proxies", dict)
+        monkeypatch.setattr(_http.socket, "socket", lambda *args: pytest.fail("a socket was made"))
+        monkeypatch.setattr(_http, "_proxies", dict)
         with pytest.raises(OSError, match=f"^{error}: "):
             judge.post_json(url, {}, 1.0, token)
 
     @pytest.mark.parametrize("endpoint, error", [
         ("ftp://judge.invalid/chat", "transport: not an http(s) URL: 'ftp://judge.invalid/chat'"),
-        ("http://[::1/chat", "transport: Invalid IPv6 URL")])
+        ("http://[::1/chat", "transport: Invalid IPv6 URL"),
+        ("http://u:p@127.0.0.1:8080/v1", "transport: InvalidURL: the URL holds userinfo")])
     def test_bad_endpoint_fails_every_attempt_before_connecting(self, monkeypatch, endpoint,
                                                                 error):
         """An endpoint the default transport cannot post to fails every
-        attempt of every text with the same error, and no connection is made."""
-        monkeypatch.setattr(judge.socket, "getaddrinfo",
+        attempt of every text with the same error, and no connection is made.
+        Userinfo is one such fault: it would go out in the Host header (RFC
+        9110 §7.2), and the error does not repeat it."""
+        monkeypatch.setattr(_http.socket, "getaddrinfo",
                             lambda *args: pytest.fail("an address was looked up"))
-        monkeypatch.setattr(judge.socket, "socket", lambda *args: pytest.fail("a socket was made"))
-        monkeypatch.setattr(judge, "_proxies", dict)
+        monkeypatch.setattr(_http.socket, "socket", lambda *args: pytest.fail("a socket was made"))
+        monkeypatch.setattr(_http, "_proxies", dict)
         result = annotate_quality(["a", "b"], JudgeConfig(endpoint=endpoint, model="m",
                                                           max_retries=1))
         assert [f.error for f in result.failures] == [error] * 2
@@ -751,11 +757,11 @@ class TestDefaultTransportHttp:
         try:
             with raw_server(lambda body: http_ok(b'{"text": "61"}')) as proxy:
                 monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{proxy.server_address[1]}")
-                judge._proxies.cache_clear()
+                _http._proxies.cache_clear()
                 c = JudgeConfig(endpoint="http://127.0.0.1:9/v1/chat", model="m", max_retries=0)
                 result = annotate_quality(["via the proxy"], c)
         finally:
-            judge._proxies.cache_clear()
+            _http._proxies.cache_clear()
         assert result.scores == [61]
         assert proxy.request_lines == ["POST http://127.0.0.1:9/v1/chat HTTP/1.1"]
 
@@ -797,7 +803,7 @@ class TestDefaultTransportHttp:
             assert [f.error for f in annotate_quality(["x"], c).failures] == [refused]
 
     def test_proxy_that_is_not_http_fails_before_connecting(self, monkeypatch):
-        monkeypatch.setattr(judge.socket, "socket", lambda *args: pytest.fail("a socket was made"))
+        monkeypatch.setattr(_http.socket, "socket", lambda *args: pytest.fail("a socket was made"))
         with proxy_env(monkeypatch, http_proxy="socks5://127.0.0.1:1080"):
             with pytest.raises(OSError, match="^not an http\\(s\\) proxy: 'socks5://"):
                 judge.post_json("http://judge.invalid/v1/chat", {}, 1.0)
@@ -829,7 +835,7 @@ class TestDefaultTransportHttp:
                                http_proxy=f"https://localhost:{proxy.server_address[1]}"):
                     assert judge.post_json("http://judge.invalid/v1/chat", {}, 5.0) == {"text": "5"}
         finally:
-            judge._tls_context.cache_clear()
+            _http._tls_context.cache_clear()
         assert proxy.request_lines == ["POST http://judge.invalid/v1/chat HTTP/1.1"]
 
     @pytest.mark.skipif(_certdata() is None,
@@ -860,14 +866,14 @@ class TestDefaultTransportHttp:
             return context
 
         monkeypatch.setattr(ssl, "_create_default_https_context", make_context)
-        monkeypatch.setattr(judge, "_proxies", dict)
+        monkeypatch.setattr(_http, "_proxies", dict)
         lookups, sockets, pairs = paired_sockets(monkeypatch, [http_ok(b'{"text": "5"}')] * 2)
-        judge._tls_context.cache_clear()
+        _http._tls_context.cache_clear()
         try:
             for _ in range(2):
                 assert judge.post_json("https://judge.invalid/v1/chat", {}, 1.0) == {"text": "5"}
         finally:
-            judge._tls_context.cache_clear()
+            _http._tls_context.cache_clear()
             for pair in pairs:
                 for end in pair:
                     end.close()
@@ -883,8 +889,8 @@ class TestDefaultTransportHttp:
             def wrap_socket(self, sock, server_hostname, do_handshake_on_connect):
                 raise ssl.SSLError("handshake failed")
 
-        monkeypatch.setattr(judge, "_tls_context", Context)
-        monkeypatch.setattr(judge, "_proxies", dict)
+        monkeypatch.setattr(_http, "_tls_context", Context)
+        monkeypatch.setattr(_http, "_proxies", dict)
         _, sockets, pairs = paired_sockets(monkeypatch, [b""])
         try:
             with pytest.raises(ssl.SSLError, match="handshake failed"):
@@ -910,15 +916,15 @@ class TestDefaultTransportHttp:
 
         monkeypatch.setattr(ssl, "_create_default_https_context", lambda: ssl.create_default_context(
             cafile=os.path.join(certdata, "pycacert.pem")))
-        monkeypatch.setattr(judge, "_proxies", dict)
-        judge._tls_context.cache_clear()
+        monkeypatch.setattr(_http, "_proxies", dict)
+        _http._tls_context.cache_clear()
         try:
             reply = CHUNKED + b'4\r\n{"te\r\na\r\nxt": "42"}\r\n0\r\n\r\n'
             with raw_server(lambda body: reply, TLSServer) as server:
                 url = f"https://localhost:{server.server_address[1]}/v1/chat"
                 assert judge.post_json(url, {"q": 1}, 5.0) == {"text": "42"}
         finally:
-            judge._tls_context.cache_clear()
+            _http._tls_context.cache_clear()
         assert server.request_lines == ["POST /v1/chat HTTP/1.1"]
 
 

@@ -2,7 +2,7 @@
 stdlib only, no module loads scipy.stats (about 1 s of import time),
 clustering loads no scipy module that scipy.spatial does not,
 neither experiments nor clustering loads a process pool, io loads no numpy,
-and the judge loads no thread pool."""
+the judge loads no thread pool, and generators loads no judge."""
 
 import pkgutil
 import subprocess
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import collapse_lab
 
-LIGHT = ("io", "judge", "chain", "metrics", "toy", "experiments", "cli")
+LIGHT = ("io", "_http", "judge", "chain", "metrics", "toy", "experiments", "cli")
 
 
 def _modules_after(*statements):
@@ -83,3 +83,10 @@ def test_judge_loads_no_thread_pool():
     loaded = _modules_after_import(["judge"])
     assert "collapse_lab.judge" in loaded
     assert sorted(m for m in loaded if m == "concurrent" or m.startswith("concurrent.")) == []
+
+
+def test_generators_loads_no_judge():
+    """The external generator posts with ``_http``, the one HTTP client."""
+    loaded = _modules_after_import(["generators"])
+    assert "collapse_lab._http" in loaded
+    assert "collapse_lab.judge" not in loaded
