@@ -68,7 +68,9 @@ def _read_exact(fp, n: int) -> bytes:
 
 def _read_headers(fp) -> dict:
     """The header block's fields up to the blank line, names lowercased; the
-    first of repeated fields wins, and a line without a colon is no field."""
+    first of repeated fields wins, and a line without a colon is no field.
+    A Content-Length repeated with another value is a framing fault (RFC
+    9110 §8.6)."""
     headers: dict = {}
     for _ in range(_MAX_HEADERS + 1):
         line = _readline(fp, "header line")
@@ -76,7 +78,12 @@ def _read_headers(fp) -> dict:
             return headers
         name, colon, value = line.partition(b":")
         if colon:
-            headers.setdefault(name.strip().lower(), value.strip())
+            name, value = name.strip().lower(), value.strip()
+            first = headers.setdefault(name, value)
+            if name == b"content-length" and first != value:
+                raise http.client.HTTPException(
+                    f"conflicting Content-Length {first.decode('latin-1')!r} "
+                    f"and {value.decode('latin-1')!r}")
     raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 
 
@@ -177,8 +184,8 @@ class _Endpoint:
             if proxy and not urllib.request.proxy_bypass(parts.netloc):
                 kind, user, password, hostport = urllib.request._parse_proxy(proxy)
                 kind, via = kind or parts.scheme, urllib.parse.urlsplit("//" + unquote(hostport))
-                if kind not in ("http", "https") or not via.hostname:
-                    raise OSError(f"not an http(s) proxy: {proxy!r}")
+                if kind not in ("http", "https") or not via.hostname:  # no credentials echoed
+                    raise OSError(f"not an http(s) proxy: {f'{kind}://{hostport}'!r}")
                 auth = ""
                 if user and password:
                     creds = f"{unquote(user)}:{unquote(password)}".encode()
@@ -435,8 +442,9 @@ def post_json(url: str, payload: dict, timeout: float, token: str | None = None)
     environment's proxy settings cover is reached through the proxy on the
     same loop. A URL with userinfo, a failed request, a framing fault (a
     garbled status line, an over-long line, a Content-Length that is not
-    digits, a truncated body), a proxy's refusal to open a tunnel or a
-    non-2xx status raises OSError; a body that is not JSON raises ValueError."""
+    digits or is repeated with another value, a truncated body), a proxy's
+    refusal to open a tunnel or a non-2xx status raises OSError; a body that
+    is not JSON raises ValueError."""
     loop = _Loop(url, token, timeout, _json_body)
     try:
         loop.start(payload)

@@ -32,9 +32,16 @@ __all__ = [
     "evaluate_batch",
 ]
 
-# the metrics evaluate_batch computes
-EVAL_METRICS = ("distinct_count", "word_entropy", "type_token_ratio", "avg_text_length",
-                "self_bleu")
+# evaluate_batch's metrics, name -> f(texts, seed); each looks its function up
+# on metrics when called, and self_bleu is None for a batch of one text
+_EVALUATORS = {
+    "distinct_count": lambda texts, seed: len(set(texts)),
+    "word_entropy": lambda texts, seed: M.word_entropy(texts),
+    "type_token_ratio": lambda texts, seed: M.type_token_ratio(texts),
+    "avg_text_length": lambda texts, seed: M.avg_text_length(texts),
+    "self_bleu": lambda texts, seed: M.self_bleu(texts, seed=seed) if len(texts) >= 2 else None,
+}
+EVAL_METRICS = tuple(_EVALUATORS)
 
 
 class DataPool:
@@ -127,7 +134,7 @@ class ChainConfig:
             raise InvalidConfigError(f"eval_metrics must be drawn from {list(EVAL_METRICS)}")
         if len(self.domains) > 1 and self.per_gen_total % len(self.domains) != 0:
             raise InvalidConfigError("per_gen_total must be divisible by the domain count")
-        n_syn = int(np.floor(self.per_gen_total * self.ratio))
+        n_syn = self.synthetic_per_generation
         if self.ratio > 0 and n_syn and self.eval_sample > n_syn:
             raise InvalidConfigError(
                 f"eval_sample ({self.eval_sample}) exceeds the per-generation "
@@ -156,22 +163,15 @@ def _split_counts(total: int, parts: int) -> list[int]:
 
 
 def evaluate_batch(texts: list[str], which: tuple, seed: int = 0) -> M.MetricReport:
-    """Cheap text metrics over an evaluation batch."""
+    """Cheap text metrics over an evaluation batch, in ``which`` order; an
+    unknown name raises InvalidInputError."""
     report = M.MetricReport(sample_size=len(texts))
     for name in which:
-        if name == "distinct_count":
-            report.values[name] = len(set(texts))
-        elif name == "word_entropy":
-            report.values[name] = M.word_entropy(texts)
-        elif name == "type_token_ratio":
-            report.values[name] = M.type_token_ratio(texts)
-        elif name == "avg_text_length":
-            report.values[name] = M.avg_text_length(texts)
-        elif name == "self_bleu":
-            if len(texts) >= 2:
-                report.values[name] = M.self_bleu(texts, seed=seed)
-        else:
+        if name not in _EVALUATORS:
             raise InvalidInputError(f"unknown evaluation metric {name!r}")
+        value = _EVALUATORS[name](texts, seed)
+        if value is not None:
+            report.values[name] = value
     return report
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics
 from .errors import CollapseLabError, InvalidConfigError, InvalidInputError
 from .experiments import FIGURE_KINDS, ResultStore, emit_plot_data, load_spec, run_experiment
-from .io import read_csv, read_embeddings, read_records_jsonl, write_csv, write_jsonl
+from .io import SCORE_KEYS, read_csv, read_embeddings, read_records_jsonl, write_csv, write_jsonl
 from .judge import JudgeConfig, annotate_lean, annotate_quality
 
 ENV_TOKEN = "COLLAPSE_LAB_JUDGE_TOKEN"
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CollapseLabError as exc:  # bad config or input: one line, as argparse reports its own
+    except (CollapseLabError, OSError) as exc:  # bad input or output: one line, as argparse's
         print(f"collapse-lab: error: {exc}", file=sys.stderr)
         return 2
 
@@ -119,7 +119,7 @@ def _cmd_metrics(args) -> int:
     if len(texts) >= 2:
         row("self_bleu", metrics.self_bleu(texts), max_n=metrics.SELF_BLEU_MAX_N,
             max_texts=metrics.SELF_BLEU_MAX_TEXTS)
-    for key in ("quality", "lean", "positivity"):
+    for key in SCORE_KEYS:
         if any(r.annotations and r.annotations.get(key) is not None for r in records):
             agg = metrics.aggregate_scores(records, key)
             row(f"mean_{key}", agg["mean"], count=agg["count"])

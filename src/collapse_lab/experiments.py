@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import _pool, toy
-from .chain import ChainConfig, HumanCorpus, relative_metrics, run_chain
+from . import __version__, _pool, toy
+from .chain import EVAL_METRICS, ChainConfig, HumanCorpus, relative_metrics, run_chain
 from .errors import InvalidConfigError, InvalidInputError, InvalidTraceError
 from .generators import default_factory
 from .io import read_csv, read_jsonl, read_records_jsonl, write_csv, write_jsonl
@@ -51,7 +51,7 @@ _PARAM_TYPES = {
 }
 # ChainConfig's default without self_bleu: summary.csv stays byte-identical for
 # grid specs that leave eval_metrics unset, while a lone ChainConfig keeps self_bleu
-_GRID_EVAL_METRICS = ("distinct_count", "word_entropy", "type_token_ratio", "avg_text_length")
+_GRID_EVAL_METRICS = tuple(name for name in EVAL_METRICS if name != "self_bleu")
 _BINS = [f"bin_{i}" for i in range(LEAN_BINS)]
 # figure: (source artifact, columns, numeric columns, last generation only)
 _FIGURES = {
@@ -231,7 +231,7 @@ class ResultStore:
         manifest = {
             "spec_hash": spec_hash(spec),
             "spec": spec.canonical(),
-            "code_version": _code_version(),
+            "code_version": __version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "artifacts": sorted(self.artifacts),
             "failures": failures,
@@ -250,12 +250,6 @@ class ResultStore:
         write_jsonl(path, rows)
         self.artifacts[name] = path
         return path
-
-
-def _code_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 # ---------------------------------------------------------------------------

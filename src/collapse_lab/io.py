@@ -30,6 +30,8 @@ __all__ = [
 
 HUMAN = "human"
 SYNTHETIC = "synthetic"
+# the annotation scores a record may carry
+SCORE_KEYS = ("quality", "lean", "positivity")
 
 
 @dataclass(frozen=True)
@@ -53,17 +55,27 @@ _EMB1_MAGIC = b"EMB1"
 _OPTIONAL_NUMBER = (int, float, type(None))
 # the types a record row's fields may hold
 _RECORD_TYPES = {"text": str, "source": str, "generation": int, "domain": (str, type(None)),
-                 "quality": _OPTIONAL_NUMBER, "lean": _OPTIONAL_NUMBER,
-                 "positivity": _OPTIONAL_NUMBER}
+                 **dict.fromkeys(SCORE_KEYS, _OPTIONAL_NUMBER)}
 
 
 def _not_utf8(where, exc: UnicodeDecodeError) -> InvalidInputError:
     return InvalidInputError(f"{where}: not UTF-8 text ({exc.reason})")
 
 
+def _open_input(path, mode="r", **kwargs):
+    """``open(path, mode)`` of an input file, a missing or unreadable one
+    raised as InvalidInputError naming it."""
+    try:
+        return open(path, mode, **kwargs)
+    except FileNotFoundError as exc:
+        raise InvalidInputError(f"required file missing: {path}") from exc
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot read ({exc.strerror})") from exc
+
+
 def _jsonl_rows(path, required):
     """(line number, value) of each non-blank line; see ``read_jsonl``."""
-    with open(path, "rb") as fh:
+    with _open_input(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 line = line.decode("utf-8").strip()
@@ -84,7 +96,8 @@ def _jsonl_rows(path, required):
 def read_jsonl(path, required=()) -> list:
     """One JSON value per non-blank line of UTF-8 text. A line that is not
     UTF-8 or not JSON, or not an object holding every ``required`` key,
-    raises InvalidInputError naming ``path:line``."""
+    raises InvalidInputError naming ``path:line``, and a missing or
+    unreadable file one naming ``path``."""
     return [row for _, row in _jsonl_rows(path, required)]
 
 
@@ -106,12 +119,12 @@ def read_records_jsonl(path) -> list[TextRecord]:
             if key in _RECORD_TYPES and (isinstance(value, bool)
                                          or not isinstance(value, _RECORD_TYPES[key])):
                 raise InvalidInputError(f"{path}:{lineno}: {key} of the wrong type: {value!r}")
-        annotations = {k: row[k] for k in ("quality", "lean", "positivity") if k in row}
-        source = row.get("source", "human")
+        annotations = {k: row[k] for k in SCORE_KEYS if k in row}
+        source = row.get("source", HUMAN)
         try:
             records.append(TextRecord(
                 text=row["text"], source=source,
-                generation=row.get("generation", -1 if source == "human" else 0),
+                generation=row.get("generation", -1 if source == HUMAN else 0),
                 domain=row.get("domain"), annotations=annotations or None))
         except InvalidInputError as exc:
             raise InvalidInputError(f"{path}:{lineno}: {exc}") from exc
@@ -122,12 +135,12 @@ def write_records_jsonl(records, path) -> None:
     rows = []
     for r in records:
         row = {"text": r.text}
-        if r.source != "human":
+        if r.source != HUMAN:
             row["source"] = r.source
             row["generation"] = r.generation
         if r.domain is not None:
             row["domain"] = r.domain
-        for k in ("quality", "lean", "positivity"):
+        for k in SCORE_KEYS:
             if r.annotations and k in r.annotations:
                 row[k] = r.annotations[k]
         rows.append(row)
@@ -151,12 +164,13 @@ def write_embeddings_emb1(matrix: np.ndarray, path) -> None:
 
 def read_embeddings(path) -> np.ndarray:
     """Read an embedding matrix from an EMB1 binary file or a CSV with an id
-    column (first column) followed by the vector components. A malformed file
-    raises InvalidInputError naming the path, and for a CSV the line; a CSV
-    that is not UTF-8 names only the path."""
+    column (first column) followed by the vector components. A missing,
+    unreadable or malformed file raises InvalidInputError naming the path,
+    and for a malformed CSV the line; a CSV that is not UTF-8 names only the
+    path."""
     import numpy as np
 
-    with open(path, "rb") as fh:
+    with _open_input(path, "rb") as fh:
         head = fh.read(4)
         if head == _EMB1_MAGIC:
             shape = fh.read(8)
@@ -168,7 +182,7 @@ def read_embeddings(path) -> np.ndarray:
                 raise InvalidInputError(f"{path}: truncated EMB1 payload")
             return data.reshape(n, d).astype(float)
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with _open_input(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             for i, row in enumerate(reader):
@@ -200,12 +214,10 @@ def _is_float(s: str) -> bool:
 
 def read_csv(path) -> list[dict]:
     """Rows of a UTF-8 CSV with a header line, as dicts of strings. A missing
-    file or one that is not UTF-8 raises InvalidInputError."""
+    or unreadable file, or one that is not UTF-8, raises InvalidInputError."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with _open_input(path, encoding="utf-8", newline="") as fh:
             return list(csv.DictReader(fh))
-    except FileNotFoundError as exc:
-        raise InvalidInputError(f"required file missing: {path}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
 

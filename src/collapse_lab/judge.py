@@ -18,6 +18,7 @@ import numpy as np
 
 from ._http import _json_body, _Loop, post_json
 from .errors import InvalidConfigError, InvalidInputError
+from .io import _open_input
 
 __all__ = [
     "QUALITY_PROMPT",
@@ -150,8 +151,9 @@ class _Cache:
     row still parses it is kept, and the next append starts a new line; if
     it does not, it is ignored, and the next append cuts it off first. Any
     other line that is not an object with a string ``key`` raises
-    InvalidInputError naming ``path:line``. A row that does not make a valid
-    Annotation is a miss, so a later row under its key replaces it.
+    InvalidInputError naming ``path:line``, and an unreadable file one
+    naming ``path``. A row that does not make a valid Annotation is a miss,
+    so a later row under its key replaces it.
 
     The first append opens the file; each row is flushed as it is written,
     and ``close`` closes the file.
@@ -164,7 +166,7 @@ class _Cache:
         self._torn_at = None  # byte offset of an unparsable unfinished last row
         self._lead = ""  # what the next append writes before its row
         if path and os.path.exists(path):
-            with open(path, "rb") as fh:
+            with _open_input(path, "rb") as fh:
                 data = fh.read()
             *lines, tail = data.split(b"\n")
             rows = []

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
+from .io import SCORE_KEYS
 
 __all__ = [
     "MetricReport",
@@ -115,7 +116,7 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
-def bleu(candidate: list[str], references: list[list[str]], max_n: int = 4,
+def bleu(candidate: list[str], references: list[list[str]], max_n: int = SELF_BLEU_MAX_N,
          smoothing: str = "add1") -> float:
     """Sentence BLEU: geometric mean of modified n-gram precisions times the
     brevity penalty.
@@ -325,8 +326,8 @@ def kl_entropy(points, k: int) -> float:
 def gaussianity_aic(points) -> dict:
     """AIC of a maximum-likelihood 2-D Gaussian fit (K = 5 parameters).
 
-    Returns {"aic", "aic_per_point", "log_likelihood", "n"}; lower AIC at a
-    fixed n means the cloud looks more Gaussian.
+    Returns {"aic", "aic_per_point", "n"}; lower AIC at a fixed n means the
+    cloud looks more Gaussian.
     """
     points = _validate_projection(points, min_rows=4)
     n = points.shape[0]
@@ -339,12 +340,7 @@ def gaussianity_aic(points) -> dict:
     # at the MLE the Mahalanobis sum equals n*d
     log_likelihood = -0.5 * n * (2.0 * np.log(2.0 * np.pi) + np.log(det) + 2.0)
     aic = 2.0 * 5 - 2.0 * log_likelihood
-    return {
-        "aic": float(aic),
-        "aic_per_point": float(aic / n),
-        "log_likelihood": float(log_likelihood),
-        "n": n,
-    }
+    return {"aic": float(aic), "aic_per_point": float(aic / n), "n": n}
 
 
 def pca_2d(emb) -> np.ndarray:
@@ -373,13 +369,13 @@ def pca_2d(emb) -> np.ndarray:
 
 
 def aggregate_scores(records, key: str) -> dict:
-    """Mean, count and a 10-bin histogram of an annotation score over records.
+    """{"count", "mean"} of an annotation score over records.
 
     ``records`` may be TextRecord-like objects with an ``annotations`` dict or
     plain dicts. For ``key="lean"``, scores of -1 (non-political) are excluded
-    from the mean and histogram but counted separately.
+    from the count and mean, and counted in "non_political_count" instead.
     """
-    if key not in ("quality", "lean", "positivity"):
+    if key not in SCORE_KEYS:
         raise InvalidInputError(f"unknown score key {key!r}")
     scores = []
     for rec in records:
@@ -392,23 +388,12 @@ def aggregate_scores(records, key: str) -> dict:
         raise InvalidInputError(f"no record carries the score {key!r}")
     scores = np.array(scores)
 
-    non_political = 0
+    lean = {}
     if key == "lean":
-        non_political = int((scores == -1).sum())
+        lean["non_political_count"] = int((scores == -1).sum())
         scores = scores[scores != -1]
-
-    lo, hi = {"quality": (0, 100), "lean": (0, 100), "positivity": (-1.0, 1.0)}[key]
-    result = {
-        "count": int(scores.size),
-        "mean": float(scores.mean()) if scores.size else float("nan"),
-        "histogram": None,
-    }
-    if scores.size:
-        hist, edges = np.histogram(scores, bins=10, range=(lo, hi))
-        result["histogram"] = {"counts": hist.tolist(), "edges": edges.tolist()}
-    if key == "lean":
-        result["non_political_count"] = non_political
-    return result
+    return {"count": int(scores.size),
+            "mean": float(scores.mean()) if scores.size else float("nan"), **lean}
 
 
 def lean_bins(scores) -> dict:
@@ -428,7 +413,6 @@ def lean_bins(scores) -> dict:
         "non_political_fraction": float(non_political.mean()),
         "neutral_fraction": float("nan"),
         "proportions": None,
-        "edges": np.linspace(0.0, 100.0, LEAN_BINS + 1).tolist(),
     }
     if political.size == 0:
         return out

@@ -70,7 +70,6 @@ class RegressionResult:
     r_squared: float
     residual_df: int
     intercept: float
-    intercept_se: float
     vif: np.ndarray | None = None
     exact_fit: bool = False
     meta: dict = field(default_factory=dict)
@@ -141,7 +140,6 @@ def ols_fit(dm: DesignMatrix, y) -> RegressionResult:
         r_squared=r2,
         residual_df=df,
         intercept=float(beta[0]),
-        intercept_se=float(se[0]),
         exact_fit=exact,
     )
 
@@ -149,14 +147,13 @@ def ols_fit(dm: DesignMatrix, y) -> RegressionResult:
 def _qr_with_rank_check(X: np.ndarray, names: list[str]):
     q, r = np.linalg.qr(X)
     diag = np.abs(np.diag(r))
-    scale = diag.max() if diag.size else 0.0
-    bad = diag <= scale * max(X.shape) * np.finfo(float).eps * 10
-    if bad.any():
+    tol = (diag.max() if diag.size else 0.0) * max(X.shape) * np.finfo(float).eps * 10
+    if (diag <= tol).any():
         # identify offending columns via pivoted QR
         from scipy.linalg import qr as sqr
 
         _, rp, piv = sqr(X, pivoting=True, mode="economic")
-        rank = int(np.sum(np.abs(np.diag(rp)) > scale * max(X.shape) * np.finfo(float).eps * 10))
+        rank = int(np.sum(np.abs(np.diag(rp)) > tol))
         dependent = [names[i] for i in piv[rank:]]
         raise RankError(dependent)
     return q, r

@@ -5,10 +5,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from collapse_lab import metrics
 from collapse_lab.chain import (
+    EVAL_METRICS,
     ChainConfig,
     HumanCorpus,
     TextRecord,
+    evaluate_batch,
     relative_metrics,
     run_chain,
 )
@@ -178,6 +181,26 @@ class TestRunChain:
         run_chain(cfg, corpus, lambda kind, seed: SpyGenerator(seed=seed))
         assert sizes[0] == cfg.initial_human
         assert all(s == cfg.per_gen_total for s in sizes[1:])
+
+
+class TestEvaluateBatch:
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown evaluation metric 'perplexity'"):
+            evaluate_batch(["a text", "another text"], ("word_entropy", "perplexity"))
+
+    def test_one_text_leaves_self_bleu_out(self):
+        report = evaluate_batch(["one lone text"], EVAL_METRICS)
+        assert list(report.values) == [m for m in EVAL_METRICS if m != "self_bleu"]
+        assert report.sample_size == 1
+
+    def test_metrics_are_looked_up_when_called(self, monkeypatch):
+        """Each metric is read off ``collapse_lab.metrics`` when it runs, so a
+        wrapper put there, as the benchmark's spans are, sees every call."""
+        calls = []
+        monkeypatch.setattr(metrics, "word_entropy", lambda texts: calls.append(texts) or 1.5)
+        texts = ["a b", "c d"]
+        assert evaluate_batch(texts, ("word_entropy",)).values == {"word_entropy": 1.5}
+        assert calls == [texts]
 
 
 class TestRelativeMetrics:

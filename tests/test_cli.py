@@ -208,11 +208,23 @@ def _bad_input(tmp_path, case):
     if case == "regress not utf-8":
         obs.write_bytes(b"\xff\xfe" + header.encode())
         return regress, f"{obs}: not UTF-8 text (invalid start byte)"
+    missing = tmp_path / "missing.jsonl"
+    if case == "records missing":
+        return ["metrics", "--records", str(missing)], f"required file missing: {missing}"
+    if case == "projection missing":
+        cluster[2] = str(tmp_path / "missing.emb1")
+        return cluster, f"required file missing: {cluster[2]}"
+    annotate = ["annotate", "--kind", "quality", "--records", str(records), "--endpoint",
+                "http://127.0.0.1:9/chat", "--model", "m"]
+    if case == "annotate records missing":
+        annotate[4] = str(missing)
+        return annotate, f"required file missing: {missing}"
     cache = tmp_path / "cache.jsonl"
+    if case == "judge cache directory":
+        cache.mkdir()
+        return [*annotate, "--cache", str(cache)], f"{cache}: cannot read (Is a directory)"
     cache.write_text('{"key": "a"}\n{"key": \n{"key": "b"}\n')
-    return (["annotate", "--kind", "quality", "--records", str(records), "--endpoint",
-             "http://127.0.0.1:9/chat", "--model", "m", "--cache", str(cache)],
-            f"{cache}:2: invalid JSON: ")
+    return [*annotate, "--cache", str(cache)], f"{cache}:2: invalid JSON: "
 
 
 @pytest.mark.parametrize("case", ["csv cell", "csv row width", "csv not utf-8", "emb1 header",
@@ -220,7 +232,9 @@ def _bad_input(tmp_path, case):
                                   "human generation", "synthetic generation", "bool generation",
                                   "bool quality", "bool lean", "bool positivity",
                                   "regress dependent",
-                                  "regress predictor", "regress not utf-8", "judge cache"])
+                                  "regress predictor", "regress not utf-8", "judge cache",
+                                  "records missing", "projection missing",
+                                  "annotate records missing", "judge cache directory"])
 def test_bad_input_file_is_one_line(tmp_path, capsys, case):
     """A malformed input file ends in one stderr line naming it, and exit
     code 2, before any output or judge request."""
@@ -232,6 +246,19 @@ def test_bad_input_file_is_one_line(tmp_path, capsys, case):
     assert captured.err.startswith(f"collapse-lab: error: {message}")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def test_unwritable_output_is_one_line(tmp_path, capsys):
+    """An output that cannot be written ends in one stderr line naming it,
+    and exit code 2."""
+    records = tmp_path / "records.jsonl"
+    write_records_jsonl([TextRecord(text="one text"), TextRecord(text="another")], records)
+    out = tmp_path / "missing" / "metrics.csv"
+    assert main(["metrics", "--records", str(records), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("collapse-lab: error: ") and str(out) in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_cluster_subcommand(tmp_path):

@@ -185,3 +185,20 @@ def test_invalid_content_length_is_a_framing_fault(length):
     with pytest.raises(http.client.HTTPException,
                        match=re.escape(f"invalid Content-Length {length.decode()!r}")):
         _http._read_response(io.BytesIO(raw))
+
+
+@pytest.mark.parametrize("first, second", [(b"3", b"5"), (b"5", b"3")])
+def test_conflicting_content_lengths_are_a_framing_fault(first, second):
+    """A Content-Length repeated with another value is a framing fault (RFC
+    9110 §8.6), where http.client reads by the first."""
+    raw = b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\ncontent-length: %s\r\n\r\nabcde" % (
+        first, second)
+    with pytest.raises(http.client.HTTPException, match=re.escape(
+            f"conflicting Content-Length {first.decode()!r} and {second.decode()!r}")):
+        _http._read_response(io.BytesIO(raw))
+    assert _round_trip([raw]) is OSError
+
+
+def test_identical_content_lengths_frame_the_body():
+    raw = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabcde"
+    assert _http._read_response(io.BytesIO(raw)) == b"abc"
