@@ -126,6 +126,8 @@ class ChainConfig:
             raise InvalidConfigError("eval_sample must be >= 1")
         if self.models_per_generation < 1:
             raise InvalidConfigError("models_per_generation must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
         if not self.generator_kinds:
             raise InvalidConfigError("at least one generator kind is required")
         if not self.domains:

@@ -334,6 +334,8 @@ class ClusterSuiteConfig:
             raise InvalidConfigError("final_count must be >= 1")
         if not 0 < self.min_cluster_fraction <= 1:
             raise InvalidConfigError("min_cluster_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
 
 
 def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:

@@ -9,13 +9,16 @@ distribution is tracked per step.
 The chain only ever looks at the histogram of its samples, and ``run_toy_chain``
 advances all of its runs together, one step at a time. Each run keeps its own
 generator and draws as ``Generator.choice(..., p=probs)`` does: ``rng.random(k)``
-looked up in the run's CDF with ``cdf.searchsorted(u, side="right")`` (the
-uniforms sorted first, which keeps the lookups' branches predictable). One
-``np.bincount`` over bins offset by ``run * (N + 1)`` then counts every run's
-draws, and the biased fit, its checks and the support fraction are computed on
-the ``(runs, N + 1)`` matrix. Counts are integers and each entropy is summed
-over its own row's nonzero entries, so the traces (and the CSVs written from
-them) are bit-identical to a sample-based loop over one run at a time.
+looked up with ``cdf.searchsorted(u, side="right")``. A run's synthetic draws
+are looked up in its own fitted CDF (the uniforms sorted first, which keeps the
+lookups' branches predictable). Its human draws land in one ``(runs, k)``
+matrix of uniforms, and one guide table of the true CDF, built once per chain,
+looks them all up with the same result. One ``np.bincount`` over bins offset by
+``run * (N + 1)`` then counts every run's draws, and the biased fit, its checks
+and the support fraction are computed on the ``(runs, N + 1)`` matrix. Counts
+are integers and each entropy is summed over its own row's nonzero entries, so
+the traces (and the CSVs written from them) are bit-identical to a sample-based
+loop over one run at a time.
 """
 
 from __future__ import annotations
@@ -173,6 +176,8 @@ class ToyConfig:
             raise InvalidConfigError("support_size must be >= 1")
         if self.steps < 1 or self.runs < 1:
             raise InvalidConfigError("steps and runs must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
         if self.bias_period < 1:
             raise InvalidConfigError("bias_period must be >= 1")
         if not 0 < self.bias_strength < math.inf:  # also rejects NaN
@@ -210,11 +215,38 @@ class ToyTrace:
 
 def _draw(cdf: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """``sample_discrete``'s k draws from the distribution with this CDF, in
-    ascending order."""
+    ascending order. The synthetic draws take this path: their CDF is new for
+    every run and step, so no table would be used twice."""
     u = rng.random(k)
     # sorted keys keep searchsorted's branches predictable
     u.sort()
     return cdf.searchsorted(u, side="right")
+
+
+class _GuideTable:
+    """``cdf.searchsorted(u, side="right")`` for uniforms u in [0, 1), exactly,
+    through an indexed search (a guide table; Chen & Asau 1974).
+
+    Its M = ``buckets`` intervals [b/M, (b+1)/M) are each narrower than half
+    the smallest gap between distinct CDF values, so none holds two of them,
+    and M is a power of two, so ``u * M`` is exact. A draw in bucket b counts
+    the values <= b/M or, at or above ``edge[b]`` (the first value above b/M),
+    the values <= that edge, which steps over a run of equal values (bins of
+    mass 0) whole."""
+
+    def __init__(self, cdf: np.ndarray):
+        gap = np.diff(np.unique(cdf)).min(initial=1.0)
+        self.buckets = 1 << math.frexp(2 / gap)[1]  # the least power of two above 2 / gap
+        start = cdf.searchsorted(np.arange(self.buckets) / self.buckets, side="right")
+        # cdf[-1] is 1, above every b/M, so each bucket has a first value above it
+        self.edge = cdf[start]
+        # counts[b] for a draw below edge[b], counts[M + b] for one at or above it
+        self.counts = np.concatenate([start, cdf.searchsorted(self.edge, side="right")])
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        bucket = (u * self.buckets).astype(np.intp)
+        bucket += self.buckets * (u >= self.edge[bucket])
+        return self.counts[bucket]
 
 
 # the most values a group's (runs, N + 1) matrices hold; further runs form further groups
@@ -229,29 +261,30 @@ def _histograms(bins: np.ndarray, width: int) -> np.ndarray:
 
 
 def _run_group(cfg: ToyConfig, runs: range,
-               true: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+               human: _GuideTable) -> tuple[np.ndarray, np.ndarray]:
     """Support fraction and entropy, each of shape (len(runs), steps), of the
-    given runs, advanced together one step at a time."""
+    given runs, advanced together one step at a time. ``human`` looks up the
+    true distribution's draws."""
     rngs = [np.random.default_rng([cfg.seed, run]) for run in runs]
     n, period = cfg.support_size, cfg.bias_period
     n_syn = int(np.floor(cfg.ratio * n))
-    n_hum = n - n_syn
 
     support = np.empty((len(rngs), cfg.steps))
     entropy = np.empty((len(rngs), cfg.steps))
-    drawn = np.empty((len(rngs), n), dtype=np.intp)
+    uniforms = np.empty((len(rngs), n))
 
-    for rng, row in zip(rngs, drawn):
-        row[:] = _draw(true.cdf, n, rng)
+    for rng, u in zip(rngs, uniforms):
+        rng.random(out=u)
+    drawn = human.lookup(uniforms)
     pool = _histograms(drawn, n + 1)
     for step in range(cfg.steps):
         if step:
             # a run's stream gives its synthetic draws first, then its human ones
-            for rng, row, cdf in zip(rngs, drawn, cdfs):
+            for rng, row, u, cdf in zip(rngs, drawn, uniforms, cdfs):
                 if n_syn:
                     row[:n_syn] = _draw(cdf, n_syn, rng)
-                if n_hum:
-                    row[n_syn:] = _draw(true.cdf, n_hum, rng)
+                rng.random(out=u[n_syn:])
+            drawn[:, n_syn:] = human.lookup(uniforms[:, n_syn:])
             if cfg.generation_prior:
                 syn = drawn[:, :n_syn]
                 syn -= syn % period
@@ -281,12 +314,13 @@ def run_toy_chain(cfg: ToyConfig) -> ToyTrace:
     depend on its own seed only, not on how many runs there are."""
     cfg.validate()
     true = make_true_distribution(cfg.support_size, None if cfg.overlap else cfg.bias_period)
+    human = _GuideTable(true.cdf)
     support = np.empty((cfg.runs, cfg.steps))
     entropy = np.empty((cfg.runs, cfg.steps))
     group = max(1, _GROUP_VALUES // (cfg.support_size + 1))
     for first in range(0, cfg.runs, group):
         rows = slice(first, first + group)
-        support[rows], entropy[rows] = _run_group(cfg, range(cfg.runs)[rows], true)
+        support[rows], entropy[rows] = _run_group(cfg, range(cfg.runs)[rows], human)
     return ToyTrace(config=cfg, support_fraction=support, shannon_entropy=entropy)
 
 

@@ -26,6 +26,7 @@ def test_toy_subcommand(tmp_path, capsys):
 @pytest.mark.parametrize("body, message", [
     ({"kind": "toy", "ratio": [0.5]}, "unknown config keys: ratio"),
     ({"kind": "toy", "params": {"toy": {"steps": 0}}}, "steps and runs must be >= 1"),
+    ({"kind": "toy", "params": {"toy": {"seed": -1}}}, "seed must be >= 0"),
     ({"kind": "toy", "params": {"toy": {"runs": "2"}}},
      'params.toy.runs must be an integer, not "2"'),
     (b'\xff\xfe{"kind": "toy"}', "config is not UTF-8 text (invalid start byte)"),
@@ -292,6 +293,20 @@ def test_cluster_row_mismatch_is_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "collapse-lab: error: projection rows (5) != records (4)\n"
+    assert not out.exists()
+
+
+def test_cluster_negative_seed_is_one_line(tmp_path, capsys):
+    proj = tmp_path / "proj.bin"
+    write_embeddings_emb1(np.zeros((4, 2), dtype=np.float32), proj)
+    records = tmp_path / "records.jsonl"
+    write_records_jsonl([TextRecord(text=f"t{i}") for i in range(4)], records)
+    out = tmp_path / "clusters.jsonl"
+    assert main(["cluster", "--projection", str(proj), "--records", str(records),
+                 "--out", str(out), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "collapse-lab: error: seed must be >= 0\n"
     assert not out.exists()
 
 

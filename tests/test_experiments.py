@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from collapse_lab import _pool, experiments, toy
-from collapse_lab.chain import TextRecord
+from collapse_lab.chain import ChainConfig, TextRecord
 from collapse_lab.errors import InvalidConfigError, InvalidInputError
 from collapse_lab.cli import main
 from collapse_lab.experiments import (
@@ -254,6 +254,7 @@ class TestSpecLoading:
         ({"steps": 0}, "steps and runs must be >= 1"),
         ({"overlap": False, "bias_period": 1}, "empty support"),
         ({"support_size": 1}, "support_size must be >= bias_period"),
+        ({"seed": -1}, "seed must be >= 0"),
     ])
     def test_bad_toy_value_rejected_before_output(self, tmp_path, section, message):
         """A toy value that would fail every cell is a config error, not a
@@ -306,6 +307,14 @@ class TestSpecLoading:
         with pytest.raises(InvalidConfigError, match=message):
             run_experiment(spec)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("config", [toy.ToyConfig(ratio=0.5, seed=-1),
+                                        ChainConfig(ratio=0.5, seed=-1)])
+    def test_negative_seed_rejected_by_a_direct_config(self, config):
+        """numpy refuses a negative seed in every cell; the config refuses it
+        first, for callers that build a config without a spec."""
+        with pytest.raises(InvalidConfigError, match="^seed must be >= 0$"):
+            config.validate()
 
     def test_lean_partition_too_small_fails_per_cell(self, tmp_path):
         """A mixture larger than a partition depends on the data, so it fails
@@ -385,8 +394,12 @@ class TestToyExperiment:
                (tmp_path / "run2" / "toy_aggregate.csv").read_bytes()
 
     # sha256 of the CSVs the sample-based toy chain wrote; a change to the toy
-    # model's random stream or to its CSV rows shows up here
+    # model's random stream or to its CSV rows shows up here. "benchmark_size"
+    # is the default support of 1000 over 20 steps, which perfbench's sweep runs
     RECORDED = {
+        "benchmark_size": ({"runs": 4, "steps": 20, "support_size": 1000},
+                           "0ef2ee3271c66ce06acd38aecea765f577294267262bbbd7918409acf0f961ab",
+                           "eb1d70ad46052444c9659008df10fff97904791f3598a9c52866dbde3e3497ba"),
         "plain": ({},
                   "df1b687d362a67fbe690682db6af4afc419e20a162eb089ce2ad45fb1f6c1520",
                   "766667ce25954782d101f10b27a46c791bb6cb41858d79491aad20275221b96b"),

@@ -131,6 +131,25 @@ class TestSampleDiscrete:
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+class TestGuideTable:
+    @pytest.mark.parametrize("period", [None, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 1023, 1024, 1025, 100_000])
+    def test_lookup_equals_searchsorted(self, n, period):
+        """The human draws' lookup counts the CDF values at or below each
+        uniform, as ``searchsorted`` does, at every value's edges too. It
+        relies on no bucket holding two distinct values."""
+        cdf = make_true_distribution(n, period).cdf
+        table = toy._GuideTable(cdf)
+        distinct = np.unique(cdf)
+        assert np.unique(np.floor(distinct * table.buckets)).size == distinct.size
+        u = np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
+                            [0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(n).random(5000)])
+        u = u[(u >= 0) & (u < 1)]
+        assert np.array_equal(table.lookup(u), cdf.searchsorted(u, side="right"))
+        grid = u[-4000:].reshape(40, 100)  # random draws, shaped as (runs, k)
+        assert np.array_equal(table.lookup(grid), cdf.searchsorted(grid, side="right"))
+
+
 class TestDiscreteDiversity:
     def test_point_mass(self):
         probs = np.zeros(10)
@@ -259,7 +278,7 @@ def _reference_single(cfg: ToyConfig, run_index: int):
 class TestRunToyChainOracle:
     @given(ratio=st.one_of(st.sampled_from([0.0, 1 / 16, 1 / 2, 15 / 16, 1.0]),
                            st.floats(0.0, 1.0)),
-           support_size=st.sampled_from([7, 100]),
+           support_size=st.sampled_from([1, 2, 7, 100, 1000]),
            bias_period=st.sampled_from([1, 2, 3]),
            bias_strength=st.sampled_from([0.5, 4.0]),
            overlap=st.booleans(), accumulate=st.booleans(),
@@ -269,6 +288,7 @@ class TestRunToyChainOracle:
     def test_equals_sample_based_chain(self, **params):
         cfg = ToyConfig(**params)
         assume(cfg.overlap or cfg.bias_period > 1)
+        assume(cfg.support_size >= cfg.bias_period)
         trace = run_toy_chain(cfg)
         for run in range(cfg.runs):
             support, entropy = _reference_single(cfg, run)
