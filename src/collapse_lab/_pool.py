@@ -1,5 +1,6 @@
 """Independent tasks on forked worker processes: the experiment grids' cells
-(``experiments._run_cells``) and the cluster suite's fits
+(``experiments._run_cells``), the cluster-regression grid's property tasks
+and cells (``experiments._run_cluster_grid``) and the cluster suite's fits
 (``clustering.build_cluster_suite``).
 """
 

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import __version__, _pool, toy
+from . import __version__, _pool, metrics, toy
 from .chain import EVAL_METRICS, ChainConfig, HumanCorpus, relative_metrics, run_chain
 from .errors import InvalidConfigError, InvalidInputError, InvalidTraceError
 from .generators import default_factory
 from .io import read_csv, read_jsonl, read_records_jsonl, write_csv, write_jsonl
-from .metrics import LEAN_BINS
 
 __all__ = [
     "ExperimentSpec",
@@ -52,7 +51,7 @@ _PARAM_TYPES = {
 # ChainConfig's default without self_bleu: summary.csv stays byte-identical for
 # grid specs that leave eval_metrics unset, while a lone ChainConfig keeps self_bleu
 _GRID_EVAL_METRICS = tuple(name for name in EVAL_METRICS if name != "self_bleu")
-_BINS = [f"bin_{i}" for i in range(LEAN_BINS)]
+_BINS = [f"bin_{i}" for i in range(metrics.LEAN_BINS)]
 # figure: (source artifact, columns, numeric columns, last generation only)
 _FIGURES = {
     "evolution": ("summary.csv", ["generation", "ratio", "seed", "metric", "value"],
@@ -267,13 +266,14 @@ def run_experiment(spec: ExperimentSpec) -> ResultStore:
     return store
 
 
-def _run_cells(cells: list[dict], run_cell, failures: list) -> list:
+def _run_cells(cells: list[dict], run_cell, failures: list, order=None) -> list:
     """Call ``run_cell(**cell)`` for each cell and return, in cell order, the
     results of those that finish. A cell that raises is recorded in
     ``failures`` and the grid goes on (cell isolation by contract). The cells
-    run on forked worker processes, as ``_pool.outcomes`` says."""
+    run on forked worker processes, submitted in ``order``, as
+    ``_pool.outcomes`` says."""
     results = []
-    for cell, (finished, value) in zip(cells, _pool.outcomes(run_cell, cells)):
+    for cell, (finished, value) in zip(cells, _pool.outcomes(run_cell, cells, order)):
         if finished:
             results.append(value)
         else:
@@ -287,7 +287,10 @@ def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
     def run_cell(ratio):
         return toy.run_toy_chain(toy.ToyConfig(ratio=ratio, **params))
 
-    traces = _run_cells([{"ratio": r} for r in spec.ratios], run_cell, failures)
+    # the costliest cells first: a run's synthetic draws cost more than its
+    # human ones, and a cell draws floor(ratio * N) of them per run and step
+    order = sorted(range(len(spec.ratios)), key=lambda i: -spec.ratios[i])
+    traces = _run_cells([{"ratio": r} for r in spec.ratios], run_cell, failures, order)
     store.add_csv("toy_trace.csv", toy.TRACE_HEADER, toy.trace_rows(traces))
     store.add_csv("toy_aggregate.csv", toy.AGGREGATE_HEADER, toy.aggregate_rows(traces))
 
@@ -375,35 +378,50 @@ def _run_lean(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
 
 def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
     """Run chains per (cluster, ratio, seed) and emit the observations table
-    for the regression layer."""
-    from .metrics import (avg_text_length, self_bleu, type_token_ratio,
-                          word_entropy)
+    for the regression layer.
 
+    A cluster's properties do not depend on the ratio, so they are a task of
+    their own per (cluster, seed), and only self-BLEU's subsample reads the
+    seed. The property tasks and the chain cells run in one ``_pool.outcomes``
+    round, property tasks first. A cell is recorded in ``failures`` with its
+    chain's error if the chain raised, else with its properties' error if
+    those raised, in cell order."""
     records = read_records_jsonl(spec.corpus_path)
     clusters = read_jsonl(spec.cluster_manifest, required=("cluster_id", "record_indices"))
     indices = {c["cluster_id"]: c["record_indices"] for c in clusters}
 
-    def run_cell(cluster_id, ratio, seed):
+    def run_task(cluster_id, seed, ratio=None):
+        """A cell's relative metrics, or without a ratio the cluster's properties."""
         members = [records[i] for i in indices[cluster_id]]
+        if ratio is None:
+            texts = [m.text for m in members]
+            return [metrics.self_bleu(texts, seed=seed), metrics.word_entropy(texts),
+                    metrics.type_token_ratio(texts), metrics.avg_text_length(texts)]
         trace = run_chain(_chain_config(spec, ratio, seed),
                           HumanCorpus(members, seed=seed), default_factory)
         rel = relative_metrics(trace)
         domain_rel = rel.get(None) or next(iter(rel.values()))
-        texts = [m.text for m in members]
-        return [cluster_id, float(ratio), seed,
-                self_bleu(texts, seed=seed), word_entropy(texts),
-                type_token_ratio(texts), avg_text_length(texts),
-                _or_blank(domain_rel.get("distinct_count")),
+        return [_or_blank(domain_rel.get("distinct_count")),
                 _or_blank(domain_rel.get("word_entropy"))]
 
+    property_tasks = [{"cluster_id": c, "seed": s} for c in indices for s in spec.seeds]
     cells = [{"cluster_id": c["cluster_id"], "ratio": r, "seed": s}
              for c in clusters for r in spec.ratios for s in spec.seeds]
+    outcomes = _pool.outcomes(run_task, property_tasks + cells)
+    properties = {(task["cluster_id"], task["seed"]): outcome
+                  for task, outcome in zip(property_tasks, outcomes)}
+    rows = []
+    for cell, (finished, value) in zip(cells, outcomes[len(property_tasks):]):
+        computed, props = properties[cell["cluster_id"], cell["seed"]]
+        if not (finished and computed):
+            failures.append({"cell": cell, "error": props if finished else value})
+        else:
+            rows.append([cell["cluster_id"], float(cell["ratio"]), cell["seed"], *props, *value])
     store.add_csv("observations.csv",
                   ["cluster_id", "ratio", "seed", "lexical_diversity",
                    "word_entropy", "type_token_ratio", "text_length",
                    "rel_distinct_count", "rel_word_entropy"],
-                  sorted(_run_cells(cells, run_cell, failures),
-                         key=lambda r: (r[0], r[1], r[2])))
+                  sorted(rows, key=lambda r: (r[0], r[1], r[2])))
 
 
 def _check_param_types(section: str, given: dict, config) -> None:

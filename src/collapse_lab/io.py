@@ -185,11 +185,14 @@ def read_embeddings(path) -> np.ndarray:
     with _open_input(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            for i, row in enumerate(reader):
+            first = True  # the first non-blank row may be a header line
+            for row in reader:
                 if not row:
                     continue
-                if i == 0 and not _is_float(row[-1]):
-                    continue  # header line
+                if first:
+                    first = False
+                    if not _is_float(row[-1]):
+                        continue
                 try:
                     rows.append([float(v) for v in row[1:]])
                 except ValueError as exc:
@@ -224,9 +227,9 @@ def read_csv(path) -> list[dict]:
 
 def write_csv(path, header: list[str], rows) -> None:
     """Write a tidy CSV with shortest round-trip float formatting so reruns
-    are byte-identical."""
+    are byte-identical: ``csv`` writes a float, numpy's included, as its
+    ``str``, which is that form."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        w.writerows(rows)

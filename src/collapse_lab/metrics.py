@@ -167,14 +167,21 @@ def self_bleu(texts: list[str], seed: int = 0) -> float:
     tokens are neither scored nor used as references.
 
     The value is bit-identical to calling ``bleu`` on each text with the
-    others as references, but each text's n-gram counts are built once. Per
-    n-gram the largest count over the batch, the text holding it and the
-    second-largest count are kept. Every other text's count is at most the
-    largest, so against the others a text loses clipped counts only on the
-    n-grams it holds the largest count of, down to the second-largest. The
-    cost is linear in the batch's tokens. Batches larger than
-    ``SELF_BLEU_MAX_TEXTS`` are subsampled (seeded), which bounds that cost and
-    fixes the size of the reference set the score depends on.
+    others as references. Per n-gram the largest count over the batch, the
+    text holding it and the second-largest count are kept. Every other
+    text's count is at most the largest, so against the others a text loses
+    clipped counts only on the n-grams it holds the largest count of, down to
+    the second-largest.
+
+    The n-grams are integer codes, not tuples: each token gets an id once per
+    batch, and an n-gram's code is its (n-1)-gram's code times the vocabulary
+    size V plus the next token's id, renumbered densely. So every code stays
+    below the batch's token count T, and no intermediate value exceeds T**2,
+    which fits in int64 for batches under about 3e9 tokens. One ``np.unique``
+    per n counts the (code, text) pairs. Past ``tokenize``, the cost is a few
+    sorts of T integers per n. Batches larger than ``SELF_BLEU_MAX_TEXTS``
+    are subsampled (seeded), which bounds that cost and fixes the size of the
+    reference set the score depends on.
     """
     if len(texts) < 2:
         raise InvalidInputError("self-BLEU needs at least 2 texts")
@@ -186,32 +193,39 @@ def self_bleu(texts: list[str], seed: int = 0) -> float:
     if len(token_lists) < 2:
         raise InvalidInputError("no scorable texts after tokenization")
 
-    # best[n - 1][ngram] = [largest count, text holding it, second-largest count]
-    best = [{} for _ in range(SELF_BLEU_MAX_N)]
-    for i, tokens in enumerate(token_lists):
-        for n, table in enumerate(best, start=1):
-            for ngram, cnt in _ngram_counts(tokens, n).items():
-                slot = table.get(ngram)
-                if slot is None:
-                    table[ngram] = [cnt, i, 0]
-                elif cnt > slot[0]:
-                    slot[:] = [cnt, i, slot[0]]
-                elif cnt > slot[2]:
-                    slot[2] = cnt
-    # lost[i][n - 1]: text i's n-gram count minus its clipped count
-    lost = [[0] * SELF_BLEU_MAX_N for _ in token_lists]
-    for n, table in enumerate(best):
-        for top, owner, second in table.values():
-            lost[owner][n] += top - second
+    vocab: dict = {}
+    ids = np.array([vocab.setdefault(tok, len(vocab))
+                    for tokens in token_lists for tok in tokens], dtype=np.int64)
+    sizes = np.array([len(tokens) for tokens in token_lists])
+    owner_of = np.repeat(np.arange(len(token_lists)), sizes)
+    # tokens from each position to the end of its text
+    left = np.repeat(np.cumsum(sizes), sizes) - np.arange(ids.size)
+    # lost[i, n - 1]: text i's n-gram count minus its clipped count
+    lost = np.zeros((len(token_lists), SELF_BLEU_MAX_N), dtype=np.int64)
+    codes = ids
+    for n in range(1, SELF_BLEU_MAX_N + 1):
+        if n > 1:
+            # code < T, so code * V + id < T**2: int64 holds it below 3e9 tokens
+            _, codes = np.unique(codes[:-1] * len(vocab) + ids[n - 1:], return_inverse=True)
+        inside = left[:codes.size] >= n  # the n-gram ends in the text it starts in
+        pairs, counts = np.unique(codes[inside] * len(token_lists) + owner_of[:codes.size][inside],
+                                  return_counts=True)
+        code, text = np.divmod(pairs, len(token_lists))
+        # per code, its texts' counts from the largest down; a -1 code ends the last run
+        order = np.lexsort((-counts, code))
+        code, text = np.append(code[order], -1), text[order]
+        counts = np.append(counts[order], 0)
+        top = np.flatnonzero(np.diff(code[:-1], prepend=-1))  # each code's largest count
+        second = np.where(code[top + 1] == code[top], counts[top + 1], 0)
+        np.add.at(lost[:, n - 1], text[top], counts[top] - second)
+    lost = lost.tolist()
 
+    # each length's closest other reference length, ties to the shorter
     lengths = Counter(map(len, token_lists))
-    scores = []
-    for i, cand in enumerate(token_lists):
-        c = len(cand)
-        r = min((L for L, k in lengths.items() if L != c or k > 1),
-                key=lambda L: (abs(L - c), L))
-        scores.append(_bleu_from_clips(c, r, lost[i]))
-    return float(np.mean(scores))
+    closest = {c: min((L for L, k in lengths.items() if L != c or k > 1),
+                      key=lambda L: (abs(L - c), L)) for c in lengths}
+    return float(np.mean([_bleu_from_clips(len(cand), closest[len(cand)], clips)
+                          for cand, clips in zip(token_lists, lost)]))
 
 
 def _bleu_from_clips(c: int, r: int, lost: list[int]) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -131,6 +132,29 @@ class TestRunChain:
                     assert r2[domain] is None
                 else:
                     assert r1[domain].values == r2[domain].values
+
+    # sha256 of every generation's metric values in the paper-size cell below
+    PAPER_CELL = "835a8a14d0dfc2a5dcb927c2ca465795577c1fd6c6805aa5fff0a79ff4b65e55"
+
+    def test_paper_size_cell(self):
+        """ChainConfig's defaults are the paper's sizes: 20 generations, 8000
+        initial human texts, 4000 per generation, and a 250-text evaluation
+        batch, drawn from each generation's 2000 synthetic texts, with
+        self-BLEU. The corpus holds the 48,000 human texts the chain draws:
+        Zipf-distributed words, 4-24 per text."""
+        rng = np.random.default_rng(2024)
+        words = np.array([f"w{i}" for i in range(400)] + ["the,", "a.", "(of)", "..."])
+        weights = 1 / np.arange(1, words.size + 1)
+        sizes = rng.integers(4, 25, size=48_000)
+        drawn = words[rng.choice(words.size, size=sizes.sum(), p=weights / weights.sum())]
+        texts = [" ".join(chunk) for chunk in np.split(drawn, np.cumsum(sizes)[:-1])]
+        cfg = ChainConfig(ratio=0.5, seed=0)
+        trace = run_chain(cfg, HumanCorpus([TextRecord(text=t) for t in texts], seed=0),
+                          default_factory)
+        values = [report.values for per_domain in trace.reports for report in per_domain.values()]
+        assert len(values) == cfg.generations and "self_bleu" in values[0]
+        blob = json.dumps(values, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.PAPER_CELL
 
     def test_ratio_zero_trains_on_humans_only(self):
         cfg = small_config(ratio=0.0, eval_sample=1)

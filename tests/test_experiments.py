@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapse_lab import _pool, experiments, toy
+from collapse_lab import _pool, experiments, metrics, toy
 from collapse_lab.chain import ChainConfig, TextRecord
 from collapse_lab.errors import InvalidConfigError, InvalidInputError
 from collapse_lab.cli import main
@@ -24,6 +24,7 @@ from collapse_lab.experiments import (
 from collapse_lab.io import (
     read_embeddings,
     read_records_jsonl,
+    write_csv,
     write_embeddings_emb1,
     write_records_jsonl,
 )
@@ -532,6 +533,12 @@ class TestEmbeddingIo:
         emb = read_embeddings(path)
         np.testing.assert_allclose(emb, [[1.5, 2.5], [3.0, 4.0]])
 
+    def test_csv_header_after_blank_lines(self, tmp_path):
+        """The first non-blank row is the header line, wherever it starts."""
+        path = tmp_path / "emb.csv"
+        path.write_text("\n\nid,x,y\n0,1.5,2.5\n\n1,3.0,4.0\n")
+        np.testing.assert_array_equal(read_embeddings(path), [[1.5, 2.5], [3.0, 4.0]])
+
     def test_records_round_trip(self, tmp_path):
         records = [
             TextRecord(text="hello", domain="d", annotations={"quality": 50}),
@@ -544,6 +551,19 @@ class TestEmbeddingIo:
         assert back[0].annotations == {"quality": 50}
         assert back[1].source == "synthetic"
         assert back[1].generation == 2
+
+
+class TestWriteCsv:
+    def test_numpy_floats_and_plain_cells(self, tmp_path):
+        """numpy floats are written in their shortest round-trip form, as
+        Python floats are; None is blank, and a comma is quoted."""
+        path = tmp_path / "t.csv"
+        write_csv(path, ["f64", "f32", "float", "int", "bool", "none", "text"],
+                  [[np.float64(0.1), np.float32(0.25), 1 / 3, 7, True, None, "a,b"],
+                   [np.float64(1e16), np.float32(0.1), 1e-20, -2, False, "", "c"]])
+        assert path.read_bytes() == (b"f64,f32,float,int,bool,none,text\r\n"
+                                     b'0.1,0.25,0.3333333333333333,7,True,,"a,b"\r\n'
+                                     b"1e+16,0.1,1e-20,-2,False,,c\r\n")
 
 
 class TestClusterRegressionExperiment:
@@ -721,27 +741,60 @@ class TestForkedCells:
         assert (runs[1]["failures"] != []) == (kind != "toy")
 
     def test_a_dying_worker_fails_only_its_own_cell(self, tmp_path, monkeypatch):
-        """The first cell ends its worker process with os._exit while the
-        other cells are running or queued. It is recorded as
-        BrokenProcessPool; the cells the broken pool held run again and their
-        rows are written."""
+        """The ratio-1 cell, the costliest and so the first submitted, ends
+        its worker process with os._exit while the other cells are running
+        or queued. It is recorded as BrokenProcessPool; the cells the broken
+        pool held run again and their rows are written."""
         clean = _artifacts(run_experiment(_grid_spec(tmp_path / "clean", "toy")))
         run_toy_chain = toy.run_toy_chain
 
-        def dies_at_zero(cfg):
-            if cfg.ratio == 0.0:
+        def dies_at_one(cfg):
+            if cfg.ratio == 1.0:
                 os._exit(3)
             time.sleep(0.05)  # still busy when the first cell's worker dies
             return run_toy_chain(cfg)
 
-        monkeypatch.setattr(toy, "run_toy_chain", dies_at_zero)
+        monkeypatch.setattr(toy, "run_toy_chain", dies_at_one)
         monkeypatch.setattr(_pool, "_cpu_count", lambda: 2)
         broken = _artifacts(run_experiment(_grid_spec(tmp_path / "broken", "toy")))
         assert multiprocessing.active_children() == []
-        assert [f["cell"] for f in broken["failures"]] == [{"ratio": 0.0}]
+        assert [f["cell"] for f in broken["failures"]] == [{"ratio": 1.0}]
         assert broken["failures"][0]["error"].startswith("BrokenProcessPool: ")
         for name in ("toy_trace.csv", "toy_aggregate.csv"):
             header, *rows = clean[name].decode().splitlines(keepends=True)
             column = header.split(",").index("r")
-            kept = [row for row in rows if float(row.split(",")[column]) != 0.0]
+            kept = [row for row in rows if float(row.split(",")[column]) != 1.0]
             assert broken[name].decode() == header + "".join(kept)
+
+    # sha256 of the failures list below, as written when each cell computed
+    # its cluster's properties itself, after its chain
+    PROPERTY_FAILURES = "8270411e4559b681602267ca1b3bfeafba1a4bb49f7987f76f59e0ab78013c8e"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_property_failures_follow_chain_failures(self, tmp_path, monkeypatch, workers):
+        """Self-BLEU raises for clusters 0 and 2, which both start at record
+        0. Cluster 0's chains finish, so its cells record the property error;
+        cluster 2's chains raise first, so its cells keep their
+        DataExhaustedError. Both are listed in cell order, and only cluster
+        1's rows are written."""
+        self_bleu = metrics.self_bleu
+
+        def fails_from_record_zero(texts, seed=0):
+            if texts[0].endswith(" item 0"):
+                raise InvalidInputError("no self-BLEU for this cluster")
+            return self_bleu(texts, seed=seed)
+
+        monkeypatch.setattr(metrics, "self_bleu", fails_from_record_zero)
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: workers)
+        run = _artifacts(run_experiment(_grid_spec(tmp_path, "cluster-regression")))
+        assert multiprocessing.active_children() == []
+        cells = [{"cluster_id": c, "ratio": r, "seed": s}
+                 for c in (0, 2) for r in (0.25, 0.5) for s in (0, 1)]
+        assert [f["cell"] for f in run["failures"]] == cells
+        assert [f["error"] for f in run["failures"][:4]] == [
+            "InvalidInputError: no self-BLEU for this cluster"] * 4
+        assert all(f["error"].startswith("DataExhaustedError: ") for f in run["failures"][4:])
+        _, *rows = run["observations.csv"].decode().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["1"] * 4
+        blob = json.dumps(run["failures"], sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.PROPERTY_FAILURES

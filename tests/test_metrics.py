@@ -153,11 +153,15 @@ _TEXT = st.lists(st.sampled_from(_WORDS), max_size=7).map(" ".join)
 # Drawing a batch from a smaller pool of texts makes duplicate texts common.
 _BATCH = st.lists(_TEXT, min_size=1, max_size=6).flatmap(
     lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=9))
+# More words, longer texts and larger batches: n-gram codes outnumber the
+# vocabulary, and a top count is often shared by three or more texts.
+_WIDE_BATCH = st.lists(st.lists(st.sampled_from([f"w{i}" for i in range(40)]),
+                                max_size=20).map(" ".join), min_size=2, max_size=40)
 
 
 class TestSelfBleuOracle:
-    @given(_BATCH)
-    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_BATCH, _WIDE_BATCH))
+    @settings(max_examples=800, deadline=None)
     def test_equals_pairwise_bleu(self, texts):
         try:
             expected = _pairwise_self_bleu(texts)
