@@ -6,8 +6,9 @@ Run: python demos/chain_collapse.py
 
 import time
 
-from collapse_lab.chain import ChainConfig, HumanCorpus, TextRecord, relative_metrics, run_chain
+from collapse_lab.chain import ChainConfig, HumanCorpus, relative_metrics, run_chain
 from collapse_lab.generators import default_factory
+from collapse_lab.io import TextRecord
 
 
 def corpus(n, seed):

@@ -1,5 +1,5 @@
 """The iterative chain: an accumulation pool is grown generation by generation
-with a mix of freshly sampled human records and records produced by generators
+with a mix of freshly sampled human texts and texts produced by generators
 trained on samples from the pool. Fresh generator instances every generation,
 seeded rotation over generator kinds, multi-domain balancing, per-generation
 evaluation and relative (final / generation-0) metrics.
@@ -18,10 +18,9 @@ from .errors import (
     InvalidInputError,
     InvalidTraceError,
 )
-from .io import HUMAN, SYNTHETIC, TextRecord
+from .io import HUMAN
 
 __all__ = [
-    "TextRecord",
     "DataPool",
     "HumanCorpus",
     "ChainConfig",
@@ -45,63 +44,64 @@ EVAL_METRICS = tuple(_EVALUATORS)
 
 
 class DataPool:
-    """Ordered record store with per-generation insertion markers."""
+    """Texts and their domains in insertion order, with per-generation
+    markers. A generation adds its synthetic texts before its human ones."""
 
     def __init__(self):
-        self._records: list[TextRecord] = []
-        self._markers: list[tuple[int, int]] = []  # (generation, end offset)
+        self._texts: list[str] = []
+        self._domains: list = []
+        self._markers: list[tuple[int, int, int]] = []  # (generation, end offset, synthetic)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._texts)
 
-    def add_generation(self, generation: int, records: list[TextRecord]) -> None:
-        self._records.extend(records)
-        self._markers.append((generation, len(self._records)))
+    def add_generation(self, generation: int, texts: list, domains: list, synthetic: int) -> None:
+        """Append one generation's texts, the first ``synthetic`` of them generated."""
+        self._texts.extend(texts)
+        self._domains.extend(domains)
+        self._markers.append((generation, len(self._texts), synthetic))
 
     def counts_for(self, generation: int) -> dict:
         start = 0
-        for gen, end in self._markers:
+        for gen, end, synthetic in self._markers:
             if gen == generation:
-                chunk = self._records[start:end]
-                return {
-                    "total": len(chunk),
-                    "synthetic": sum(1 for r in chunk if r.source == SYNTHETIC),
-                    "human": sum(1 for r in chunk if r.source == HUMAN),
-                }
+                return {"total": end - start, "synthetic": synthetic,
+                        "human": end - start - synthetic}
             start = end
         raise InvalidInputError(f"no insertion marker for generation {generation}")
 
-    def sample(self, n: int, rng: np.random.Generator) -> list[TextRecord]:
-        if n > len(self._records):
+    def sample(self, n: int, rng: np.random.Generator) -> tuple[list[str], list]:
+        if n > len(self._texts):
             raise InvalidInputError(
-                f"pool underflow: asked for {n} of {len(self._records)} records")
-        idx = rng.choice(len(self._records), size=n, replace=False)
-        return [self._records[i] for i in idx]
+                f"pool underflow: asked for {n} of {len(self._texts)} texts")
+        idx = rng.choice(len(self._texts), size=n, replace=False).tolist()
+        return [self._texts[i] for i in idx], [self._domains[i] for i in idx]
 
 
 class HumanCorpus:
     """Sequential sampler over a seeded shuffle of a human record list, so
-    freshly sampled records never repeat within a chain."""
+    freshly sampled texts never repeat within a chain."""
 
-    def __init__(self, records: list[TextRecord], seed: int = 0):
+    def __init__(self, records: list, seed: int = 0):
         for r in records:
             if r.source != HUMAN:
                 raise InvalidInputError("corpus must contain human records only")
         rng = np.random.default_rng(seed)
-        order = rng.permutation(len(records))
-        self._records = [records[i] for i in order]
+        order = rng.permutation(len(records)).tolist()
+        self._texts = [records[i].text for i in order]
+        self._domains = [records[i].domain for i in order]
         self._cursor = 0
 
     @property
     def remaining(self) -> int:
-        return len(self._records) - self._cursor
+        return len(self._texts) - self._cursor
 
-    def draw(self, n: int, generation: int) -> list[TextRecord]:
+    def draw(self, n: int, generation: int) -> tuple[list[str], list]:
         if n > self.remaining:
             raise DataExhaustedError(generation, n, self.remaining)
-        out = self._records[self._cursor:self._cursor + n]
+        lo = self._cursor
         self._cursor += n
-        return out
+        return self._texts[lo:self._cursor], self._domains[lo:self._cursor]
 
 
 @dataclass
@@ -132,6 +132,8 @@ class ChainConfig:
             raise InvalidConfigError("at least one generator kind is required")
         if not self.domains:
             raise InvalidConfigError("at least one domain tag is required")
+        if len(set(self.domains)) != len(self.domains):
+            raise InvalidConfigError(f"domain tags must be distinct, got {list(self.domains)}")
         if not set(self.eval_metrics) <= set(EVAL_METRICS):
             raise InvalidConfigError(f"eval_metrics must be drawn from {list(EVAL_METRICS)}")
         if len(self.domains) > 1 and self.per_gen_total % len(self.domains) != 0:
@@ -182,12 +184,12 @@ def advance_generation(pool: DataPool, corpus: HumanCorpus, generators: list,
     """Train, generate, and grow the pool for one generation. Returns the
     generated batch as {domain: [texts]}."""
     if g == 0:
-        training = corpus.draw(cfg.initial_human, generation=g)
+        texts, domains = corpus.draw(cfg.initial_human, generation=g)
     else:
-        training = pool.sample(cfg.per_gen_total, rng)
+        texts, domains = pool.sample(cfg.per_gen_total, rng)
 
     for gen_model in generators:
-        gen_model.train(training)
+        gen_model.train(texts, domains)
 
     n_syn = cfg.synthetic_per_generation
     batch: dict = {d: [] for d in cfg.domains}
@@ -199,22 +201,20 @@ def advance_generation(pool: DataPool, corpus: HumanCorpus, generators: list,
                 if quota:
                     batch[domain].extend(gen_model.generate(quota, domain=domain))
 
-    synthetic_records = [
-        TextRecord(text=t, source=SYNTHETIC, generation=g, domain=d)
-        for d in cfg.domains for t in batch[d]
-    ]
-    n_hum = cfg.per_gen_total - n_syn
-    human_records = corpus.draw(n_hum, generation=g) if n_hum else []
-    pool.add_generation(g, synthetic_records + human_records)
+    synthetic = [t for d in cfg.domains for t in batch[d]]
+    human_texts, human_domains = corpus.draw(cfg.per_gen_total - n_syn, generation=g)
+    pool.add_generation(g, synthetic + human_texts,
+                        [d for d in cfg.domains for _ in batch[d]] + human_domains,
+                        synthetic=len(synthetic))
     return batch
 
 
 def run_chain(cfg: ChainConfig, corpus: HumanCorpus, generator_factory) -> ChainTrace:
     """Run the full chain. ``generator_factory(kind, seed)`` must return a
-    fresh generator, with ``train(records)`` and ``generate(n, domain)``,
-    which returns exactly n strings, deterministic for the seed; no
-    generator state survives a generation. Each generation draws its
-    generator kind from ``cfg.generator_kinds``."""
+    fresh generator, with ``train(texts, domains)`` (two aligned lists) and
+    ``generate(n, domain)``, which returns exactly n strings, deterministic
+    for the seed; no generator state survives a generation. Each generation
+    draws its generator kind from ``cfg.generator_kinds``."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     pool = DataPool()

@@ -23,10 +23,11 @@ _DROPOUT_RATE = 0.2
 
 
 class ResamplerGenerator:
-    """Stores its training texts and generates by sampling them uniformly with
-    replacement. With ``smoothing`` > 0, each generated text is perturbed with
-    that probability by token dropout (each token dropped with probability
-    0.2, at least one token kept)."""
+    """``train(texts, domains)`` stores the texts by domain; ``generate(n,
+    domain)`` returns exactly n strings, drawn uniformly with replacement from
+    that domain's texts (from all texts for an unseen domain). With
+    ``smoothing`` > 0, each is perturbed with that probability by token
+    dropout (each token dropped with probability 0.2, at least one kept)."""
 
     def __init__(self, seed: int = 0, smoothing: float = 0.0):
         if not 0.0 <= smoothing <= 1.0:
@@ -36,16 +37,12 @@ class ResamplerGenerator:
         self._texts: list[str] | None = None
         self._by_domain: dict | None = None
 
-    def train(self, records) -> None:
-        texts = []
-        by_domain: dict = {}
-        for r in records:
-            text = r.text if hasattr(r, "text") else str(r)
-            domain = getattr(r, "domain", None)
-            texts.append(text)
-            by_domain.setdefault(domain, []).append(text)
+    def train(self, texts: list[str], domains: list) -> None:
         if not texts:
-            raise InvalidInputError("cannot train on an empty record list")
+            raise InvalidInputError("cannot train on an empty text list")
+        by_domain: dict = {}
+        for text, domain in zip(texts, domains, strict=True):
+            by_domain.setdefault(domain, []).append(text)
         self._texts = texts
         self._by_domain = by_domain
 
@@ -97,9 +94,10 @@ class GeneratorEndpointConfig:
 
 class ExternalGenerator:
     """Adapter that turns a remote text-generation service into a chain
-    generator. Training is a no-op; generation posts JSON requests
-    {"model", "n", "domain", "temperature", "min_p"} and expects a JSON
-    response {"texts": [...]} with exactly the requested count.
+    generator. ``train(texts, domains)`` is a no-op; ``generate(n, domain)``
+    posts JSON requests {"model", "n", "domain", "temperature", "min_p"} and
+    expects a JSON response {"texts": [...]} with exactly the requested count,
+    so it returns exactly n strings.
 
     ``transport(url, payload, timeout) -> dict`` may be injected for testing;
     the default posts over HTTP with ``_http.post_json``.
@@ -109,7 +107,7 @@ class ExternalGenerator:
         self._cfg = cfg
         self._transport = transport or post_json
 
-    def train(self, records) -> None:  # remote backends manage their own state
+    def train(self, texts: list[str], domains: list) -> None:  # remote state is the backend's
         return None
 
     def generate(self, n: int, domain: str | None = None) -> list[str]:

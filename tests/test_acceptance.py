@@ -12,11 +12,11 @@ import math
 import numpy as np
 from scipy import stats as sps
 
-from collapse_lab.chain import ChainConfig, HumanCorpus, TextRecord, run_chain
+from collapse_lab.chain import ChainConfig, HumanCorpus, run_chain
 from collapse_lab.clustering import dbscan, gmm_em, propagate_labels
 from collapse_lab.experiments import ExperimentSpec, run_experiment
 from collapse_lab.generators import default_factory
-from collapse_lab.io import write_records_jsonl
+from collapse_lab.io import TextRecord, write_records_jsonl
 from collapse_lab.judge import JudgeConfig, annotate_lean, build_lean_mixture
 from collapse_lab.metrics import (
     bleu,

@@ -6,12 +6,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from collapse_lab import chain as chain_mod
 from collapse_lab import metrics
 from collapse_lab.chain import (
     EVAL_METRICS,
     ChainConfig,
+    DataPool,
     HumanCorpus,
-    TextRecord,
     evaluate_batch,
     relative_metrics,
     run_chain,
@@ -30,14 +31,33 @@ from collapse_lab.generators import (
     ResamplerGenerator,
     default_factory,
 )
+from collapse_lab.io import TextRecord
+
+
+def corpus_text(i, prefix="human"):
+    return f"{prefix} text number {i} with some words"
 
 
 def make_corpus(n, seed=0, prefix="human", domains=(None,)):
     records = []
     for i in range(n):
-        records.append(TextRecord(text=f"{prefix} text number {i} with some words",
-                                  domain=domains[i % len(domains)]))
+        records.append(TextRecord(text=corpus_text(i, prefix), domain=domains[i % len(domains)]))
     return HumanCorpus(records, seed=seed)
+
+
+def run_counting(monkeypatch, cfg, corpus, factory=default_factory):
+    """run_chain, returning the pool's counts_for(g) taken after each generation g."""
+    counts = []
+    original = chain_mod.advance_generation
+
+    def spy(pool, corpus_, generators, cfg_, g, rng):
+        out = original(pool, corpus_, generators, cfg_, g, rng)
+        counts.append(pool.counts_for(g))
+        return out
+
+    monkeypatch.setattr(chain_mod, "advance_generation", spy)
+    run_chain(cfg, corpus, factory)
+    return counts
 
 
 def small_config(**overrides):
@@ -73,38 +93,61 @@ class TestPoolAccounting:
         trace2 = run_chain(cfg, corpus2, default_factory)
         assert trace2.pool_sizes == trace.pool_sizes
 
-    def test_per_generation_synthetic_counts(self):
-        cfg = small_config(ratio=0.33, eval_sample=5)
-        corpus = make_corpus(cfg.initial_human + cfg.generations * cfg.per_gen_total)
-
-        pools = []
-
-        from collapse_lab import chain as chain_mod
-
-        original = chain_mod.advance_generation
-
-        def spy(pool, corpus, generators, cfg_, g, rng):
-            out = original(pool, corpus, generators, cfg_, g, rng)
-            pools.append(pool.counts_for(g))
-            return out
-
-        chain_mod.advance_generation = spy
-        try:
-            run_chain(cfg, corpus, default_factory)
-        finally:
-            chain_mod.advance_generation = original
+    @pytest.mark.parametrize("domains, models", [((None,), 1), (("a", "b"), 2)])
+    def test_per_generation_synthetic_counts(self, monkeypatch, domains, models):
+        cfg = small_config(ratio=0.33, eval_sample=5, domains=domains,
+                           models_per_generation=models)
+        corpus = make_corpus(cfg.initial_human + cfg.generations * cfg.per_gen_total,
+                             domains=domains)
+        pools = run_counting(monkeypatch, cfg, corpus)
 
         n_syn = int(np.floor(cfg.per_gen_total * cfg.ratio))
+        assert len(pools) == cfg.generations
         for counts in pools:
             assert counts["synthetic"] == n_syn
             assert counts["human"] == cfg.per_gen_total - n_syn
             assert counts["total"] == cfg.per_gen_total
 
 
+class TestPoolAndCorpus:
+    def test_sample_underflow(self):
+        pool = DataPool()
+        pool.add_generation(0, ["a", "b"], [None, None], synthetic=1)
+        with pytest.raises(InvalidInputError, match="asked for 3 of 2 texts"):
+            pool.sample(3, np.random.default_rng(0))
+
+    def test_counts_for_unknown_generation(self):
+        pool = DataPool()
+        pool.add_generation(0, ["a", "b", "c"], ["x", "x", "y"], synthetic=1)
+        assert pool.counts_for(0) == {"total": 3, "synthetic": 1, "human": 2}
+        with pytest.raises(InvalidInputError, match="no insertion marker for generation 1"):
+            pool.counts_for(1)
+
+    def test_draw_keeps_texts_and_domains_aligned(self):
+        records = [TextRecord(text=f"t{i}", domain=f"d{i}") for i in range(50)]
+        corpus = HumanCorpus(records, seed=3)
+        texts, domains = corpus.draw(30, generation=0)
+        more_texts, more_domains = corpus.draw(20, generation=1)
+        texts, domains = texts + more_texts, domains + more_domains
+        assert texts != [r.text for r in records]  # shuffled
+        assert sorted(texts) == sorted(r.text for r in records)  # each text once
+        assert domains == [t.replace("t", "d") for t in texts]
+        assert corpus.remaining == 0
+
+    def test_corpus_rejects_synthetic_records(self):
+        with pytest.raises(InvalidInputError, match="human records only"):
+            HumanCorpus([TextRecord(text="x", source="synthetic", generation=0)])
+
+
 class TestRunChain:
     def test_eval_sample_invariant(self):
         with pytest.raises(InvalidConfigError):
             small_config(ratio=0.1, per_gen_total=40, eval_sample=10).validate()
+
+    def test_repeated_domain_tags_rejected(self):
+        """A repeated tag would add its synthetic batch once per repetition."""
+        with pytest.raises(InvalidConfigError, match="domain tags must be distinct"):
+            small_config(domains=("a", "a")).validate()
 
     def test_fresh_generator_every_generation(self):
         cfg = small_config()
@@ -156,18 +199,23 @@ class TestRunChain:
         blob = json.dumps(values, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == self.PAPER_CELL
 
-    def test_ratio_zero_trains_on_humans_only(self):
+    def test_ratio_zero_trains_on_humans_only(self, monkeypatch):
         cfg = small_config(ratio=0.0, eval_sample=1)
-        corpus = make_corpus(cfg.initial_human + cfg.generations * cfg.per_gen_total)
-        seen_sources = []
+        n = cfg.initial_human + cfg.generations * cfg.per_gen_total
+        seen = []
 
         class SpyGenerator(ResamplerGenerator):
-            def train(self, records):
-                seen_sources.extend(r.source for r in records)
-                super().train(records)
+            def train(self, texts, domains):
+                seen.extend(texts)
+                super().train(texts, domains)
 
-        run_chain(cfg, corpus, lambda kind, seed: SpyGenerator(seed=seed))
-        assert seen_sources and all(s == "human" for s in seen_sources)
+            def generate(self, n, domain=None):
+                return ["generated"] * n
+
+        counts = run_counting(monkeypatch, cfg, make_corpus(n),
+                              lambda kind, seed: SpyGenerator(seed=seed))
+        assert [c["synthetic"] for c in counts] == [0] * cfg.generations
+        assert seen and set(seen) <= {corpus_text(i) for i in range(n)}
 
     def test_ratio_zero_skips_evaluation_with_marker(self):
         cfg = small_config(ratio=0.0, eval_sample=1)
@@ -198,9 +246,9 @@ class TestRunChain:
         sizes = []
 
         class SpyGenerator(ResamplerGenerator):
-            def train(self, records):
-                sizes.append(len(records))
-                super().train(records)
+            def train(self, texts, domains):
+                sizes.append(len(texts))
+                super().train(texts, domains)
 
         run_chain(cfg, corpus, lambda kind, seed: SpyGenerator(seed=seed))
         assert sizes[0] == cfg.initial_human
@@ -269,7 +317,7 @@ class TestResamplerGenerator:
 
     def test_draws_from_training_set(self):
         gen = ResamplerGenerator(seed=1)
-        gen.train([TextRecord(text="a"), TextRecord(text="b")])
+        gen.train(["a", "b"], [None, None])
         out = gen.generate(40)
         assert set(out) <= {"a", "b"}
         assert len(out) == 40
@@ -278,18 +326,23 @@ class TestResamplerGenerator:
         out = []
         for _ in range(2):
             gen = ResamplerGenerator(seed=5)
-            gen.train([TextRecord(text=f"t{i}") for i in range(20)])
+            gen.train([f"t{i}" for i in range(20)], [None] * 20)
             out.append(gen.generate(30))
         assert out[0] == out[1]
 
     def test_domain_filtering(self):
         gen = ResamplerGenerator(seed=2)
-        gen.train([TextRecord(text="aa", domain="x"), TextRecord(text="bb", domain="y")])
+        gen.train(["aa", "bb"], ["x", "y"])
         assert set(gen.generate(10, domain="x")) == {"aa"}
+        assert set(gen.generate(10, domain="y")) == {"bb"}
+
+    def test_misaligned_domains_rejected(self):
+        with pytest.raises(ValueError):
+            ResamplerGenerator(seed=2).train(["aa", "bb"], ["x"])
 
     def test_smoothing_perturbs(self):
         gen = ResamplerGenerator(seed=3, smoothing=1.0)
-        gen.train([TextRecord(text="one two three four five six seven eight")])
+        gen.train(["one two three four five six seven eight"], [None])
         outs = set(gen.generate(20))
         assert len(outs) > 1  # dropout produced variants
 
@@ -308,7 +361,7 @@ class TestExternalGenerator:
             return {"texts": ["x"] * payload["n"]}
 
         gen = ExternalGenerator(self._config(), transport=transport)
-        gen.train([])
+        gen.train([], [])
         assert gen.generate(3) == ["x", "x", "x"]
         assert [c["n"] for c in calls] == [2, 1]  # batched
 

@@ -5,10 +5,15 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from collapse_lab.chain import TextRecord
 from collapse_lab.cli import main
 from collapse_lab.experiments import ExperimentSpec, run_experiment
-from collapse_lab.io import read_csv, write_embeddings_emb1, write_jsonl, write_records_jsonl
+from collapse_lab.io import (
+    TextRecord,
+    read_csv,
+    write_embeddings_emb1,
+    write_jsonl,
+    write_records_jsonl,
+)
 
 
 def test_toy_subcommand(tmp_path, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from collapse_lab import _pool, experiments, metrics, toy
-from collapse_lab.chain import ChainConfig, TextRecord
+from collapse_lab.chain import ChainConfig
 from collapse_lab.errors import InvalidConfigError, InvalidInputError
 from collapse_lab.cli import main
 from collapse_lab.experiments import (
@@ -22,6 +22,7 @@ from collapse_lab.experiments import (
     spec_hash,
 )
 from collapse_lab.io import (
+    TextRecord,
     read_embeddings,
     read_records_jsonl,
     write_csv,
@@ -284,6 +285,7 @@ class TestSpecLoading:
         ("chain", {"eval_sample": -3}, "eval_sample must be >= 1"),
         ("chain", {"eval_sample": 6}, r"eval_sample \(6\) exceeds .* synthetic count \(5\)"),
         ("chain", {"domains": ["a", "b", "c"]}, "divisible by the domain count"),
+        ("chain", {"domains": ["a", "a"]}, "domain tags must be distinct"),
         ("chain", {"eval_metrics": ["self_blue"]}, "eval_metrics must be drawn from"),
         ("cluster-regression", {"per_gen_total": 0}, "counts must be positive"),
         ("lean", {"left_fractions": [0.3]}, "left_fractions must be a list of values from"),
