@@ -62,11 +62,22 @@ def _as_points(points, min_rows=1) -> np.ndarray:
 # k-means
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_distances(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (n, k) from the points, given coordinate-major as
+    ``columns`` (d, n), to ``centers`` (k, d), summed one coordinate plane at
+    a time."""
+    d2 = (columns[0][:, None] - centers[:, 0]) ** 2
+    for c in range(1, len(columns)):
+        d2 += (columns[c][:, None] - centers[:, c]) ** 2
+    return d2
+
+
+def _kmeans_pp_init(points: np.ndarray, columns: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    closest = _sq_distances(columns, centers[:1])[:, 0]
     for i in range(1, k):
         total = closest.sum()
         if total == 0:
@@ -74,30 +85,41 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             continue
         probs = closest / total
         centers[i] = points[rng.choice(n, p=probs)]
-        closest = np.minimum(closest, np.sum((points - centers[i]) ** 2, axis=1))
+        closest = np.minimum(closest, _sq_distances(columns, centers[i:i + 1])[:, 0])
     return centers
 
 
 def kmeans(points, k: int, seed: int = 0) -> ClusterAssignment:
     """Lloyd's iteration from k-means++ seeding until the assignment reaches a
-    fixpoint or the iteration cap."""
+    fixpoint or the iteration cap.
+
+    Squared distances are summed one coordinate plane at a time over a
+    coordinate-major copy of the points, so each step works on (n, k) arrays.
+    Up to 7 dimensions that sum is bit for bit the row sum
+    ``((points[:, None, :] - centers) ** 2).sum(axis=2)``, as numpy adds fewer
+    than 8 terms in order; beyond that the two may differ in the last place.
+    The CLI's ``cluster`` command fits a 2-D projection. Each centre is the mean of its points' rows, in point order, taken as one
+    slice of the points grouped by a stable sort of the labels; an empty
+    cluster keeps its centre.
+    """
     points = _as_points(points)
     n = points.shape[0]
     if k < 1 or k > n:
         raise InvalidInputError(f"k must satisfy 1 <= k <= n (n={n}, k={k})")
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(points, k, rng)
+    columns = points.T.copy()
+    centers = _kmeans_pp_init(points, columns, k, rng)
     labels = np.full(n, -2)
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
+        new_labels = _sq_distances(columns, centers).argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                centers[j] = points[mask].mean(axis=0)
+        grouped = points[np.argsort(labels, kind="stable")]
+        counts = np.bincount(labels, minlength=k)
+        ends = np.cumsum(counts)
+        for j in np.flatnonzero(counts):
+            centers[j] = grouped[ends[j] - counts[j]:ends[j]].mean(axis=0)
     return ClusterAssignment(labels=labels, extras={"centers": centers})
 
 

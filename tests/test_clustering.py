@@ -92,13 +92,51 @@ def _log_gauss_reference(points, mean, cov):
     return -0.5 * (d * np.log(2 * np.pi) + log_det + maha)
 
 
+def _kmeans_pp_init_reference(points, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        if total == 0:
+            centers[i] = points[rng.integers(n)]
+            continue
+        probs = closest / total
+        centers[i] = points[rng.choice(n, p=probs)]
+        closest = np.minimum(closest, np.sum((points - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def kmeans_reference(points, k, seed=0):
+    """Lloyd's iteration from k-means++ seeding, with the distances broadcast
+    over (point, centre, coordinate) and each centre the mean of one boolean
+    mask's rows."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = _kmeans_pp_init_reference(points, k, rng)
+    labels = np.full(n, -2)
+    for _ in range(300):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                centers[j] = points[mask].mean(axis=0)
+    return clustering.ClusterAssignment(labels=labels, extras={"centers": centers})
+
+
 def gmm_em_reference(points, k, seed=0, ridged=None):
     """EM through _log_gauss_reference, with each component's covariance
     checked on its own in the M-step. Each component that takes the M-step's
     ridge is appended to ``ridged``."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    init = kmeans(points, k, seed=seed)
+    init = kmeans_reference(points, k, seed=seed)
     means = np.empty((k, d))
     covs = np.empty((k, d, d))
     weights = np.empty(k)
@@ -243,6 +281,70 @@ class TestKmeans:
         a = kmeans(pts, 4, seed=7).labels
         b = kmeans(pts, 4, seed=7).labels
         assert np.array_equal(a, b)
+
+
+class TestKmeansOracle:
+    """kmeans is kmeans_reference, bit for bit, up to 7 dimensions."""
+
+    @staticmethod
+    def _assert_same_fit(points, k, seed):
+        want = kmeans_reference(points, k, seed=seed)
+        got = kmeans(points, k, seed=seed)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.extras["centers"], want.extras["centers"])
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("k", [8, 12, 16, 20, 25])
+    def test_suite_layout(self, seed, k):
+        self._assert_same_fit(_suite_sample(seed), k, seed)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    def test_blobs(self, d):
+        self._assert_same_fit(_blobs(d, d), 5, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lattice_ties(self, d, seed):
+        """Rounded points on a small lattice: duplicates and exactly equal
+        distances, so argmin's first-index rule decides, and at d = 1, with
+        more centres than lattice values, the seeding repeats a centre whose
+        cluster stays empty."""
+        rng = np.random.default_rng(seed)
+        points = np.round(rng.uniform(0.0, 4.0, size=(120, d)))
+        got = self._assert_same_fit(points, 6, seed)
+        if d == 1:
+            assert len(np.unique(got.labels)) < 6
+
+    def test_plane_sums_are_the_row_sums(self):
+        """The squared distances are the broadcast row sums bit for bit up to
+        d = 7; from d = 8 on numpy sums a row pairwise, so only the rounding
+        bound is left."""
+        rng = np.random.default_rng(5)
+        for d in range(1, 11):
+            points = rng.normal(size=(300, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(300, d))
+            centers = points[rng.choice(300, size=7, replace=False)] + rng.normal(size=(7, d))
+            got = clustering._sq_distances(points.T.copy(), centers)
+            want = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            if d <= 7:
+                assert np.array_equal(got, want), d
+            else:
+                np.testing.assert_allclose(got, want, rtol=d * np.finfo(float).eps, atol=0)
+
+    def test_paper_scale(self):
+        # one 2-D fit at the paper's 90k projection points and the grid's
+        # largest k: the broadcast form of kmeans_reference peaks at about
+        # 69 MiB, the coordinate planes at about 38 MiB (two (n, k) arrays;
+        # numpy 2.4 on x86-64 Linux)
+        points = _suite_sample(0, n=90_000)
+        tracemalloc.start()
+        try:
+            out = kmeans(points, 25, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert np.bincount(out.labels, minlength=25).min() > 0
 
 
 class TestGmmEm:
