@@ -29,13 +29,13 @@ def outcomes(run, tasks: list[dict], order=None) -> list[tuple[bool, object]]:
 
 
 def _outcome(run, task: dict) -> tuple[bool, object]:
-    """(True, result) of a task, or (False, "Type: message") if it raised.
-    An exception is not sent back from a worker as itself: not every one
-    unpickles (DataExhaustedError's ``__init__`` takes three arguments)."""
+    """(True, result) of a task, or (False, exception) if it raised. A
+    worker sends the exception back as itself; every package error pickles
+    (``errors.CollapseLabError``)."""
     try:
         return True, run(**task)
     except Exception as exc:
-        return False, f"{type(exc).__name__}: {exc}"
+        return False, exc
 
 
 def _cpu_count() -> int:
@@ -68,7 +68,9 @@ def _forked_outcomes(context, workers: int, run, tasks: list[dict], order) -> li
     """``_outcome`` of each task, computed on ``workers`` forked processes. A
     worker that dies breaks the pool and leaves the tasks it had not finished
     without an outcome; each of those runs again alone in a fresh pool, so
-    only a task that kills its own worker fails, as BrokenProcessPool."""
+    only a task that kills its own worker fails, with BrokenProcessPool. So
+    does a task whose outcome pickles in its worker but does not unpickle
+    here: the pool breaks as it reads it."""
     outcomes, broken = _pool_outcomes(context, workers, run, tasks, order)
     for index in broken:
         outcomes.update(_pool_outcomes(context, 1, run, tasks, [index])[0])
@@ -77,8 +79,9 @@ def _forked_outcomes(context, workers: int, run, tasks: list[dict], order) -> li
 
 def _pool_outcomes(context, workers: int, run, tasks: list[dict], indices):
     """({index: outcome}, [index left by a broken pool]) for the tasks at
-    ``indices``, submitted in that order. The pool's processes are joined
-    before this returns."""
+    ``indices``, submitted in that order. A task whose outcome does not
+    pickle in its worker fails with the pickling error. The pool's processes
+    are joined before this returns."""
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     outcomes, broken = {}, []
@@ -89,9 +92,10 @@ def _pool_outcomes(context, workers: int, run, tasks: list[dict], indices):
         for index, future in futures.items():
             try:
                 outcomes[index] = future.result()
-            except BrokenProcessPool as exc:
-                outcomes[index] = False, f"{type(exc).__name__}: {exc}"
-                broken.append(index)
+            except Exception as exc:
+                outcomes[index] = False, exc
+                if isinstance(exc, BrokenProcessPool):
+                    broken.append(index)
     finally:
         # on an error, tasks not yet started are dropped rather than run
         pool.shutdown(wait=True, cancel_futures=True)

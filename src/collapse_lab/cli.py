@@ -150,6 +150,9 @@ def _cmd_cluster(args) -> int:
     from . import clustering
 
     points = read_embeddings(args.projection)
+    if points.shape[1] != 2:
+        raise InvalidInputError(f"{args.projection}: a projection has 2 components, "
+                                f"this one has {points.shape[1]}")
     records = read_records_jsonl(args.records)
     if points.shape[0] != len(records):
         raise InvalidInputError(f"projection rows ({points.shape[0]}) != records ({len(records)})")

@@ -408,9 +408,7 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
     candidates = []
     for task, (finished, propagated) in zip(fits, _pool.outcomes(fit, fits, order)):
         if not finished:
-            # a worker sends back only "Type: message": rerun the fit here so
-            # that it raises its own exception, as in one process
-            propagated = fit(**task)
+            raise propagated
         if propagated is None:
             continue
         params = {k: v for k, v in task.items() if k != "method"}

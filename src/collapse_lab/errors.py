@@ -1,8 +1,18 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class CollapseLabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    An error pickles as its ``args`` and attributes and unpickles without
+    calling ``__init__``, so every subclass, whatever its constructor takes,
+    comes back with the same type, message and attributes (the pool sends a
+    task's error back from its worker this way)."""
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidConfigError(CollapseLabError, ValueError):

@@ -277,8 +277,13 @@ def _run_cells(cells: list[dict], run_cell, failures: list, order=None) -> list:
         if finished:
             results.append(value)
         else:
-            failures.append({"cell": cell, "error": value})
+            failures.append(_failure(cell, value))
     return results
+
+
+def _failure(cell: dict, exc: Exception) -> dict:
+    """The manifest's record of a cell that failed with ``exc``."""
+    return {"cell": cell, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
@@ -414,7 +419,7 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
     for cell, (finished, value) in zip(cells, outcomes[len(property_tasks):]):
         computed, props = properties[cell["cluster_id"], cell["seed"]]
         if not (finished and computed):
-            failures.append({"cell": cell, "error": props if finished else value})
+            failures.append(_failure(cell, props if finished else value))
         else:
             rows.append([cell["cluster_id"], float(cell["ratio"]), cell["seed"], *props, *value])
     store.add_csv("observations.csv",

@@ -97,15 +97,12 @@ class ExternalGenerator:
     generator. ``train(texts, domains)`` is a no-op; ``generate(n, domain)``
     posts JSON requests {"model", "n", "domain", "temperature", "min_p"} and
     expects a JSON response {"texts": [...]} with exactly the requested count,
-    so it returns exactly n strings.
-
-    ``transport(url, payload, timeout) -> dict`` may be injected for testing;
-    the default posts over HTTP with ``_http.post_json``.
+    so it returns exactly n strings. Each request is posted with
+    ``_http.post_json``.
     """
 
-    def __init__(self, cfg: GeneratorEndpointConfig, transport=None):
+    def __init__(self, cfg: GeneratorEndpointConfig):
         self._cfg = cfg
-        self._transport = transport or post_json
 
     def train(self, texts: list[str], domains: list) -> None:  # remote state is the backend's
         return None
@@ -126,7 +123,7 @@ class ExternalGenerator:
                 "min_p": cfg.min_p,
             }
             try:
-                response = self._transport(cfg.endpoint, payload, cfg.timeout)
+                response = post_json(cfg.endpoint, payload, cfg.timeout)
             except OSError as exc:
                 raise TransportError(f"generation request failed: {exc}") from exc
             except ValueError as exc:  # a body that is not JSON

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -348,65 +349,23 @@ class TestResamplerGenerator:
 
 
 class TestExternalGenerator:
-    @staticmethod
-    def _config(**kw):
-        return GeneratorEndpointConfig(endpoint="http://test.invalid/gen",
-                                       model="m", batch_size=kw.pop("batch_size", 2))
+    @pytest.fixture
+    def endpoint(self):
+        """(url, payloads) of a loopback generation endpoint. It answers a
+        request for n texts with t0, t1, ..., except for the domain "short",
+        which gets one text, and "html", which gets a body that is not JSON;
+        ``payloads`` lists the request bodies it received."""
+        payloads = []
 
-    def test_echo_transport(self):
-        calls = []
-
-        def transport(url, payload, timeout):
-            calls.append(payload)
-            return {"texts": ["x"] * payload["n"]}
-
-        gen = ExternalGenerator(self._config(), transport=transport)
-        gen.train([], [])
-        assert gen.generate(3) == ["x", "x", "x"]
-        assert [c["n"] for c in calls] == [2, 1]  # batched
-
-    def test_transport_error_propagates(self):
-        def transport(url, payload, timeout):
-            raise OSError("connection refused")
-
-        gen = ExternalGenerator(self._config(), transport=transport)
-        with pytest.raises(TransportError):
-            gen.generate(1)
-
-    def test_malformed_response(self):
-        gen = ExternalGenerator(self._config(),
-                                transport=lambda u, p, t: {"texts": ["only-one"]})
-        with pytest.raises(ProtocolError):
-            gen.generate(2)
-
-    def test_zero_requests_for_zero_texts(self):
-        calls = []
-        gen = ExternalGenerator(self._config(),
-                                transport=lambda u, p, t: calls.append(p) or {"texts": []})
-        assert gen.generate(0) == []
-        assert calls == []
-
-    def test_passthrough_sampling_fields(self):
-        seen = {}
-
-        def transport(url, payload, timeout):
-            seen.update(payload)
-            return {"texts": ["y"] * payload["n"]}
-
-        cfg = GeneratorEndpointConfig(endpoint="http://test.invalid", model="m",
-                                      temperature=1.5, min_p=0.2)
-        ExternalGenerator(cfg, transport=transport).generate(1)
-        assert seen["temperature"] == 1.5
-        assert seen["min_p"] == 0.2
-
-    def test_default_transport_against_local_server(self):
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                payloads.append(payload)
                 if payload["domain"] == "html":
                     out = b"<html>busy</html>"
                 else:
-                    out = json.dumps({"texts": [f"t{i}" for i in range(payload["n"])]}).encode()
+                    n = 1 if payload["domain"] == "short" else payload["n"]
+                    out = json.dumps({"texts": [f"t{i}" for i in range(n)]}).encode()
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(out)))
                 self.end_headers()
@@ -419,12 +378,46 @@ class TestExternalGenerator:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            cfg = GeneratorEndpointConfig(endpoint=f"http://127.0.0.1:{server.server_address[1]}",
-                                          model="m", batch_size=2)
-            gen = ExternalGenerator(cfg)
-            assert gen.generate(3, domain="news") == ["t0", "t1", "t0"]
-            with pytest.raises(ProtocolError):
-                gen.generate(1, domain="html")
+            yield f"http://127.0.0.1:{server.server_address[1]}/gen", payloads
         finally:
             server.shutdown()
             server.server_close()
+            thread.join()
+
+    @staticmethod
+    def _generator(url, **kw):
+        return ExternalGenerator(GeneratorEndpointConfig(endpoint=url, model="m", batch_size=2,
+                                                         **kw))
+
+    def test_batches_requests(self, endpoint):
+        url, payloads = endpoint
+        gen = self._generator(url)
+        gen.train([], [])
+        assert gen.generate(3, domain="news") == ["t0", "t1", "t0"]
+        assert [p["n"] for p in payloads] == [2, 1]
+
+    def test_transport_error_propagates(self):
+        with socket.socket() as sock:  # bound, never listening: connections are refused
+            sock.bind(("127.0.0.1", 0))
+            gen = self._generator(f"http://127.0.0.1:{sock.getsockname()[1]}/gen")
+            with pytest.raises(TransportError, match="^generation request failed: "):
+                gen.generate(1)
+
+    def test_malformed_response(self, endpoint):
+        url, _ = endpoint
+        gen = self._generator(url)
+        with pytest.raises(ProtocolError, match=r"malformed batch \(wanted 2 texts\)"):
+            gen.generate(2, domain="short")
+        with pytest.raises(ProtocolError, match="malformed body"):
+            gen.generate(1, domain="html")
+
+    def test_zero_requests_for_zero_texts(self, endpoint):
+        url, payloads = endpoint
+        assert self._generator(url).generate(0) == []
+        assert payloads == []
+
+    def test_passthrough_sampling_fields(self, endpoint):
+        url, payloads = endpoint
+        self._generator(url, temperature=0.7, min_p=0.05).generate(1)
+        assert payloads == [{"model": "m", "n": 1, "domain": None,
+                             "temperature": 0.7, "min_p": 0.05}]

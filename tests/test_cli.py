@@ -180,6 +180,9 @@ def _bad_input(tmp_path, case):
     if case == "csv not utf-8":
         proj.write_bytes(b"\xff\xfe0,1.0,2.0\n1,1.5,0.5\n2,0.0,0.0\n")
         return cluster, f"{proj}: not UTF-8 text (invalid start byte)"
+    if case == "projection width":
+        proj.write_text("0,1.0,2.0,0.5\n1,1.5,0.5,0.0\n2,0.0,0.0,1.0\n")
+        return cluster, f"{proj}: a projection has 2 components, this one has 3"
     if case == "emb1 header":
         proj.write_bytes(b"EMB1\x03\x00")
         return cluster, f"{proj}: truncated EMB1 header"
@@ -233,7 +236,8 @@ def _bad_input(tmp_path, case):
     return [*annotate, "--cache", str(cache)], f"{cache}:2: invalid JSON: "
 
 
-@pytest.mark.parametrize("case", ["csv cell", "csv row width", "csv not utf-8", "emb1 header",
+@pytest.mark.parametrize("case", ["csv cell", "csv row width", "csv not utf-8",
+                                  "projection width", "emb1 header",
                                   "record text", "records not utf-8", "record source",
                                   "human generation", "synthetic generation", "bool generation",
                                   "bool quality", "bool lean", "bool positivity",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -752,10 +753,16 @@ class TestBuildClusterSuite:
         assert suites[2] == suites[1]
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
-    def test_a_failing_fit_raises_its_own_error(self, monkeypatch, workers):
+    def test_a_failing_fit_raises_its_own_error(self, monkeypatch, tmp_path, workers):
         """Both GMM fits raise; the first in grid order (k=2) is the one
-        reported, as when the fits ran one after another."""
+        reported, as when the fits ran one after another. Each failing fit
+        runs once: its error comes back from the pool, and the fit is not
+        run again to raise it."""
+        runs = tmp_path / "runs"
+
         def singular(points, k, seed=0):
+            with runs.open("a") as fh:
+                fh.write(f"{k}\n")
             raise DegenerateInputError(f"component covariance stayed singular (k={k})")
 
         monkeypatch.setattr(clustering, "gmm_em", singular)
@@ -764,3 +771,30 @@ class TestBuildClusterSuite:
                            match=r"^component covariance stayed singular \(k=2\)$"):
             build_cluster_suite(self._points(), self._every_method_config())
         assert multiprocessing.active_children() == []
+        assert sorted(runs.read_text().split()) == ["2", "3"]
+
+    @needs_fork
+    def test_a_fit_that_kills_its_worker_raises_broken_pool(self, monkeypatch, tmp_path):
+        """The GMM k=3 fit ends its worker with os._exit. It runs in the pool
+        and once more alone in a fresh pool, never in the calling process, and
+        the suite raises BrokenProcessPool."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        runs, caller = tmp_path / "runs", os.getpid()
+        fit = clustering.gmm_em
+
+        def dies_at_three(points, k, seed=0):
+            if k != 3:
+                return fit(points, k, seed=seed)
+            if os.getpid() == caller:
+                raise AssertionError("the dying fit ran in the calling process")
+            with runs.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            os._exit(7)
+
+        monkeypatch.setattr(clustering, "gmm_em", dies_at_three)
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: 2)
+        with pytest.raises(BrokenProcessPool):
+            build_cluster_suite(self._points(), self._every_method_config())
+        assert multiprocessing.active_children() == []
+        assert len(runs.read_text().splitlines()) == 2
