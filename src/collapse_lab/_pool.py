@@ -7,6 +7,9 @@ and cells (``experiments._run_cluster_grid``) and the cluster suite's fits
 from __future__ import annotations
 
 import os
+import pickle
+
+from .errors import TaskError
 
 # a worker's (run, tasks), set by the pool's initializer: a forked worker
 # inherits both, so neither the caller's closure nor its inputs are pickled
@@ -28,10 +31,14 @@ def outcomes(run, tasks: list[dict], order=None) -> list[tuple[bool, object]]:
                             range(len(tasks)) if order is None else order)
 
 
+def describe(exc: Exception) -> str:
+    """``"Type: message"`` of a task's exception; of a ``TaskError``, that of
+    the exception it stands for."""
+    return str(exc) if isinstance(exc, TaskError) else f"{type(exc).__name__}: {exc}"
+
+
 def _outcome(run, task: dict) -> tuple[bool, object]:
-    """(True, result) of a task, or (False, exception) if it raised. A
-    worker sends the exception back as itself; every package error pickles
-    (``errors.CollapseLabError``)."""
+    """(True, result) of a task, or (False, exception) if it raised."""
     try:
         return True, run(**task)
     except Exception as exc:
@@ -60,8 +67,18 @@ def _set_job(run, tasks: list[dict]) -> None:
 
 
 def _forked_task(index: int) -> tuple[bool, object]:
+    """``_outcome`` of a task, as its worker sends it back. A failed task's
+    exception goes as itself where it survives a pickle round trip, as every
+    package error does (``errors.CollapseLabError``); otherwise a
+    ``TaskError`` carries its text."""
     run, tasks = _JOB
-    return _outcome(run, tasks[index])
+    finished, value = _outcome(run, tasks[index])
+    if not finished:
+        try:
+            pickle.loads(pickle.dumps(value))
+        except Exception:
+            value = TaskError(describe(value))
+    return finished, value
 
 
 def _forked_outcomes(context, workers: int, run, tasks: list[dict], order) -> list:
@@ -69,7 +86,7 @@ def _forked_outcomes(context, workers: int, run, tasks: list[dict], order) -> li
     worker that dies breaks the pool and leaves the tasks it had not finished
     without an outcome; each of those runs again alone in a fresh pool, so
     only a task that kills its own worker fails, with BrokenProcessPool. So
-    does a task whose outcome pickles in its worker but does not unpickle
+    does a task whose result pickles in its worker but does not unpickle
     here: the pool breaks as it reads it."""
     outcomes, broken = _pool_outcomes(context, workers, run, tasks, order)
     for index in broken:
@@ -79,7 +96,7 @@ def _forked_outcomes(context, workers: int, run, tasks: list[dict], order) -> li
 
 def _pool_outcomes(context, workers: int, run, tasks: list[dict], indices):
     """({index: outcome}, [index left by a broken pool]) for the tasks at
-    ``indices``, submitted in that order. A task whose outcome does not
+    ``indices``, submitted in that order. A task whose result does not
     pickle in its worker fails with the pickling error. The pool's processes
     are joined before this returns."""
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor

@@ -34,6 +34,8 @@ _TIE_BLOCK_VALUES = 1 << 20
 _KMEANS_MAX_ITER = 300
 _GMM_MAX_ITER = 200
 _GMM_TOL = 1e-6
+# below this, binary64 exp is exactly +0.0 (it is 0 from about -745.13 down)
+_EXP_ZERO = -746.0
 
 
 @dataclass
@@ -98,8 +100,10 @@ def kmeans(points, k: int, seed: int = 0) -> ClusterAssignment:
     Up to 7 dimensions that sum is bit for bit the row sum
     ``((points[:, None, :] - centers) ** 2).sum(axis=2)``, as numpy adds fewer
     than 8 terms in order; beyond that the two may differ in the last place.
-    The CLI's ``cluster`` command fits a 2-D projection. Each centre is the mean of its points' rows, in point order, taken as one
-    slice of the points grouped by a stable sort of the labels; an empty
+    The CLI's ``cluster`` command fits a 2-D projection.
+
+    Each centre is the mean of its points' rows, in point order, taken as
+    one slice of the points grouped by a stable sort of the labels; an empty
     cluster keeps its centre.
     """
     points = _as_points(points)
@@ -127,26 +131,53 @@ def kmeans(points, k: int, seed: int = 0) -> ClusterAssignment:
 # Gaussian mixture via EM
 
 
-def _log_gauss(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = points.shape[1]
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``np.exp(x)`` bit for bit, computed in ``x``'s own buffer. Entries below
+    _EXP_ZERO are exactly 0.0 in binary64 but take numpy's slow scalar path, so
+    they are set to 0.0 before the call and again after it."""
+    zero = x < _EXP_ZERO
+    x[zero] = 0.0
+    np.exp(x, out=x)
+    x[zero] = 0.0
+    return x
+
+
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``cov``, with a growing ridge added to its
+    diagonal while it is not positive definite."""
+    d = cov.shape[0]
     ridge = 0.0
     for _ in range(3):
         try:
-            chol = np.linalg.cholesky(cov + ridge * np.eye(d))
-            break
+            return np.linalg.cholesky(cov + ridge * np.eye(d))
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10, 1e-6 * np.trace(cov) / d, 1e-12)
-    else:
-        raise DegenerateInputError("component covariance stayed singular after ridge")
+    raise DegenerateInputError("component covariance stayed singular after ridge")
+
+
+def _factors(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of the covariance stack ``covs`` (k, d, d) and
+    their log-determinants. The stack is factored in one call; only when that
+    fails is each matrix factored on its own, with the ridge."""
+    try:
+        chols = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        chols = np.array([_cholesky(cov) for cov in covs])
+    return chols, 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+
+
+def _log_gauss(diff: np.ndarray, chol: np.ndarray, log_det: float) -> np.ndarray:
+    """Log-density of a Gaussian at the centred points ``diff`` (n, d), given
+    its covariance's Cholesky factor and log-determinant. ``diff`` is
+    overwritten."""
+    d = diff.shape[1]
     # LAPACK's solve, as np.linalg.solve calls it, but on diff's own buffer:
     # diff.T is already column-major, so no column is copied in or out
-    diff = points - mean
     _, _, sol, info = dgesv(chol, diff.T, overwrite_b=True)
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
     # row-major, so that each column sums in np.linalg.solve's order
     maha = np.sum(np.ascontiguousarray(sol) ** 2, axis=0)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
     return -0.5 * (d * np.log(2 * np.pi) + log_det + maha)
 
 
@@ -156,6 +187,15 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
     Stops when the log-likelihood gain drops below 1e-6 or after 200
     iterations. The per-iteration log-likelihood history is kept in
     ``extras["log_likelihoods"]`` (non-decreasing by the EM property).
+
+    Each E-step factors the k covariances with one stacked Cholesky call;
+    only if that fails is each factored on its own, with a ridge. The
+    log-determinants come from the factors' diagonals. Each component's
+    log-density plus its log weight is written into one (n, k) array, and
+    the log-sum-exp maximum is a running maximum over the component rows.
+    Both exponentials set the entries below ``_EXP_ZERO`` (-746) to 0 before
+    and after the call: binary64 exp is exactly 0 there, but numpy's exp
+    takes a slow scalar path on such entries.
     """
     points = _as_points(points)
     n, d = points.shape
@@ -178,14 +218,20 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
 
     lls = []
     resp = None
+    log_p = np.empty((n, k))
     for _ in range(_GMM_MAX_ITER):
         # E step
-        log_p = np.stack([_log_gauss(points, means[j], covs[j]) for j in range(k)], axis=1)
-        log_p = log_p + np.log(weights)[None, :]
-        mx = log_p.max(axis=1, keepdims=True)
-        log_norm = mx[:, 0] + np.log(np.exp(log_p - mx).sum(axis=1))
+        chols, log_dets = _factors(covs)
+        log_weights = np.log(weights)
+        mx = np.full(n, -np.inf)
+        for j in range(k):
+            row = _log_gauss(points - means[j], chols[j], log_dets[j])
+            row += log_weights[j]
+            log_p[:, j] = row
+            np.maximum(mx, row, out=mx)
+        log_norm = mx + np.log(_exp(log_p - mx[:, None]).sum(axis=1))
         ll = float(log_norm.sum())
-        resp = np.exp(log_p - log_norm[:, None])
+        resp = _exp(log_p - log_norm[:, None])
         if lls and ll - lls[-1] < _GMM_TOL:
             lls.append(ll)
             break

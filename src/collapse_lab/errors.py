@@ -67,3 +67,8 @@ class TransportError(CollapseLabError, RuntimeError):
 
 class ProtocolError(CollapseLabError, RuntimeError):
     """A remote endpoint returned a malformed response."""
+
+
+class TaskError(CollapseLabError, RuntimeError):
+    """Stands for a task's exception that cannot cross from its worker process
+    as itself; its message is that exception's ``"Type: message"``."""

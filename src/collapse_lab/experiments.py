@@ -283,7 +283,7 @@ def _run_cells(cells: list[dict], run_cell, failures: list, order=None) -> list:
 
 def _failure(cell: dict, exc: Exception) -> dict:
     """The manifest's record of a cell that failed with ``exc``."""
-    return {"cell": cell, "error": f"{type(exc).__name__}: {exc}"}
+    return {"cell": cell, "error": _pool.describe(exc)}
 
 
 def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:

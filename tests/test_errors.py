@@ -17,6 +17,7 @@ ARGS = {
     errors.ShortfallError: (200, 37, "candidate clusters"),
     errors.TransportError: (),
     errors.ProtocolError: ("malformed", 2),
+    errors.TaskError: ("ThreeArgError: 1-2-3",),
 }
 
 

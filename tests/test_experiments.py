@@ -720,6 +720,14 @@ def _grid_spec(tmp_path, kind) -> ExperimentSpec:
                           cluster_manifest=manifest_path, params={"chain": chain})
 
 
+class ThreeArgError(Exception):
+    """Pickles as its message alone, so unpickling calls ``__init__`` with one
+    argument and fails."""
+
+    def __init__(self, a, b, c):
+        super().__init__(f"{a}-{b}-{c}")
+
+
 def _artifacts(store: ResultStore) -> dict:
     """Every artifact's bytes, and the manifest's failures list."""
     out = {name: Path(path).read_bytes() for name, path in store.artifacts.items()}
@@ -767,6 +775,30 @@ class TestForkedCells:
             column = header.split(",").index("r")
             kept = [row for row in rows if float(row.split(",")[column]) != 1.0]
             assert broken[name].decode() == header + "".join(kept)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_error_that_does_not_unpickle_fails_only_its_own_cell(self, tmp_path,
+                                                                      monkeypatch, workers):
+        """The ratio-0.5 cell raises an exception that pickles but does not
+        unpickle. It is recorded with the text one process gives, and every
+        cell runs once: the pool does not break."""
+        runs = tmp_path / "runs"
+        run_toy_chain = toy.run_toy_chain
+
+        def fails_at_half(cfg):
+            with runs.open("a") as fh:
+                fh.write(f"{cfg.ratio}\n")
+            if cfg.ratio == 0.5:
+                raise ThreeArgError(1, 2, 3)
+            return run_toy_chain(cfg)
+
+        monkeypatch.setattr(toy, "run_toy_chain", fails_at_half)
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: workers)
+        spec = _grid_spec(tmp_path, "toy")
+        run = _artifacts(run_experiment(spec))
+        assert multiprocessing.active_children() == []
+        assert run["failures"] == [{"cell": {"ratio": 0.5}, "error": "ThreeArgError: 1-2-3"}]
+        assert sorted(float(r) for r in runs.read_text().split()) == sorted(spec.ratios)
 
     # sha256 of the failures list below, as written when each cell computed
     # its cluster's properties itself, after its chain
