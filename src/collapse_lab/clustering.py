@@ -158,7 +158,11 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
 def _factors(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of the covariance stack ``covs`` (k, d, d) and
     their log-determinants. The stack is factored in one call; only when that
-    fails is each matrix factored on its own, with the ridge."""
+    fails is each matrix factored on its own, with the ridge. A stack that is
+    not finite raises: its factors would be NaN without an error, and no
+    ridge mends it."""
+    if not np.isfinite(covs).all():
+        raise DegenerateInputError("component covariance is not finite")
     try:
         chols = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
@@ -169,16 +173,39 @@ def _factors(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _log_gauss(diff: np.ndarray, chol: np.ndarray, log_det: float) -> np.ndarray:
     """Log-density of a Gaussian at the centred points ``diff`` (n, d), given
     its covariance's Cholesky factor and log-determinant. ``diff`` is
-    overwritten."""
+    overwritten.
+
+    The Mahalanobis terms are the squared rows of the solution (d, n), added
+    one row at a time in row order: the order in which numpy sums a row-major
+    (d, n) array over axis 0, as the sum of np.linalg.solve's solution does,
+    so the two are equal bit for bit at every d.
+    """
     d = diff.shape[1]
     # LAPACK's solve, as np.linalg.solve calls it, but on diff's own buffer:
     # diff.T is already column-major, so no column is copied in or out
     _, _, sol, info = dgesv(chol, diff.T, overwrite_b=True)
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
-    # row-major, so that each column sums in np.linalg.solve's order
-    maha = np.sum(np.ascontiguousarray(sol) ** 2, axis=0)
+    maha = sol[0] ** 2
+    for c in range(1, d):
+        maha += sol[c] ** 2
     return -0.5 * (d * np.log(2 * np.pi) + log_det + maha)
+
+
+def _centre(columns: np.ndarray, mean: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``points - mean`` written into ``out`` (n, d), one coordinate plane at
+    a time from the points given coordinate-major as ``columns`` (d, n)."""
+    for c in range(len(columns)):
+        np.subtract(columns[c], mean[c], out=out[:, c])
+    return out
+
+
+def _weigh(resp: np.ndarray, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``resp[:, None] * diff`` written into ``out`` (n, d), one column at a
+    time."""
+    for c in range(diff.shape[1]):
+        np.multiply(resp, diff[:, c], out=out[:, c])
+    return out
 
 
 def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
@@ -196,6 +223,19 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
     Both exponentials set the entries below ``_EXP_ZERO`` (-746) to 0 before
     and after the call: binary64 exp is exactly 0 there, but numpy's exp
     takes a slow scalar path on such entries.
+
+    Both steps centre the points on a component's mean one coordinate plane
+    at a time, from one coordinate-major copy of the points, into a reused
+    row-major (n, d) buffer; the M-step weights the centred points by the
+    responsibilities one column at a time into a second one. These are the
+    broadcast ``points - mean`` and ``resp[:, j][:, None] * diff`` element
+    for element, in the same layout, so the solve and the covariance product
+    see the same operands and the fit is the same bit for bit. On 2-D points
+    one broadcast op over the 2-wide coordinate axis takes about twice as
+    long as its two plane ops.
+
+    A component whose responsibilities all underflow to 0, or a covariance
+    that is not finite, raises ``DegenerateInputError``.
     """
     points = _as_points(points)
     n, d = points.shape
@@ -216,6 +256,9 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
         weights[j] = max(mask.mean(), 1e-12)
     weights /= weights.sum()
 
+    columns = points.T.copy()
+    diff = np.empty((n, d))
+    weighted = np.empty((n, d))
     lls = []
     resp = None
     log_p = np.empty((n, k))
@@ -225,7 +268,7 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
         log_weights = np.log(weights)
         mx = np.full(n, -np.inf)
         for j in range(k):
-            row = _log_gauss(points - means[j], chols[j], log_dets[j])
+            row = _log_gauss(_centre(columns, means[j], diff), chols[j], log_dets[j])
             row += log_weights[j]
             log_p[:, j] = row
             np.maximum(mx, row, out=mx)
@@ -238,17 +281,16 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
         lls.append(ll)
         # M step
         nk = resp.sum(axis=0)
+        if not nk.all():
+            raise DegenerateInputError("a component's responsibilities all underflowed to 0")
         weights = nk / n
         for j in range(k):
             means[j] = resp[:, j] @ points / nk[j]
-            diff = points - means[j]
-            covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j]
-        # a covariance that is not finite or not positive definite takes a
-        # ridge; det sees finite matrices only
-        finite = np.isfinite(covs).all(axis=(1, 2))
-        bad = ~finite
-        bad[finite] = np.linalg.det(covs[finite] + 1e-12 * np.eye(d)) <= 0
-        for j in np.flatnonzero(bad):
+            _centre(columns, means[j], diff)
+            covs[j] = _weigh(resp[:, j], diff, weighted).T @ diff / nk[j]
+        # a covariance that is not positive definite takes a ridge; one that
+        # is not finite is left for the next E-step's _factors to reject
+        for j in np.flatnonzero(np.linalg.det(covs + 1e-12 * np.eye(d)) <= 0):
             covs[j] += 1e-6 * max(np.trace(covs[j]), 1e-12) / d * np.eye(d)
 
     labels = resp.argmax(axis=1)

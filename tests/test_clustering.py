@@ -177,7 +177,7 @@ def gmm_em_reference(points, k, seed=0, ridged=None):
             diff = points - means[j]
             cov = (resp[:, j][:, None] * diff).T @ diff / nk[j]
             tr = np.trace(cov)
-            if not np.all(np.isfinite(cov)) or np.linalg.det(cov + 1e-12 * np.eye(d)) <= 0:
+            if np.linalg.det(cov + 1e-12 * np.eye(d)) <= 0:
                 cov = cov + 1e-6 * max(tr, 1e-12) / d * np.eye(d)
                 if ridged is not None:
                     ridged.append(j)
@@ -497,21 +497,80 @@ class TestGmmEmOracle:
         with pytest.raises(DegenerateInputError):
             clustering._factors(np.stack([cov, -np.eye(2)]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_stack_that_is_not_finite_raises(self, bad):
+        """The stacked Cholesky gives NaN or infinite factors for such a
+        matrix without raising, and no ridge mends it."""
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        covs = np.stack([cov, cov])
+        covs[1, 1, 0] = covs[1, 0, 1] = bad
+        with pytest.raises(DegenerateInputError, match="^component covariance is not finite$"):
+            clustering._factors(covs)
+
+    def test_a_component_without_mass_raises(self, monkeypatch):
+        """When every point's responsibility for one component underflows to
+        0, the fit raises before the M-step divides by that mass (which would
+        warn and give NaN means)."""
+        calls = []
+        log_gauss = clustering._log_gauss
+
+        def second_far_away(diff, chol, log_det):
+            calls.append(None)
+            row = log_gauss(diff, chol, log_det)
+            return row - 1e4 if len(calls) % 2 == 0 else row
+
+        monkeypatch.setattr(clustering, "_log_gauss", second_far_away)
+        with pytest.raises(DegenerateInputError,
+                           match="^a component's responsibilities all underflowed to 0$"):
+            gmm_em(_blobs(2, 0), 2, seed=0)
+        assert len(calls) == 2
+
+    def test_planes_are_the_broadcasts(self):
+        """_centre and _weigh are the broadcast ``points - mean`` and
+        ``resp[:, None] * diff`` bit for bit, signs of zero included, at
+        every width and scale."""
+        rng = np.random.default_rng(9)
+
+        def same(got, want):
+            return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+        for d in range(1, 11):
+            for scale in (1e-3, 1.0, 1e3, 1e8):
+                points = rng.normal(size=(257, d)) * scale * 10.0 ** rng.uniform(-1.0, 1.0, size=d)
+                mean = points[rng.integers(257)] + rng.normal(size=d) * scale
+                resp = rng.uniform(size=257) * (rng.uniform(size=257) < 0.9)
+                out = np.full((257, d), np.nan)
+                diff = clustering._centre(points.T.copy(), mean, out)
+                assert diff is out and same(diff, points - mean), (d, scale)
+                weighted = clustering._weigh(resp, diff, np.full((257, d), np.nan))
+                assert same(weighted, resp[:, None] * diff), (d, scale)
+        # -0.0 - 0.0 is -0.0 and x - x is +0.0; a product with a zero weight
+        # is a zero signed by both factors
+        points = np.array([[-0.0, 0.0], [0.0, -0.0], [1.5, -2.0]])
+        mean, resp = np.array([0.0, -0.0]), np.array([0.0, -0.0, 0.0])
+        diff = clustering._centre(points.T.copy(), mean, np.empty((3, 2)))
+        assert same(diff, points - mean)
+        assert same(clustering._weigh(resp, -diff, np.empty((3, 2))), resp[:, None] * -diff)
+
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("k", [8, 12, 16])
     def test_suite_layout(self, seed, k):
         self._assert_same_fit(_suite_sample(seed), k, seed)
 
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_blobs(self, d, seed):
+        """Up to d = 5: beyond it the reference's solve may differ from dgesv
+        in the last place (test_log_gauss_matches_solve)."""
         self._assert_same_fit(_blobs(d, seed), 5, seed)
 
     def test_paper_scale(self, monkeypatch):
         # three EM iterations of one 2-D fit at the paper's 90k projection
         # points and the grid's largest k: with stacked log-densities and
         # fresh exp temporaries it peaked at about 47.7 MiB, with one (n, k)
-        # array filled in place and exp in its temporaries at about 38.7 MiB
+        # array filled in place and exp in its temporaries at about 38.7 MiB,
+        # and with the coordinate-major copy of the points and the reused
+        # centring and weighting buffers (1.4 MiB each) at about 41.5 MiB
         # (numpy 2.4 on x86-64 Linux); k centred copies kept from the M-step
         # would add about 22 MiB
         monkeypatch.setattr(clustering, "_GMM_MAX_ITER", 3)
@@ -781,6 +840,12 @@ class TestBuildClusterSuite:
                                   quota_per_clustering=5, min_cluster_fraction=0.1,
                                   final_count=30, seed=3)
 
+    @staticmethod
+    def _digest(suite):
+        blob = json.dumps([[s["cluster_id"], s["method"], s["params"],
+                            s["record_indices"].tolist()] for s in suite], sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()
+
     # sha256 of the every-method suite, recorded before build_cluster_suite
     # propagated a labelling without noise only once
     EVERY_METHOD = "4ecd4af7e948afb4023fa9856496f4a45f6402db709fac80d5206b110f66d9ff"
@@ -788,9 +853,26 @@ class TestBuildClusterSuite:
     def test_every_method_suite_digest(self, monkeypatch):
         monkeypatch.setattr(_pool, "_cpu_count", lambda: 1)
         suite = build_cluster_suite(self._points(), self._every_method_config())
-        blob = json.dumps([[s["cluster_id"], s["method"], s["params"],
-                            s["record_indices"].tolist()] for s in suite], sort_keys=True)
-        assert hashlib.sha256(blob.encode()).hexdigest() == self.EVERY_METHOD
+        assert self._digest(suite) == self.EVERY_METHOD
+
+    # sha256 of the suite at the benchmark's size, the same digests that
+    # perfbench/golden.json records for its suite workload at these seeds
+    BENCHMARK_SIZE = {
+        0: "72d1fe7e5db433c8cc611e9cfc356111cba504c8a0fbd51c507601365efe4df5",
+        42: "bae3104d6cf8de31d57269c43a65a3d096f2206a33afdf5e1f0303dab2a7e1a8",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(BENCHMARK_SIZE))
+    def test_benchmark_size_suite_digest(self, monkeypatch, seed):
+        """The default grid on 3000 points of the benchmark's layout, a
+        1500-point sample and 150 final clusters: a change to any k-means,
+        GMM or DBSCAN fit of the grid that moves its labels moves the
+        digest. (Last-place changes that keep the labels are left to the
+        oracle tests.)"""
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: 1)
+        cfg = ClusterSuiteConfig(projection_sample=1500, final_count=150, seed=seed)
+        suite = build_cluster_suite(_suite_sample(seed, n=3000), cfg)
+        assert self._digest(suite) == self.BENCHMARK_SIZE[seed]
 
     def test_one_propagation_per_distinct_labelling(self, monkeypatch):
         """Of the six fits, DBSCAN eps=0.2 labels every sample point noise and
