@@ -1,8 +1,9 @@
 """Command-line entry point:
 
-    collapse-lab {toy|chain|metrics|cluster|regress|annotate|lean|emit} ...
+    collapse-lab {run|metrics|cluster|regress|annotate|emit} ...
 
-Every subcommand reads declarative config or data files and writes CSV/JSONL
+``run`` runs a spec file; the spec's ``kind`` picks its runner. Every
+subcommand reads declarative config or data files and writes CSV/JSONL
 artifacts; all randomness flows from seeds in the configs.
 """
 
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from . import metrics
-from .errors import CollapseLabError, InvalidConfigError, InvalidInputError
+from .errors import CollapseLabError, InvalidInputError
 from .experiments import FIGURE_KINDS, ResultStore, emit_plot_data, load_spec, run_experiment
 from .io import SCORE_KEYS, read_csv, read_embeddings, read_records_jsonl, write_csv, write_jsonl
 from .judge import JudgeConfig, annotate_lean, annotate_quality
@@ -26,8 +27,6 @@ ENV_TOKEN = "COLLAPSE_LAB_JUDGE_TOKEN"
 _IDENTIFIERS = ("cluster_id", "dataset", "domain", "ratio", "seed")
 # neighbours of the metrics subcommand's k-NN diversity and KL entropy
 _KNN_K = 50
-# spec kinds each run subcommand accepts; chain is cluster-regression's only one
-_RUN_KINDS = {"toy": ("toy",), "chain": ("chain", "cluster-regression"), "lean": ("lean",)}
 
 
 def main(argv=None) -> int:
@@ -35,11 +34,10 @@ def main(argv=None) -> int:
                                      description="recursive-training distribution-shift laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for kind in _RUN_KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} experiment from a config file")
-        p.set_defaults(func=_cmd_run)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
+    p = sub.add_parser("run", help="run the experiment a spec file describes")
+    p.set_defaults(func=_cmd_run)
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", default=None)
 
     p = sub.add_parser("metrics", help="compute the metric suite over a JSONL batch")
     p.set_defaults(func=_cmd_metrics)
@@ -87,10 +85,6 @@ def main(argv=None) -> int:
 
 def _cmd_run(args) -> int:
     spec = load_spec(args.config)
-    if spec.kind not in _RUN_KINDS[args.command]:
-        raise InvalidConfigError(f"{args.config}: a {spec.kind} spec does not run under "
-                                 f"{args.command}; {args.command} runs "
-                                 f"{' or '.join(_RUN_KINDS[args.command])} specs")
     if args.out:
         spec.out_dir = args.out
     store = run_experiment(spec)

@@ -218,8 +218,9 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
     Each E-step factors the k covariances with one stacked Cholesky call;
     only if that fails is each factored on its own, with a ridge. The
     log-determinants come from the factors' diagonals. Each component's
-    log-density plus its log weight is written into one (n, k) array, and
-    the log-sum-exp maximum is a running maximum over the component rows.
+    log-density plus its log weight is written into one (n, k) array, the
+    log-sum-exp maximum is a running maximum over the component rows, and
+    the responsibilities overwrite that array; the next E-step refills it.
     Both exponentials set the entries below ``_EXP_ZERO`` (-746) to 0 before
     and after the call: binary64 exp is exactly 0 there, but numpy's exp
     takes a slow scalar path on such entries.
@@ -260,7 +261,6 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
     diff = np.empty((n, d))
     weighted = np.empty((n, d))
     lls = []
-    resp = None
     log_p = np.empty((n, k))
     for _ in range(_GMM_MAX_ITER):
         # E step
@@ -274,7 +274,7 @@ def gmm_em(points, k: int, seed: int = 0) -> ClusterAssignment:
             np.maximum(mx, row, out=mx)
         log_norm = mx + np.log(_exp(log_p - mx[:, None]).sum(axis=1))
         ll = float(log_norm.sum())
-        resp = _exp(log_p - log_norm[:, None])
+        resp = _exp(np.subtract(log_p, log_norm[:, None], out=log_p))
         if lls and ll - lls[-1] < _GMM_TOL:
             lls.append(ll)
             break

@@ -84,7 +84,7 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         """Reject, before any output, every value that would fail each cell
-        alike or that the kind would silently ignore."""
+        alike, leave the grid empty, or that the kind would silently ignore."""
         if self.kind not in KINDS:
             raise InvalidConfigError(f"unknown experiment kind {self.kind!r}")
         if not isinstance(self.out_dir, str):
@@ -99,6 +99,8 @@ class ExperimentSpec:
         if not (isinstance(self.ratios, (list, tuple))
                 and all(_is_number(r, numbers.Real) and 0 <= r <= 1 for r in self.ratios)):
             raise InvalidConfigError("ratios must be a list of numbers in [0, 1]")
+        if not self.ratios:
+            raise InvalidConfigError("ratios must not be empty")
         if self.kind == "cluster-regression" and 0 in self.ratios:
             raise InvalidConfigError(
                 "cluster-regression ratios must be > 0: a ratio-0 chain evaluates no "
@@ -147,6 +149,8 @@ class ExperimentSpec:
                 raise InvalidConfigError(
                     "params.lean.left_fractions must be a list of values from "
                     f"{list(LEAN_LEFT_FRACTIONS)}")
+            if not fractions:
+                raise InvalidConfigError("params.lean.left_fractions must not be empty")
             size = given.get("mixture_size", 1)
             if not (_is_number(size, numbers.Integral) and size >= 1):
                 raise InvalidConfigError("params.lean.mixture_size must be an integer >= 1")

@@ -30,7 +30,7 @@ from collapse_lab.metrics import (
 from collapse_lab.regression import DesignMatrix, ols_fit, vif
 from collapse_lab.toy import ToyConfig, run_toy_chain
 
-from test_clustering import dbscan_reference, propagate_reference, _same_partition
+from test_clustering import dbscan_reference, propagate_reference
 from test_regression import normal_equations_oracle
 
 RATIO_GRID = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 15 / 16)
@@ -276,8 +276,8 @@ def test_criterion_8_clustering_oracles():
         pts = rng.uniform(0, 10, size=(n, 2))
         eps = float(rng.uniform(0.3, 1.5))
         min_pts = int(rng.integers(2, 6))
-        if not _same_partition(dbscan(pts, eps, min_pts).labels,
-                               dbscan_reference(pts, eps, min_pts)):
+        if not np.array_equal(dbscan(pts, eps, min_pts).labels,
+                              dbscan_reference(pts, eps, min_pts)):
             dbscan_ok = False
 
     prop_ok = True

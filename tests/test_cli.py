@@ -1,12 +1,13 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from collapse_lab.cli import main
-from collapse_lab.experiments import ExperimentSpec, run_experiment
+from collapse_lab.experiments import ExperimentSpec, load_spec, run_experiment
 from collapse_lab.io import (
     TextRecord,
     read_csv,
@@ -16,16 +17,49 @@ from collapse_lab.io import (
 )
 
 
-def test_toy_subcommand(tmp_path, capsys):
+def test_run_toy_spec(tmp_path, capsys):
     config = tmp_path / "toy.json"
     config.write_text(json.dumps({
         "kind": "toy", "ratios": [0.25], "seeds": [0],
         "params": {"toy": {"support_size": 60, "steps": 3, "runs": 4}},
     }))
     out = tmp_path / "out"
-    assert main(["toy", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert (out / "toy_trace.csv").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_run_lean_spec(tmp_path):
+    """run picks the lean runner from the spec's kind and writes what
+    run_experiment writes for the same spec."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_records_jsonl([TextRecord(text=f"text {i}",
+                                    annotations={"lean": [10, 90, 50, -1][i % 4]})
+                         for i in range(40)], corpus)
+    config = tmp_path / "lean.json"
+    config.write_text(json.dumps({
+        "kind": "lean", "seeds": [0, 1], "corpus_path": str(corpus),
+        "out_dir": str(tmp_path / "direct"),
+        "params": {"lean": {"mixture_size": 8, "left_fractions": [0.0, 0.5, 1.0]}},
+    }))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert len(read_csv(out / "lean_mixtures.csv")) == 3 * 2
+    direct = run_experiment(load_spec(config))
+    assert ((out / "lean_mixtures.csv").read_bytes()
+            == Path(direct.path("lean_mixtures.csv")).read_bytes())
+
+
+@pytest.mark.parametrize("command", ["toy", "chain", "lean"])
+def test_kind_is_not_a_subcommand(tmp_path, capsys, command):
+    """The spec names its kind; run is the one subcommand that runs a spec."""
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({"kind": "toy", "ratios": [0.25], "seeds": [0]}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("body, message", [
@@ -45,7 +79,7 @@ def test_config_error_is_one_line(tmp_path, capsys, body, message):
     else:
         config.write_text(json.dumps(body))
     out = tmp_path / "out"
-    assert main(["toy", "--config", str(config), "--out", str(out)]) == 2
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("collapse-lab: error: ") and captured.err.count("\n") == 1
@@ -53,32 +87,7 @@ def test_config_error_is_one_line(tmp_path, capsys, body, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, kind", [
-    ("lean", "toy"), ("chain", "toy"), ("toy", "lean"), ("toy", "cluster-regression"),
-    ("lean", "cluster-regression"), ("lean", "chain"),
-])
-def test_spec_of_another_kind_is_one_line(tmp_path, capsys, command, kind):
-    """toy and lean run only their own kind, chain runs chain and
-    cluster-regression specs; any other pairing stops before any output."""
-    corpus = tmp_path / "corpus.jsonl"
-    write_records_jsonl([TextRecord(text=f"text {i}", annotations={"lean": 10})
-                         for i in range(40)], corpus)
-    manifest = tmp_path / "clusters.jsonl"
-    write_jsonl(manifest, [{"cluster_id": 0, "record_indices": list(range(40))}])
-    config = tmp_path / "spec.json"
-    config.write_text(json.dumps({"kind": kind, "ratios": [0.5], "seeds": [0],
-                                  "corpus_path": str(corpus),
-                                  "cluster_manifest": str(manifest)}))
-    out = tmp_path / "out"
-    assert main([command, "--config", str(config), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("collapse-lab: error: ") and captured.err.count("\n") == 1
-    assert f"a {kind} spec does not run under {command}" in captured.err
-    assert not out.exists()
-
-
-def test_chain_subcommand_runs_cluster_regression(tmp_path):
+def test_run_cluster_regression_spec(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     write_records_jsonl([TextRecord(text=f"text number {i} here") for i in range(40)], corpus)
     manifest = tmp_path / "clusters.jsonl"
@@ -91,7 +100,7 @@ def test_chain_subcommand_runs_cluster_regression(tmp_path):
                              "eval_sample": 5}},
     }))
     out = tmp_path / "out"
-    assert main(["chain", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert len(read_csv(out / "observations.csv")) == 1
 
 
@@ -105,14 +114,14 @@ def test_chain_value_error_is_one_line(tmp_path, capsys):
                                   "corpus_path": str(corpus),
                                   "params": {"chain": {"generations": 0}}}))
     out = tmp_path / "out"
-    assert main(["chain", "--config", str(config), "--out", str(out)]) == 2
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "collapse-lab: error: counts must be positive\n"
     assert not out.exists()
 
 
-def test_chain_subcommand_with_overrides(tmp_path):
+def test_run_chain_spec_with_overrides(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     write_records_jsonl([TextRecord(text=f"text number {i} here") for i in range(400)],
                         corpus)
@@ -126,7 +135,7 @@ def test_chain_subcommand_with_overrides(tmp_path):
                              "eval_metrics": ["distinct_count"]}},
     }))
     out = tmp_path / "out"
-    code = main(["chain", "--config", str(config), "--out", str(out)])
+    code = main(["run", "--config", str(config), "--out", str(out)])
     assert code == 0
     summary = (out / "summary.csv").read_text().strip().splitlines()
     assert len(summary) == 1 + 2  # 1 seed x 2 generations x 1 metric
@@ -454,7 +463,7 @@ def test_emit_subcommand(tmp_path):
                              "eval_metrics": ["distinct_count"]}},
     }))
     out = tmp_path / "results"
-    assert main(["chain", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     code = main(["emit", "--results", str(out), "--figure", "evolution"])
     assert code == 0
     assert (out / "plot_evolution.csv").exists()

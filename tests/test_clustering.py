@@ -569,10 +569,11 @@ class TestGmmEmOracle:
         # points and the grid's largest k: with stacked log-densities and
         # fresh exp temporaries it peaked at about 47.7 MiB, with one (n, k)
         # array filled in place and exp in its temporaries at about 38.7 MiB,
-        # and with the coordinate-major copy of the points and the reused
-        # centring and weighting buffers (1.4 MiB each) at about 41.5 MiB
-        # (numpy 2.4 on x86-64 Linux); k centred copies kept from the M-step
-        # would add about 22 MiB
+        # with the coordinate-major copy of the points and the reused
+        # centring and weighting buffers (1.4 MiB each) at about 41.5 MiB, and
+        # with the responsibilities written over the log-densities' (n, k)
+        # array (11 MiB) at about 30.5 MiB (numpy 2.4 on x86-64 Linux); k
+        # centred copies kept from the M-step would add about 22 MiB
         monkeypatch.setattr(clustering, "_GMM_MAX_ITER", 3)
         points = _suite_sample(0, n=90_000)
         tracemalloc.start()
@@ -581,7 +582,7 @@ class TestGmmEmOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 44 * 2**20
+        assert peak < 34 * 2**20
         assert len(out.extras["log_likelihoods"]) == 3
 
     @pytest.mark.parametrize("scale", [1e3, 1e6, 1e8])
@@ -618,36 +619,29 @@ class TestDbscan:
         pts = np.random.default_rng(6).normal(size=(30, 2))
         assert set(dbscan(pts, eps=float("inf"), min_pts=2).labels.tolist()) == {0}
 
-    def test_matches_reference_on_random_fixtures(self):
-        rng = np.random.default_rng(7)
-        for trial in range(20):
-            n = int(rng.integers(20, 500))
-            pts = rng.uniform(0, 10, size=(n, 2))
-            eps = float(rng.uniform(0.3, 1.5))
-            min_pts = int(rng.integers(2, 6))
-            mine = dbscan(pts, eps, min_pts).labels
-            ref = dbscan_reference(pts, eps, min_pts)
-            assert _same_partition(mine, ref)
-
-
-def _same_partition(a, b):
-    """Labels equal up to renaming, with noise fixed."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    if not np.array_equal(a == NOISE, b == NOISE):
-        return False
-    mapping = {}
-    for x, y in zip(a, b):
-        if x == NOISE:
-            continue
-        if mapping.setdefault(x, y) != y:
-            return False
-    reverse = {}
-    for x, y in mapping.items():
-        if reverse.setdefault(y, x) != x:
-            return False
-    return True
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_on_random_fixtures(self, d):
+        """The labels equal the reference's, numbering included: a cluster
+        takes the number of its lowest core point, and a border point joins
+        the lowest cluster among its core neighbours. Odd trials put the
+        points on a 0.5 lattice, so that pairs lie exactly eps apart; a tenth
+        of the points are duplicated, and every tenth trial has eps = inf."""
+        rng = np.random.default_rng(7 + d)
+        side = {1: 40.0, 2: 10.0, 3: 4.0}[d]
+        for trial in range(30):
+            n = int(rng.integers(20, 300))
+            if trial % 2:
+                pts = rng.integers(0, int(2 * side), size=(n, d)) * 0.5
+                eps = 0.5 * int(rng.integers(1, 4))
+            else:
+                pts = rng.uniform(0, side, size=(n, d))
+                eps = float(rng.uniform(0.3, 1.5))
+            pts = np.vstack([pts, pts[rng.integers(0, n, size=n // 10)]])
+            if trial % 10 == 9:
+                eps = float("inf")
+            min_pts = int(rng.integers(1, 6))
+            assert np.array_equal(dbscan(pts, eps, min_pts).labels,
+                                  dbscan_reference(pts, eps, min_pts)), (trial, eps, min_pts)
 
 
 class TestPropagateLabels:

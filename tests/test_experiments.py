@@ -290,6 +290,7 @@ class TestSpecLoading:
         ("cluster-regression", {"per_gen_total": 0}, "counts must be positive"),
         ("lean", {"left_fractions": [0.3]}, "left_fractions must be a list of values from"),
         ("lean", {"left_fractions": 0.5}, "left_fractions must be a list of values from"),
+        ("lean", {"left_fractions": []}, "left_fractions must not be empty$"),
         ("lean", {"mixture_size": 0}, "mixture_size must be an integer >= 1$"),
         ("lean", {"mixture_size": 8.0}, "mixture_size must be an integer >= 1$"),
     ])
@@ -356,6 +357,7 @@ class TestSpecLoading:
         ({"ratios": [0.5, True]}, r"ratios must be a list of numbers in \[0, 1\]$"),
         ({"ratios": [0.5, None]}, r"ratios must be a list of numbers in \[0, 1\]$"),
         ({"ratios": [0.5, 1.5]}, r"ratios must be a list of numbers in \[0, 1\]$"),
+        ({"ratios": []}, "^ratios must not be empty$"),
         ({"seeds": ["x"]}, "seeds must be a non-empty list of non-negative integers$"),
         ({"seeds": [0, 1.5]}, "seeds must be a non-empty list of non-negative integers$"),
         ({"seeds": [-1]}, "seeds must be a non-empty list of non-negative integers$"),
@@ -366,13 +368,13 @@ class TestSpecLoading:
         ({"cluster_manifest": ["m.jsonl"]},
          r"cluster_manifest must be a path or null, not \['m.jsonl'\]$"),
     ])
-    @pytest.mark.parametrize("kind", ["toy", "chain"])
+    @pytest.mark.parametrize("kind", ["toy", "chain", "cluster-regression"])
     def test_malformed_grid_values_rejected(self, tmp_path, kind, grid, message):
         corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40)
         f = tmp_path / "spec.json"
         f.write_text(json.dumps({"kind": kind, "ratios": [0.5], "seeds": [0],
-                                 "corpus_path": corpus, "out_dir": str(tmp_path / "run"),
-                                 **grid}))
+                                 "corpus_path": corpus, "cluster_manifest": corpus,
+                                 "out_dir": str(tmp_path / "run"), **grid}))
         with pytest.raises(InvalidConfigError, match=message):
             run_experiment(load_spec(f))
         assert not (tmp_path / "run").exists()
