@@ -78,18 +78,34 @@ class DataPool:
         return [self._texts[i] for i in idx], [self._domains[i] for i in idx]
 
 
+def record_columns(records: list) -> tuple[list, list, list]:
+    """The texts, sources and domains of ``records``. A grid's job carries its
+    corpus this way: the lists pickle about ten times faster than the records."""
+    return ([r.text for r in records], [r.source for r in records],
+            [r.domain for r in records])
+
+
 class HumanCorpus:
     """Sequential sampler over a seeded shuffle of a human record list, so
     freshly sampled texts never repeat within a chain."""
 
     def __init__(self, records: list, seed: int = 0):
-        for r in records:
-            if r.source != HUMAN:
-                raise InvalidInputError("corpus must contain human records only")
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(records)).tolist()
-        self._texts = [records[i].text for i in order]
-        self._domains = [records[i].domain for i in order]
+        self._shuffle(*record_columns(records), seed)
+
+    @classmethod
+    def from_columns(cls, texts: list, sources: list, domains: list,
+                     seed: int = 0) -> "HumanCorpus":
+        """The corpus of the records whose ``record_columns`` these are."""
+        corpus = cls.__new__(cls)
+        corpus._shuffle(texts, sources, domains, seed)
+        return corpus
+
+    def _shuffle(self, texts: list, sources: list, domains: list, seed: int) -> None:
+        if any(source != HUMAN for source in sources):
+            raise InvalidInputError("corpus must contain human records only")
+        order = np.random.default_rng(seed).permutation(len(texts)).tolist()
+        self._texts = [texts[i] for i in order]
+        self._domains = [domains[i] for i in order]
         self._cursor = 0
 
     @property

@@ -5,6 +5,7 @@ projection sample into a final set of experimental clusters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -476,23 +477,10 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
     fits += [{"method": "dbscan", "eps": eps, "min_pts": min_pts}
              for eps, min_pts in cfg.dbscan_grid]
 
-    def fit(method, **params):
-        """The propagations of one clustering of the sample with, then without
-        the noise cluster, or None when it labels every point noise. Only
-        DBSCAN labels noise; without noise the two are one array."""
-        labels = {"kmeans": kmeans, "gmm": gmm_em, "dbscan": dbscan}[method](
-            sample, **params).labels
-        noise = labels == NOISE
-        if noise.all():
-            return None
-        full = propagate_labels(sample, labels, points)
-        if not noise.any():
-            return [full, full]
-        return [full, propagate_labels(sample, labels, points, exclude_noise=True)]
-
     # the GMM fits take longest, the more components the longer: they go first
     order = sorted(range(len(fits)),
                    key=lambda i: -fits[i]["k"] if fits[i]["method"] == "gmm" else 0)
+    fit = functools.partial(_fit, sample, points)
     candidates = []
     for task, (finished, propagated) in zip(fits, _pool.outcomes(fit, fits, order)):
         if not finished:
@@ -521,3 +509,17 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
         raise ShortfallError(cfg.final_count, len(candidates), "candidate clusters")
     pick = rng.choice(len(candidates), size=cfg.final_count, replace=False)
     return [{"cluster_id": cid, **candidates[pos]} for cid, pos in enumerate(sorted(pick.tolist()))]
+
+
+def _fit(sample, points, method, **params):
+    """The propagations of one clustering of the sample with, then without
+    the noise cluster, or None when it labels every point noise. Only DBSCAN
+    labels noise; without noise the two are one array."""
+    labels = {"kmeans": kmeans, "gmm": gmm_em, "dbscan": dbscan}[method](sample, **params).labels
+    noise = labels == NOISE
+    if noise.all():
+        return None
+    full = propagate_labels(sample, labels, points)
+    if not noise.any():
+        return [full, full]
+    return [full, propagate_labels(sample, labels, points, exclude_noise=True)]

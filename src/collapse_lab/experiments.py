@@ -4,6 +4,7 @@ persistence with spec hashing, and plot-data emission.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import numbers
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__, _pool, metrics, toy
-from .chain import EVAL_METRICS, ChainConfig, HumanCorpus, relative_metrics, run_chain
+from .chain import (EVAL_METRICS, ChainConfig, HumanCorpus, record_columns,
+                    relative_metrics, run_chain)
 from .errors import InvalidConfigError, InvalidInputError, InvalidTraceError
 from .generators import default_factory
 from .io import read_csv, read_jsonl, read_records_jsonl, write_csv, write_jsonl
@@ -291,17 +293,17 @@ def _failure(cell: dict, exc: Exception) -> dict:
 
 
 def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
-    params = spec.params.get("toy", {})
-
-    def run_cell(ratio):
-        return toy.run_toy_chain(toy.ToyConfig(ratio=ratio, **params))
-
     # the costliest cells first: a run's synthetic draws cost more than its
     # human ones, and a cell draws floor(ratio * N) of them per run and step
     order = sorted(range(len(spec.ratios)), key=lambda i: -spec.ratios[i])
-    traces = _run_cells([{"ratio": r} for r in spec.ratios], run_cell, failures, order)
+    traces = _run_cells([{"ratio": r} for r in spec.ratios],
+                        functools.partial(_toy_cell, spec.params.get("toy", {})), failures, order)
     store.add_csv("toy_trace.csv", toy.TRACE_HEADER, toy.trace_rows(traces))
     store.add_csv("toy_aggregate.csv", toy.AGGREGATE_HEADER, toy.aggregate_rows(traces))
+
+
+def _toy_cell(params: dict, ratio):
+    return toy.run_toy_chain(toy.ToyConfig(ratio=ratio, **params))
 
 
 def _chain_config(spec: ExperimentSpec, ratio: float, seed: int) -> ChainConfig:
@@ -311,40 +313,9 @@ def _chain_config(spec: ExperimentSpec, ratio: float, seed: int) -> ChainConfig:
 
 
 def _run_chain_grid(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
-    records = read_records_jsonl(spec.corpus_path)
-
-    def run_cell(ratio, seed):
-        """The cell's summary rows, relative rows and trace lines."""
-        trace = run_chain(_chain_config(spec, ratio, seed), HumanCorpus(records, seed=seed),
-                          default_factory)
-        rows, rel_rows, trace_lines = [], [], []
-        for g, per_domain in enumerate(trace.reports):
-            for domain, report in per_domain.items():
-                domain_name = domain if domain is not None else ""
-                if report is None:
-                    trace_lines.append({"seed": seed, "ratio": ratio, "generation": g,
-                                        "domain": domain_name, "skipped": True})
-                    continue
-                trace_lines.append({
-                    "seed": seed, "ratio": ratio, "generation": g,
-                    "domain": domain_name, "kind": trace.kinds[g],
-                    "sample_size": report.sample_size,
-                    "metrics": {k: float(v) for k, v in report.values.items()},
-                    "whole_batch": report.whole_batch,
-                })
-                for metric, value in report.values.items():
-                    rows.append([seed, g, domain_name, float(ratio), metric, float(value)])
-        try:
-            rel = relative_metrics(trace)
-        except InvalidTraceError:  # fewer than two evaluated generations
-            rel = {}
-        for domain, metric_map in rel.items():
-            for metric, value in metric_map.items():
-                rel_rows.append([seed, domain if domain is not None else "", float(ratio),
-                                 metric, _or_blank(value)])
-        return rows, rel_rows, trace_lines
-
     cells = [{"ratio": r, "seed": s} for r in spec.ratios for s in spec.seeds]
+    corpus = record_columns(read_records_jsonl(spec.corpus_path))
+    run_cell = functools.partial(_chain_cell, spec, corpus)
     summary, relative_rows, trace_lines = [], [], []
     for rows, rel_rows, lines in _run_cells(cells, run_cell, failures):
         summary += rows
@@ -360,29 +331,63 @@ def _run_chain_grid(spec: ExperimentSpec, store: ResultStore, failures: list) ->
                   sorted(relative_rows, key=lambda r: (r[0], str(r[1]), r[2], r[3])))
 
 
+def _chain_cell(spec: ExperimentSpec, corpus: tuple, ratio, seed):
+    """The cell's summary rows, relative rows and trace lines."""
+    trace = run_chain(_chain_config(spec, ratio, seed),
+                      HumanCorpus.from_columns(*corpus, seed=seed), default_factory)
+    rows, rel_rows, trace_lines = [], [], []
+    for g, per_domain in enumerate(trace.reports):
+        for domain, report in per_domain.items():
+            domain_name = domain if domain is not None else ""
+            if report is None:
+                trace_lines.append({"seed": seed, "ratio": ratio, "generation": g,
+                                    "domain": domain_name, "skipped": True})
+                continue
+            trace_lines.append({
+                "seed": seed, "ratio": ratio, "generation": g,
+                "domain": domain_name, "kind": trace.kinds[g],
+                "sample_size": report.sample_size,
+                "metrics": {k: float(v) for k, v in report.values.items()},
+                "whole_batch": report.whole_batch,
+            })
+            for metric, value in report.values.items():
+                rows.append([seed, g, domain_name, float(ratio), metric, float(value)])
+    try:
+        rel = relative_metrics(trace)
+    except InvalidTraceError:  # fewer than two evaluated generations
+        rel = {}
+    for domain, metric_map in rel.items():
+        for metric, value in metric_map.items():
+            rel_rows.append([seed, domain if domain is not None else "", float(ratio),
+                             metric, _or_blank(value)])
+    return rows, rel_rows, trace_lines
+
+
 def _run_lean(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
-    from .judge import LEAN_LEFT_FRACTIONS, build_lean_mixture, partition_by_lean
-    from .metrics import lean_bins
+    from .judge import LEAN_LEFT_FRACTIONS, partition_by_lean
 
     left, right = partition_by_lean(read_records_jsonl(spec.corpus_path))
     p = spec.params.get("lean", {})
     size = p.get("mixture_size", min(len(left), len(right)))
     fractions = p.get("left_fractions", LEAN_LEFT_FRACTIONS)
-
-    def run_cell(left_fraction, seed):
-        mix = build_lean_mixture(left, right, left_fraction, size, seed=seed)
-        scores = [r.annotations["lean"] for r in mix]
-        bins = lean_bins(scores)
-        political = [s for s in scores if s != -1]
-        mean_lean = float(np.mean(political)) if political else ""
-        return ([float(left_fraction), seed, mean_lean, float(bins["neutral_fraction"]),
-                 float(bins["non_political_fraction"])]
-                + [float(x) for x in bins["proportions"]])
-
     cells = [{"left_fraction": f, "seed": s} for f in fractions for s in spec.seeds]
     header = (["left_fraction", "seed", "mean_lean", "neutral_fraction",
                "non_political_fraction"] + _BINS)
-    store.add_csv("lean_mixtures.csv", header, _run_cells(cells, run_cell, failures))
+    store.add_csv("lean_mixtures.csv", header, _run_cells(
+        cells, functools.partial(_lean_cell, left, right, size), failures))
+
+
+def _lean_cell(left: list, right: list, size: int, left_fraction, seed):
+    from .judge import build_lean_mixture
+
+    mix = build_lean_mixture(left, right, left_fraction, size, seed=seed)
+    scores = [r.annotations["lean"] for r in mix]
+    bins = metrics.lean_bins(scores)
+    political = [s for s in scores if s != -1]
+    mean_lean = float(np.mean(political)) if political else ""
+    return ([float(left_fraction), seed, mean_lean, float(bins["neutral_fraction"]),
+             float(bins["non_political_fraction"])]
+            + [float(x) for x in bins["proportions"]])
 
 
 def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
@@ -395,28 +400,14 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
     round, property tasks first. A cell is recorded in ``failures`` with its
     chain's error if the chain raised, else with its properties' error if
     those raised, in cell order."""
-    records = read_records_jsonl(spec.corpus_path)
+    corpus = record_columns(read_records_jsonl(spec.corpus_path))
     clusters = read_jsonl(spec.cluster_manifest, required=("cluster_id", "record_indices"))
     indices = {c["cluster_id"]: c["record_indices"] for c in clusters}
-
-    def run_task(cluster_id, seed, ratio=None):
-        """A cell's relative metrics, or without a ratio the cluster's properties."""
-        members = [records[i] for i in indices[cluster_id]]
-        if ratio is None:
-            texts = [m.text for m in members]
-            return [metrics.self_bleu(texts, seed=seed), metrics.word_entropy(texts),
-                    metrics.type_token_ratio(texts), metrics.avg_text_length(texts)]
-        trace = run_chain(_chain_config(spec, ratio, seed),
-                          HumanCorpus(members, seed=seed), default_factory)
-        rel = relative_metrics(trace)
-        domain_rel = rel.get(None) or next(iter(rel.values()))
-        return [_or_blank(domain_rel.get("distinct_count")),
-                _or_blank(domain_rel.get("word_entropy"))]
-
     property_tasks = [{"cluster_id": c, "seed": s} for c in indices for s in spec.seeds]
     cells = [{"cluster_id": c["cluster_id"], "ratio": r, "seed": s}
              for c in clusters for r in spec.ratios for s in spec.seeds]
-    outcomes = _pool.outcomes(run_task, property_tasks + cells)
+    outcomes = _pool.outcomes(functools.partial(_cluster_task, spec, corpus, indices),
+                              property_tasks + cells)
     properties = {(task["cluster_id"], task["seed"]): outcome
                   for task, outcome in zip(property_tasks, outcomes)}
     rows = []
@@ -431,6 +422,24 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
                    "word_entropy", "type_token_ratio", "text_length",
                    "rel_distinct_count", "rel_word_entropy"],
                   sorted(rows, key=lambda r: (r[0], r[1], r[2])))
+
+
+def _cluster_task(spec: ExperimentSpec, corpus: tuple, indices: dict, cluster_id, seed,
+                  ratio=None):
+    """A cell's relative metrics, or without a ratio the cluster's properties."""
+    texts, sources, domains = corpus
+    members = indices[cluster_id]
+    member_texts = [texts[i] for i in members]
+    if ratio is None:
+        return [metrics.self_bleu(member_texts, seed=seed), metrics.word_entropy(member_texts),
+                metrics.type_token_ratio(member_texts), metrics.avg_text_length(member_texts)]
+    corpus = HumanCorpus.from_columns(member_texts, [sources[i] for i in members],
+                                      [domains[i] for i in members], seed=seed)
+    trace = run_chain(_chain_config(spec, ratio, seed), corpus, default_factory)
+    rel = relative_metrics(trace)
+    domain_rel = rel.get(None) or next(iter(rel.values()))
+    return [_or_blank(domain_rel.get("distinct_count")),
+            _or_blank(domain_rel.get("word_entropy"))]
 
 
 def _check_param_types(section: str, given: dict, config) -> None:

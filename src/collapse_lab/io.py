@@ -180,6 +180,11 @@ def read_embeddings(path) -> np.ndarray:
             data = np.frombuffer(fh.read(4 * n * d), dtype="<f4")
             if data.size != n * d:
                 raise InvalidInputError(f"{path}: truncated EMB1 payload")
+            payload_end = fh.tell()
+            extra = fh.seek(0, 2) - payload_end
+            if extra:
+                raise InvalidInputError(
+                    f"{path}: {extra} bytes after the EMB1 payload of {n} x {d} values")
             return data.reshape(n, d).astype(float)
     rows = []
     with _open_input(path, encoding="utf-8", newline="") as fh:

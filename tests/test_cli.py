@@ -1,4 +1,5 @@
 import json
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -195,6 +196,9 @@ def _bad_input(tmp_path, case):
     if case == "emb1 header":
         proj.write_bytes(b"EMB1\x03\x00")
         return cluster, f"{proj}: truncated EMB1 header"
+    if case == "emb1 payload":
+        proj.write_bytes(b"EMB1" + struct.pack("<II", 10, 2) + struct.pack("<26f", *range(26)))
+        return cluster, f"{proj}: 24 bytes after the EMB1 payload of 10 x 2 values"
     if case == "record text":
         records.write_text('{"text": "fine"}\n\n{"text": 5}\n')
         return ["metrics", "--records", str(records)], f"{records}:3: text of the wrong type: 5"
@@ -246,7 +250,7 @@ def _bad_input(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["csv cell", "csv row width", "csv not utf-8",
-                                  "projection width", "emb1 header",
+                                  "projection width", "emb1 header", "emb1 payload",
                                   "record text", "records not utf-8", "record source",
                                   "human generation", "synthetic generation", "bool generation",
                                   "bool quality", "bool lean", "bool positivity",

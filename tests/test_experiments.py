@@ -35,6 +35,12 @@ from collapse_lab.io import (
 _SECTIONS = {"toy": "toy", "chain": "chain", "cluster-regression": "chain", "lean": "lean"}
 
 
+def only_pool_workers() -> bool:
+    """Whether the live child processes are the pool's workers and no others."""
+    return ({p.pid for p in multiprocessing.active_children()}
+            == {p.pid for p, _ in _pool._workers})
+
+
 def write_corpus(path, n=400, lean_mix=False):
     records = []
     for i in range(n):
@@ -748,16 +754,18 @@ class TestForkedCells:
             (tmp_path / str(workers)).mkdir()
             spec = _grid_spec(tmp_path / str(workers), kind)
             runs[workers] = _artifacts(run_experiment(spec))
-            assert multiprocessing.active_children() == []
+            assert only_pool_workers()
         assert runs[1] == runs[2]
         assert (runs[1]["failures"] != []) == (kind != "toy")
 
     def test_a_dying_worker_fails_only_its_own_cell(self, tmp_path, monkeypatch):
         """The ratio-1 cell, the costliest and so the first submitted, ends
         its worker process with os._exit while the other cells are running
-        or queued. It is recorded as BrokenProcessPool; the cells the broken
-        pool held run again and their rows are written."""
+        or queued. It is recorded as BrokenProcessPool; the other cells run
+        on the other worker and the dead one's replacement, and their rows
+        are written."""
         clean = _artifacts(run_experiment(_grid_spec(tmp_path / "clean", "toy")))
+        _pool.shutdown()  # workers run the code as it was when they were forked
         run_toy_chain = toy.run_toy_chain
 
         def dies_at_one(cfg):
@@ -769,7 +777,7 @@ class TestForkedCells:
         monkeypatch.setattr(toy, "run_toy_chain", dies_at_one)
         monkeypatch.setattr(_pool, "_cpu_count", lambda: 2)
         broken = _artifacts(run_experiment(_grid_spec(tmp_path / "broken", "toy")))
-        assert multiprocessing.active_children() == []
+        assert only_pool_workers()
         assert [f["cell"] for f in broken["failures"]] == [{"ratio": 1.0}]
         assert broken["failures"][0]["error"].startswith("BrokenProcessPool: ")
         for name in ("toy_trace.csv", "toy_aggregate.csv"):
@@ -798,7 +806,7 @@ class TestForkedCells:
         monkeypatch.setattr(_pool, "_cpu_count", lambda: workers)
         spec = _grid_spec(tmp_path, "toy")
         run = _artifacts(run_experiment(spec))
-        assert multiprocessing.active_children() == []
+        assert only_pool_workers()
         assert run["failures"] == [{"cell": {"ratio": 0.5}, "error": "ThreeArgError: 1-2-3"}]
         assert sorted(float(r) for r in runs.read_text().split()) == sorted(spec.ratios)
 
@@ -823,7 +831,7 @@ class TestForkedCells:
         monkeypatch.setattr(metrics, "self_bleu", fails_from_record_zero)
         monkeypatch.setattr(_pool, "_cpu_count", lambda: workers)
         run = _artifacts(run_experiment(_grid_spec(tmp_path, "cluster-regression")))
-        assert multiprocessing.active_children() == []
+        assert only_pool_workers()
         cells = [{"cluster_id": c, "ratio": r, "seed": s}
                  for c in (0, 2) for r in (0.25, 0.5) for s in (0, 1)]
         assert [f["cell"] for f in run["failures"]] == cells
