@@ -100,6 +100,9 @@ def _cmd_emit(args) -> int:
 def _cmd_metrics(args) -> int:
     records = read_records_jsonl(args.records)
     texts = [r.text for r in records]
+    emb = read_embeddings(args.embeddings) if args.embeddings else None
+    if emb is not None and emb.shape[0] != len(records):
+        raise InvalidInputError(f"embedding rows ({emb.shape[0]}) != records ({len(records)})")
     rows = []
 
     def row(name, value, **params):
@@ -118,8 +121,7 @@ def _cmd_metrics(args) -> int:
             agg = metrics.aggregate_scores(records, key)
             row(f"mean_{key}", agg["mean"], count=agg["count"])
 
-    if args.embeddings:
-        emb = read_embeddings(args.embeddings)
+    if emb is not None:
         row("cosine_diversity", metrics.cosine_diversity(emb))
         if emb.shape[0] > _KNN_K:
             row("knn_cosine_diversity", metrics.knn_cosine_diversity(emb, _KNN_K), k=_KNN_K)

@@ -176,9 +176,11 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 def load_spec(path) -> ExperimentSpec:
     """Load a spec from a JSON config file. A top-level "include" list of
-    paths is merged first (later includes win), then the body's own keys. Any
-    other key than an ExperimentSpec field raises InvalidConfigError."""
-    merged = _load_with_includes(path, seen=set())
+    paths is merged first (later includes win), then the body's own keys. A
+    file may be included more than once, but a file that includes itself,
+    directly or not, raises InvalidConfigError, as does any other key than an
+    ExperimentSpec field."""
+    merged = _load_with_includes(path, loading=())
     unknown = sorted(set(merged) - {f.name for f in fields(ExperimentSpec)})
     if unknown:
         raise InvalidConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
@@ -189,11 +191,12 @@ def load_spec(path) -> ExperimentSpec:
     return spec
 
 
-def _load_with_includes(path, seen) -> dict:
+def _load_with_includes(path, loading: tuple) -> dict:
+    """The merged body of ``path``; ``loading`` holds the real paths of the
+    files whose includes led to it."""
     real = os.path.realpath(path)
-    if real in seen:
+    if real in loading:
         raise InvalidConfigError(f"circular include at {path}")
-    seen.add(real)
     try:
         with open(path, encoding="utf-8") as fh:
             body = json.load(fh)
@@ -211,7 +214,7 @@ def _load_with_includes(path, seen) -> dict:
     merged: dict = {}
     for inc in includes:
         inc_path = inc if os.path.isabs(inc) else os.path.join(os.path.dirname(path), inc)
-        merged.update(_load_with_includes(inc_path, seen))
+        merged.update(_load_with_includes(inc_path, loading + (real,)))
     merged.update(body)
     return merged
 

@@ -164,10 +164,11 @@ def write_embeddings_emb1(matrix: np.ndarray, path) -> None:
 
 def read_embeddings(path) -> np.ndarray:
     """Read an embedding matrix from an EMB1 binary file or a CSV with an id
-    column (first column) followed by the vector components. A missing,
-    unreadable or malformed file raises InvalidInputError naming the path,
-    and for a malformed CSV the line; a CSV that is not UTF-8 names only the
-    path."""
+    column (first column) followed by the vector components. The CSV's first
+    row is a header when its id cell is empty (as pandas writes one) or its
+    last cell is not a number. A missing, unreadable or malformed file raises
+    InvalidInputError naming the path, and for a malformed CSV the line; a
+    CSV that is not UTF-8 names only the path."""
     import numpy as np
 
     with _open_input(path, "rb") as fh:
@@ -196,7 +197,7 @@ def read_embeddings(path) -> np.ndarray:
                     continue
                 if first:
                     first = False
-                    if not _is_float(row[-1]):
+                    if not row[0] or not _is_float(row[-1]):
                         continue
                 try:
                     rows.append([float(v) for v in row[1:]])

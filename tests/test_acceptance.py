@@ -10,6 +10,7 @@ no non-monotonicity in the ratio can emerge. See README.md for the analysis.
 import math
 
 import numpy as np
+from conftest import judge_server
 from scipy import stats as sps
 
 from collapse_lab.chain import ChainConfig, HumanCorpus, run_chain
@@ -306,16 +307,11 @@ def test_criterion_8_clustering_oracles():
 
 
 def test_criterion_9_lean_pipeline():
-    # scripted judge: fixed scores independent of network
+    # a loopback judge scoring each text by its first letter
     script = {"L": 10, "R": 90, "N": 50, "X": -1}
-
-    def transport(url, payload, timeout, token):
-        text = payload["messages"][0]["content"].rsplit("Here is the text: ", 1)[1]
-        return str(script[text[0]])
-
-    cfg = JudgeConfig(endpoint="http://mock.invalid", model="m")
     texts = [f"{tag} post {i}" for i, tag in enumerate("LRNX" * 10)]
-    result = annotate_lean(texts, cfg, transport=transport)
+    with judge_server(lambda text: str(script[text[0]])) as (url, _):
+        result = annotate_lean(texts, JudgeConfig(endpoint=url, model="m"))
     judge_ok = result.scores == [script[t[0]] for t in texts]
 
     left = [{"lean": 10, "id": i} for i in range(500)]

@@ -1,11 +1,10 @@
 import hashlib
 import json
 import socket
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from conftest import http_ok, raw_server
 
 from collapse_lab import chain as chain_mod
 from collapse_lab import metrics
@@ -234,6 +233,18 @@ class TestRunChain:
             sizes = [len(v) for v in batches.values()]
             assert max(sizes) - min(sizes) <= 1
 
+    def test_undersized_batch_is_evaluated_whole(self):
+        """A domain whose synthetic share (7) is below ``eval_sample`` (8) is
+        evaluated on its whole batch, and the report says so."""
+        cfg = small_config(per_gen_total=42, initial_human=84, domains=("a", "b", "c"),
+                           eval_sample=8)
+        corpus = make_corpus(cfg.initial_human + cfg.generations * cfg.per_gen_total,
+                             domains=("a", "b", "c"))
+        reports = [r for gen in run_chain(cfg, corpus, default_factory).reports
+                   for r in gen.values()]
+        assert len(reports) == cfg.generations * 3
+        assert {(r.whole_batch, r.sample_size) for r in reports} == {(True, 7)}
+
     def test_corpus_exhaustion_names_generation(self):
         cfg = small_config(ratio=0.0, eval_sample=1)
         corpus = make_corpus(cfg.initial_human + cfg.per_gen_total)  # one generation's worth
@@ -357,32 +368,15 @@ class TestExternalGenerator:
         ``payloads`` lists the request bodies it received."""
         payloads = []
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                payloads.append(payload)
-                if payload["domain"] == "html":
-                    out = b"<html>busy</html>"
-                else:
-                    n = 1 if payload["domain"] == "short" else payload["n"]
-                    out = json.dumps({"texts": [f"t{i}" for i in range(n)]}).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(out)))
-                self.end_headers()
-                self.wfile.write(out)
+        def respond(body):
+            payloads.append(json.loads(body))
+            if payloads[-1]["domain"] == "html":
+                return http_ok(b"<html>busy</html>")
+            n = 1 if payloads[-1]["domain"] == "short" else payloads[-1]["n"]
+            return http_ok(json.dumps({"texts": [f"t{i}" for i in range(n)]}).encode())
 
-            def log_message(self, *args):
-                pass
-
-        server = HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with raw_server(respond) as server:
             yield f"http://127.0.0.1:{server.server_address[1]}/gen", payloads
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join()
 
     @staticmethod
     def _generator(url, **kw):

@@ -1,11 +1,10 @@
 import json
 import struct
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import judge_server
 
 from collapse_lab.cli import main
 from collapse_lab.experiments import ExperimentSpec, load_spec, run_experiment
@@ -161,6 +160,20 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert "cosine_diversity" in body
 
 
+def test_metrics_on_five_dimensional_embeddings(tmp_path):
+    """One 5-D embedding row per record, projected to 2-D, gives every
+    embedding metric row."""
+    records, emb, out = tmp_path / "records.jsonl", tmp_path / "emb.bin", tmp_path / "metrics.csv"
+    write_records_jsonl([TextRecord(text=f"post number {i}") for i in range(60)], records)
+    write_embeddings_emb1(np.random.default_rng(0).normal(size=(60, 5)).astype(np.float32), emb)
+    argv = ["metrics", "--records", str(records), "--embeddings", str(emb), "--out", str(out)]
+    assert main(argv) == 0
+    rows = {row["metric"]: row["sample_size"] for row in read_csv(out)}
+    assert {"cosine_diversity", "knn_cosine_diversity", "kl_entropy",
+            "gaussianity_aic"} <= set(rows)
+    assert set(rows.values()) == {"60"}
+
+
 def test_metrics_non_numeric_score_raises(tmp_path, capsys):
     """A score that is not a number is an error, not a silently missing
     mean_* row: the reader names its line."""
@@ -199,6 +212,10 @@ def _bad_input(tmp_path, case):
     if case == "emb1 payload":
         proj.write_bytes(b"EMB1" + struct.pack("<II", 10, 2) + struct.pack("<26f", *range(26)))
         return cluster, f"{proj}: 24 bytes after the EMB1 payload of 10 x 2 values"
+    if case == "embedding rows":
+        proj.write_text("0,1.0,2.0\n")
+        return ["metrics", "--records", str(records), "--embeddings", str(proj)], \
+            "embedding rows (1) != records (3)"
     if case == "record text":
         records.write_text('{"text": "fine"}\n\n{"text": 5}\n')
         return ["metrics", "--records", str(records)], f"{records}:3: text of the wrong type: 5"
@@ -251,6 +268,7 @@ def _bad_input(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["csv cell", "csv row width", "csv not utf-8",
                                   "projection width", "emb1 header", "emb1 payload",
+                                  "embedding rows",
                                   "record text", "records not utf-8", "record source",
                                   "human generation", "synthetic generation", "bool generation",
                                   "bool quality", "bool lean", "bool positivity",
@@ -476,38 +494,17 @@ def test_emit_subcommand(tmp_path):
 def test_annotate_subcommand_prints_judge_counters(tmp_path, capsys):
     """A duplicate text is requested once, a text the judge cannot score
     costs every retry, and a second run serves the scored ones from the cache."""
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            content = prompt["messages"][0]["content"]
-            out = json.dumps({"text": "n/a" if "unscorable" in content else "70"}).encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(out)))
-            self.end_headers()
-            self.wfile.write(out)
-
-        def log_message(self, *args):
-            pass
-
     records = tmp_path / "texts.jsonl"
     write_records_jsonl([TextRecord(text=t) for t in ("a fine post", "a fine post", "unscorable")],
                         records)
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    try:
-        args = ["annotate", "--kind", "quality", "--records", str(records),
-                "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/chat",
+    with judge_server(lambda text: "n/a" if text == "unscorable" else "70") as (url, _):
+        args = ["annotate", "--kind", "quality", "--records", str(records), "--endpoint", url,
                 "--model", "m", "--cache", str(tmp_path / "cache.jsonl"),
                 "--out", str(tmp_path / "annotations.jsonl")]
         assert main(args) == 1
         first = capsys.readouterr().out
         assert main(args) == 1
         second = capsys.readouterr().out
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join()
     assert first.startswith("2 annotated, 1 failed (0 cache hits, 5 requests, "
                             "4 parse failures, 0 transport failures) -> ")
     assert second.startswith("2 annotated, 1 failed (2 cache hits, 4 requests, "

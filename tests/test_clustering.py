@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import only_pool_workers
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,12 +28,6 @@ from collapse_lab.errors import DegenerateInputError, InvalidInputError, Shortfa
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the suite's fits run on worker processes only where fork exists")
-
-
-def only_pool_workers() -> bool:
-    """Whether the live child processes are the pool's workers and no others."""
-    return ({p.pid for p in multiprocessing.active_children()}
-            == {p.pid for p, _ in _pool._workers})
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import only_pool_workers
 
 from collapse_lab import _pool, experiments, metrics, toy
 from collapse_lab.chain import ChainConfig
@@ -33,12 +34,6 @@ from collapse_lab.io import (
 
 # the params section each kind reads
 _SECTIONS = {"toy": "toy", "chain": "chain", "cluster-regression": "chain", "lean": "lean"}
-
-
-def only_pool_workers() -> bool:
-    """Whether the live child processes are the pool's workers and no others."""
-    return ({p.pid for p in multiprocessing.active_children()}
-            == {p.pid for p, _ in _pool._workers})
 
 
 def write_corpus(path, n=400, lean_mix=False):
@@ -91,6 +86,25 @@ class TestSpecLoading:
         spec = load_spec(spec_file)
         assert spec.seeds == [7]
         assert spec.ratios == [0.5]  # body wins over include
+
+    def test_shared_include_is_not_a_cycle(self, tmp_path):
+        """Two includes that share a base, and an include listed twice, load."""
+        for name, body in [("shared", {"kind": "toy", "seeds": [7]}),
+                           ("a", {"include": ["shared.json"], "ratios": [0.25]}),
+                           ("b", {"include": ["shared.json"], "ratios": [0.5]}),
+                           ("diamond", {"include": ["a.json", "b.json"]}),
+                           ("twice", {"include": ["a.json", "a.json"]})]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(body))
+        for name, ratios in [("diamond", [0.5]), ("twice", [0.25])]:
+            spec = load_spec(tmp_path / f"{name}.json")
+            assert (spec.kind, spec.seeds, spec.ratios) == ("toy", [7], ratios)
+
+    def test_include_cycle_rejected(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"include": ["b.json"], "kind": "toy"}))
+        b.write_text(json.dumps({"include": ["a.json"]}))
+        with pytest.raises(InvalidConfigError, match=f"^circular include at {tmp_path}/a.json$"):
+            load_spec(a)
 
     def test_unknown_kind_rejected(self, tmp_path):
         f = tmp_path / "bad.json"
@@ -548,6 +562,15 @@ class TestEmbeddingIo:
         path = tmp_path / "emb.csv"
         path.write_text("\n\nid,x,y\n0,1.5,2.5\n\n1,3.0,4.0\n")
         np.testing.assert_array_equal(read_embeddings(path), [[1.5, 2.5], [3.0, 4.0]])
+
+    def test_csv_numeric_header_with_an_empty_id_cell(self, tmp_path):
+        """pandas' default ``DataFrame.to_csv()`` header (an empty id cell,
+        then the column numbers) is a header; a first row with an id is data."""
+        path = tmp_path / "emb.csv"
+        path.write_text(",0,1\n0,1.5,2.5\n1,3.0,4.0\n")
+        np.testing.assert_array_equal(read_embeddings(path), [[1.5, 2.5], [3.0, 4.0]])
+        path.write_text("0,0.5,0.25\n1,3.0,4.0\n")
+        np.testing.assert_array_equal(read_embeddings(path), [[0.5, 0.25], [3.0, 4.0]])
 
     def test_records_round_trip(self, tmp_path):
         records = [

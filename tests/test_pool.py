@@ -59,6 +59,23 @@ def _lock_at(n, at):
     return threading.Lock() if n == at else n
 
 
+class Unloadable:
+    """Pickles anywhere, and fails to unpickle, naming the pid that pickled it."""
+
+    def __reduce__(self):
+        return int, (f"pickled in {os.getpid()}",)
+
+
+def _unloadable_at(n, at):
+    time.sleep(0.01)
+    return Unloadable() if n == at else os.getpid()
+
+
+def _sleep(n, seconds):
+    time.sleep(seconds[n])
+    return n
+
+
 def _worker_pids():
     return {process.pid for process, _ in _pool._workers}
 
@@ -110,6 +127,44 @@ def test_a_result_that_does_not_pickle_fails_alone(monkeypatch):
     assert outcomes[0] == (True, 0) and outcomes[2] == (True, 2)
     assert not outcomes[1][0]
     assert _pool.describe(outcomes[1][1]) == "TypeError: cannot pickle '_thread.lock' object"
+
+
+def test_a_result_that_does_not_unpickle_fails_alone(monkeypatch):
+    """A result that its worker pickles but this process cannot unpickle fails
+    as BrokenProcessPool, and its worker goes on to serve the next task."""
+    monkeypatch.setattr(_pool, "_cpu_count", lambda: 2)
+    outcomes = _pool.outcomes(functools.partial(_unloadable_at, at=1),
+                              [{"n": n} for n in range(6)])
+    assert [finished for finished, _ in outcomes] == [True, False, True, True, True, True]
+    failure = outcomes[1][1]
+    assert isinstance(failure, BrokenProcessPool)
+    pid = int(str(failure.__cause__).split()[-1].strip("'"))
+    assert pid in {value for _, value in outcomes[2:]}  # it served a later task
+    assert {value for _, value in outcomes if isinstance(value, int)} == _worker_pids()
+
+
+def test_an_error_out_of_a_round_kills_the_busy_workers(monkeypatch):
+    """An error that leaves a round (here from its ``order``) kills the
+    worker still running a task and shuts the pool down; the next round
+    forks new workers."""
+    monkeypatch.setattr(_pool, "_cpu_count", lambda: 2)
+    forked = []
+
+    def order():
+        yield 0
+        yield 1
+        forked.extend(process for process, _ in _pool._workers)
+        raise RuntimeError("order failed")
+
+    run = functools.partial(_sleep, seconds=[0.0, 60.0, 0.0])
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="order failed"):
+        _pool._forked_outcomes(2, run, [{"n": n} for n in range(3)], order())
+    assert time.monotonic() - started < 30
+    assert _pool._workers == [] and multiprocessing.active_children() == []
+    assert sorted(process.exitcode for process in forked) == [-signal.SIGKILL, 0]
+    after = _pool.outcomes(functools.partial(_unloadable_at, at=-1), [{"n": n} for n in range(4)])
+    assert not {value for _, value in after} & {process.pid for process in forked}
 
 
 def _child(script: str) -> list[str]:
