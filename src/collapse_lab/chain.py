@@ -133,7 +133,7 @@ class ChainConfig:
     seed: int = 0
     eval_metrics: tuple = EVAL_METRICS
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
             raise InvalidConfigError("ratio must lie in [0, 1]")
         if self.generations < 1 or self.per_gen_total < 1 or self.initial_human < 1:
@@ -231,7 +231,6 @@ def run_chain(cfg: ChainConfig, corpus: HumanCorpus, generator_factory) -> Chain
     ``generate(n, domain)``, which returns exactly n strings, deterministic
     for the seed; no generator state survives a generation. Each generation
     draws its generator kind from ``cfg.generator_kinds``."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     pool = DataPool()
     trace = ChainTrace(config=cfg)

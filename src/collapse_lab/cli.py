@@ -10,6 +10,7 @@ artifacts; all randomness flows from seeds in the configs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
 def _cmd_run(args) -> int:
     spec = load_spec(args.config)
     if args.out:
-        spec.out_dir = args.out
+        spec = dataclasses.replace(spec, out_dir=args.out)
     store = run_experiment(spec)
     print(f"results in {store.out_dir}")
     return 0

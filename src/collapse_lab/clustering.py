@@ -438,7 +438,7 @@ class ClusterSuiteConfig:
     final_count: int = 200
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.quota_per_clustering < 1:
             raise InvalidConfigError("quota_per_clustering must be >= 1")
         if self.final_count < 1:
@@ -459,7 +459,6 @@ def build_cluster_suite(points, cfg: ClusterSuiteConfig) -> list[dict]:
     Returns a list of cluster specs:
     {"cluster_id", "method", "params", "record_indices"}.
     """
-    cfg.validate()
     points = _as_points(points, min_rows=2)
     n = points.shape[0]
     rng = np.random.default_rng(cfg.seed)

@@ -30,7 +30,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-# spec fields a kind reads its inputs from; validate checks them before any output
+# spec fields a kind reads its inputs from; a spec checks them when it is made
 _REQUIRED = {"chain": ("corpus_path",), "lean": ("corpus_path",),
              "cluster-regression": ("corpus_path", "cluster_manifest")}
 # keys each params section may set; a toy cell takes its ratio, a chain cell
@@ -71,6 +71,10 @@ FIGURE_KINDS = tuple(_FIGURES)
 
 @dataclass
 class ExperimentSpec:
+    """A grid experiment. Making one rejects, before any output, every value
+    that would fail each cell alike, repeat a cell, leave the grid empty, or
+    that the kind would silently ignore."""
+
     kind: str
     ratios: list | None = None  # None: the paper's grid
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
@@ -83,14 +87,12 @@ class ExperimentSpec:
         if self.ratios is None:  # without ratio 0 for cluster-regression, which rejects it
             grid = [0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0]
             self.ratios = grid[1:] if self.kind == "cluster-regression" else grid
-
-    def validate(self) -> None:
-        """Reject, before any output, every value that would fail each cell
-        alike, leave the grid empty, or that the kind would silently ignore."""
         if self.kind not in KINDS:
             raise InvalidConfigError(f"unknown experiment kind {self.kind!r}")
-        if not isinstance(self.out_dir, str):
+        if not (isinstance(self.out_dir, str) and self.out_dir):
             raise InvalidConfigError(f"out_dir must be a path, not {self.out_dir!r}")
+        if os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
+            raise InvalidConfigError(f"out_dir is not a directory: {self.out_dir}")
         for name in ("corpus_path", "cluster_manifest"):
             path = getattr(self, name)
             if not isinstance(path, (str, type(None))):
@@ -103,6 +105,7 @@ class ExperimentSpec:
             raise InvalidConfigError("ratios must be a list of numbers in [0, 1]")
         if not self.ratios:
             raise InvalidConfigError("ratios must not be empty")
+        _check_distinct("ratios", self.ratios)
         if self.kind == "cluster-regression" and 0 in self.ratios:
             raise InvalidConfigError(
                 "cluster-regression ratios must be > 0: a ratio-0 chain evaluates no "
@@ -110,6 +113,7 @@ class ExperimentSpec:
         if not (isinstance(self.seeds, (list, tuple)) and self.seeds
                 and all(_is_number(s, numbers.Integral) and s >= 0 for s in self.seeds)):
             raise InvalidConfigError("seeds must be a non-empty list of non-negative integers")
+        _check_distinct("seeds", self.seeds)
         for path in (self.corpus_path, self.cluster_manifest):
             if path is not None and not os.path.exists(path):
                 raise InvalidConfigError(f"referenced file does not exist: {path}")
@@ -130,7 +134,7 @@ class ExperimentSpec:
         if section == "toy":
             _check_param_types("toy", given, toy.ToyConfig)
             for r in self.ratios:
-                toy.ToyConfig(ratio=r, **given).validate()
+                toy.ToyConfig(ratio=r, **given)
         elif section == "chain":
             kinds = given.get("generator_kinds", ())
             if not isinstance(kinds, (list, tuple)):
@@ -140,7 +144,7 @@ class ExperimentSpec:
                 default_factory(kind, 0)  # raises InvalidConfigError on a name it does not know
             _check_param_types("chain", given, ChainConfig)
             for r in self.ratios:
-                _chain_config(self, r, self.seeds[0]).validate()
+                _chain_config(self, r, self.seeds[0])
         else:
             from .judge import LEAN_LEFT_FRACTIONS
 
@@ -153,6 +157,7 @@ class ExperimentSpec:
                     f"{list(LEAN_LEFT_FRACTIONS)}")
             if not fractions:
                 raise InvalidConfigError("params.lean.left_fractions must not be empty")
+            _check_distinct("params.lean.left_fractions", fractions)
             size = given.get("mixture_size", 1)
             if not (_is_number(size, numbers.Integral) and size >= 1):
                 raise InvalidConfigError("params.lean.mixture_size must be an integer >= 1")
@@ -186,9 +191,7 @@ def load_spec(path) -> ExperimentSpec:
         raise InvalidConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     if "kind" not in merged:
         raise InvalidConfigError(f"{path}: config lacks an experiment kind")
-    spec = ExperimentSpec(**merged)
-    spec.validate()
-    return spec
+    return ExperimentSpec(**merged)
 
 
 def _load_with_includes(path, loading: tuple) -> dict:
@@ -267,7 +270,6 @@ class ResultStore:
 def run_experiment(spec: ExperimentSpec) -> ResultStore:
     """Execute a spec's full grid. Per-cell failures are recorded without
     aborting the rest of the grid."""
-    spec.validate()
     store = ResultStore(spec.out_dir)
     failures: list = []
     _RUNNERS[spec.kind](spec, store, failures)
@@ -405,7 +407,12 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
     those raised, in cell order."""
     corpus = record_columns(read_records_jsonl(spec.corpus_path))
     clusters = read_jsonl(spec.cluster_manifest, required=("cluster_id", "record_indices"))
-    indices = {c["cluster_id"]: c["record_indices"] for c in clusters}
+    indices: dict = {}
+    for c in clusters:
+        if c["cluster_id"] in indices:  # its cells would all read the last entry's records
+            raise InvalidInputError(
+                f"{spec.cluster_manifest}: cluster_id {c['cluster_id']!r} appears more than once")
+        indices[c["cluster_id"]] = c["record_indices"]
     property_tasks = [{"cluster_id": c, "seed": s} for c in indices for s in spec.seeds]
     cells = [{"cluster_id": c["cluster_id"], "ratio": r, "seed": s}
              for c in clusters for r in spec.ratios for s in spec.seeds]
@@ -453,6 +460,13 @@ def _check_param_types(section: str, given: dict, config) -> None:
         if not ok(value):
             raise InvalidConfigError(f"params.{section}.{key} must be {what}, "
                                      f"not {json.dumps(value, default=repr)}")
+
+
+def _check_distinct(name: str, values) -> None:
+    """Reject a grid list that repeats a value: each repetition would run
+    the same cells again."""
+    if len(set(values)) != len(values):
+        raise InvalidConfigError(f"{name} must be distinct, got {list(values)}")
 
 
 def _is_number(x, kind) -> bool:

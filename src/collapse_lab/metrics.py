@@ -270,8 +270,6 @@ def type_token_ratio(texts: list[str]) -> float:
     tokenization are excluded with a warning."""
     if not texts:
         raise InvalidInputError("at least one text is required")
-    if any(not t for t in texts):
-        raise InvalidInputError("texts must be non-empty")
     ratios = []
     skipped = 0
     for t in texts:

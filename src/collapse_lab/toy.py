@@ -169,7 +169,7 @@ class ToyConfig:
     seed: int = 0
     generation_prior: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
             raise InvalidConfigError("ratio must lie in [0, 1]")
         if self.support_size < 1:
@@ -312,7 +312,6 @@ def run_toy_chain(cfg: ToyConfig) -> ToyTrace:
     floor(r*N) model draws plus the human remainder, over the accumulated
     union (accumulate) or the current step only (replace). Each run's rows
     depend on its own seed only, not on how many runs there are."""
-    cfg.validate()
     true = make_true_distribution(cfg.support_size, None if cfg.overlap else cfg.bias_period)
     human = _GuideTable(true.cdf)
     support = np.empty((cfg.runs, cfg.steps))

@@ -142,12 +142,12 @@ class TestPoolAndCorpus:
 class TestRunChain:
     def test_eval_sample_invariant(self):
         with pytest.raises(InvalidConfigError):
-            small_config(ratio=0.1, per_gen_total=40, eval_sample=10).validate()
+            small_config(ratio=0.1, per_gen_total=40, eval_sample=10)
 
     def test_repeated_domain_tags_rejected(self):
         """A repeated tag would add its synthetic batch once per repetition."""
         with pytest.raises(InvalidConfigError, match="domain tags must be distinct"):
-            small_config(domains=("a", "a")).validate()
+            small_config(domains=("a", "a"))
 
     def test_fresh_generator_every_generation(self):
         cfg = small_config()

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from conftest import judge_server
 
+from collapse_lab import _pool, experiments
 from collapse_lab.cli import main
 from collapse_lab.experiments import ExperimentSpec, load_spec, run_experiment
+from collapse_lab.generators import default_factory
 from collapse_lab.io import (
     TextRecord,
     read_csv,
@@ -119,6 +121,48 @@ def test_chain_value_error_is_one_line(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "collapse-lab: error: counts must be positive\n"
     assert not out.exists()
+
+
+def test_run_checks_the_spec_once(tmp_path, monkeypatch):
+    """load_spec checks the spec as it makes it, and run_experiment does not
+    check it again: the check builds each listed generator kind once."""
+    built = []
+
+    def factory(kind, seed):
+        built.append(kind)
+        return default_factory(kind, seed)
+
+    monkeypatch.setattr(experiments, "default_factory", factory)
+    monkeypatch.setitem(experiments._RUNNERS, "chain", lambda spec, store, failures: None)
+    corpus = tmp_path / "corpus.jsonl"
+    write_records_jsonl([TextRecord(text=f"text number {i} here") for i in range(40)], corpus)
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps({
+        "kind": "chain", "ratios": [0.25, 0.5], "seeds": [0, 1], "corpus_path": str(corpus),
+        "out_dir": str(tmp_path / "out"),
+        "params": {"chain": {"generator_kinds": ["resampler", "resampler:0.5"]}}}))
+    assert main(["run", "--config", str(config)]) == 0
+    assert built == ["resampler", "resampler:0.5"]
+
+
+def test_unusable_out_dir_is_one_line(tmp_path, capsys, monkeypatch):
+    """An empty out_dir, or one that names a file, from the spec or from
+    --out, fails in one line before any cell runs."""
+    monkeypatch.setattr(_pool, "outcomes", lambda *args: pytest.fail("a cell ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    config = tmp_path / "toy.json"
+    for body, args, message in [
+        ({"out_dir": ""}, [], "out_dir must be a path, not ''"),
+        ({"out_dir": str(taken)}, [], f"out_dir is not a directory: {taken}"),
+        ({}, ["--out", str(taken)], f"out_dir is not a directory: {taken}"),
+    ]:
+        config.write_text(json.dumps({"kind": "toy", "ratios": [0.25], "seeds": [0], **body}))
+        assert main(["run", "--config", str(config), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"collapse-lab: error: {message}\n"
+    assert taken.read_text() == "a file\n"
 
 
 def test_run_chain_spec_with_overrides(tmp_path):

@@ -22,7 +22,12 @@ from collapse_lab.clustering import (
     merge_clusters,
     propagate_labels,
 )
-from collapse_lab.errors import DegenerateInputError, InvalidInputError, ShortfallError
+from collapse_lab.errors import (
+    DegenerateInputError,
+    InvalidConfigError,
+    InvalidInputError,
+    ShortfallError,
+)
 
 
 needs_fork = pytest.mark.skipif(
@@ -773,6 +778,16 @@ class TestBuildClusterSuite:
             rng.normal(loc=(8, 0), size=(n // 3, 2)),
             rng.normal(loc=(0, 8), size=(n // 3, 2)),
         ])
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("quota_per_clustering", 0, "quota_per_clustering must be >= 1"),
+        ("final_count", 0, "final_count must be >= 1"),
+        ("min_cluster_fraction", 1.5, r"min_cluster_fraction must be in \(0, 1\]"),
+        ("seed", -1, "seed must be >= 0"),
+    ])
+    def test_bad_config_rejected_when_made(self, key, value, message):
+        with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+            ClusterSuiteConfig(**{key: value})
 
     def test_grid_counting(self):
         cfg = ClusterSuiteConfig(

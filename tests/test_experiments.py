@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import time
 from pathlib import Path
 
@@ -141,9 +142,8 @@ class TestSpecLoading:
             ("cluster-regression", {}, "need corpus_path and cluster_manifest$"),
             ("cluster-regression", {"corpus_path": corpus}, "need cluster_manifest$"),
         ]:
-            spec = ExperimentSpec(kind=kind, out_dir=str(tmp_path / "run"), **paths)
             with pytest.raises(InvalidConfigError, match=message):
-                run_experiment(spec)
+                run_experiment(ExperimentSpec(kind=kind, out_dir=str(tmp_path / "run"), **paths))
             assert not (tmp_path / "run").exists()
 
     def test_cluster_regression_rejects_ratio_zero(self, tmp_path):
@@ -153,13 +153,12 @@ class TestSpecLoading:
         corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40)
         manifest = tmp_path / "clusters.jsonl"
         manifest.write_text(json.dumps({"cluster_id": 0, "record_indices": [0, 1]}) + "\n")
-        spec = ExperimentSpec(kind="cluster-regression", ratios=[0.0, 0.5], seeds=[0],
-                              out_dir=str(tmp_path / "run"), corpus_path=corpus,
-                              cluster_manifest=str(manifest))
         with pytest.raises(InvalidConfigError, match="ratio-0 chain evaluates no synthetic"):
-            run_experiment(spec)
+            run_experiment(ExperimentSpec(kind="cluster-regression", ratios=[0.0, 0.5], seeds=[0],
+                                          out_dir=str(tmp_path / "run"), corpus_path=corpus,
+                                          cluster_manifest=str(manifest)))
         assert not (tmp_path / "run").exists()
-        ExperimentSpec(kind="chain", ratios=[0.0, 0.5], seeds=[0], corpus_path=corpus).validate()
+        ExperimentSpec(kind="chain", ratios=[0.0, 0.5], seeds=[0], corpus_path=corpus)
 
     def test_cluster_regression_default_ratios_leave_out_zero(self, tmp_path):
         """A cluster-regression spec that leaves ratios unset gets the paper
@@ -176,13 +175,19 @@ class TestSpecLoading:
         ("toy", None, "53c24fabd7c05325"), ("chain", None, "0cef51b4480d9be3"),
         ("lean", None, "6c2c17dba9700e17"),
         ("cluster-regression", [0.25, 0.5], "ec1de8586f33a108")])
-    def test_spec_hash_of_default_and_listed_ratios_kept(self, kind, ratios, digest):
+    def test_spec_hash_of_default_and_listed_ratios_kept(self, tmp_path, monkeypatch, kind,
+                                                         ratios, digest):
         """The default ratios of every other kind, and ratios a spec lists,
         keep the canonical JSON and spec hash they had when every kind
         defaulted to the full paper grid."""
-        extra = {} if ratios is None else {"ratios": ratios, "seeds": [0, 1],
-                                           "corpus_path": "c.jsonl", "cluster_manifest": "m.jsonl"}
+        monkeypatch.chdir(tmp_path)
+        for name in ("c.jsonl", "m.jsonl"):
+            (tmp_path / name).touch()
+        paths = {"corpus_path": "c.jsonl", "cluster_manifest": "m.jsonl"}
+        extra = paths if ratios is None else {"ratios": ratios, "seeds": [0, 1], **paths}
         spec = ExperimentSpec(kind=kind, **extra)
+        if ratios is None:  # the default grids' digests were pinned on specs without inputs
+            spec.corpus_path = spec.cluster_manifest = None
         assert spec.canonical()["ratios"] == (ratios or [0.0, 0.0625, 0.125, 0.25, 0.5, 0.75, 1.0])
         assert spec_hash(spec) == digest
 
@@ -220,10 +225,10 @@ class TestSpecLoading:
     ])
     def test_unknown_param_keys_rejected(self, tmp_path, kind, section, unknown):
         corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40, lean_mix=True)
-        spec = ExperimentSpec(kind=kind, ratios=[0.5], seeds=[0], corpus_path=corpus,
-                              out_dir=str(tmp_path / "run"), params={kind: section})
         with pytest.raises(InvalidConfigError, match=f"params.{kind} keys: {unknown}$"):
-            run_experiment(spec)
+            run_experiment(ExperimentSpec(kind=kind, ratios=[0.5], seeds=[0],
+                                          corpus_path=corpus, out_dir=str(tmp_path / "run"),
+                                          params={kind: section}))
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("kinds, message", [
@@ -242,11 +247,10 @@ class TestSpecLoading:
                                  "params": {"chain": {"generator_kinds": kinds}}}))
         with pytest.raises(InvalidConfigError, match=message):
             load_spec(f)
-        spec = ExperimentSpec(kind="chain", ratios=[0.5], seeds=[0], corpus_path=corpus,
-                              out_dir=str(tmp_path / "run"),
-                              params={"chain": {"generator_kinds": kinds}})
         with pytest.raises(InvalidConfigError, match=message):
-            run_experiment(spec)
+            run_experiment(ExperimentSpec(kind="chain", ratios=[0.5], seeds=[0],
+                                          corpus_path=corpus, out_dir=str(tmp_path / "run"),
+                                          params={"chain": {"generator_kinds": kinds}}))
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("kind, key, value, message", [
@@ -264,12 +268,12 @@ class TestSpecLoading:
     def test_param_of_wrong_type_rejected_before_output(self, tmp_path, kind, key, value,
                                                         message):
         """A toy or chain value of the wrong type (a bool is not a number)
-        is a config error, not a TypeError in every cell or in validate."""
+        is a config error, not a TypeError in every cell or in the spec check."""
         corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40)
-        spec = ExperimentSpec(kind=kind, ratios=[0.5], seeds=[0], corpus_path=corpus,
-                              out_dir=str(tmp_path / "run"), params={kind: {key: value}})
         with pytest.raises(InvalidConfigError, match=f"^params.{kind}.{key} {message}$"):
-            run_experiment(spec)
+            run_experiment(ExperimentSpec(kind=kind, ratios=[0.5], seeds=[0],
+                                          corpus_path=corpus, out_dir=str(tmp_path / "run"),
+                                          params={kind: {key: value}}))
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("section, message", [
@@ -281,10 +285,9 @@ class TestSpecLoading:
     def test_bad_toy_value_rejected_before_output(self, tmp_path, section, message):
         """A toy value that would fail every cell is a config error, not a
         grid of recorded cell failures."""
-        spec = ExperimentSpec(kind="toy", seeds=[0], out_dir=str(tmp_path / "run"),
-                              params={"toy": section})
         with pytest.raises(InvalidConfigError, match=message):
-            run_experiment(spec)
+            run_experiment(ExperimentSpec(kind="toy", seeds=[0], out_dir=str(tmp_path / "run"),
+                                          params={"toy": section}))
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
@@ -311,6 +314,8 @@ class TestSpecLoading:
         ("lean", {"left_fractions": [0.3]}, "left_fractions must be a list of values from"),
         ("lean", {"left_fractions": 0.5}, "left_fractions must be a list of values from"),
         ("lean", {"left_fractions": []}, "left_fractions must not be empty$"),
+        ("lean", {"left_fractions": [0.5, 0.0, 0.5]},
+         r"left_fractions must be distinct, got \[0.5, 0.0, 0.5\]$"),
         ("lean", {"mixture_size": 0}, "mixture_size must be an integer >= 1$"),
         ("lean", {"mixture_size": 8.0}, "mixture_size must be an integer >= 1$"),
     ])
@@ -324,21 +329,40 @@ class TestSpecLoading:
         base = {"chain": {"generations": 2, "initial_human": 20, "per_gen_total": 20,
                           "eval_sample": 5},
                 "lean": {"mixture_size": 8}}[_SECTIONS[kind]]
-        spec = ExperimentSpec(kind=kind, ratios=[0.25, 0.5], seeds=[0],
+        with pytest.raises(InvalidConfigError, match=message):
+            run_experiment(ExperimentSpec(kind=kind, ratios=[0.25, 0.5], seeds=[0],
+                                          out_dir=str(tmp_path / "run"), corpus_path=corpus,
+                                          cluster_manifest=str(manifest),
+                                          params={_SECTIONS[kind]: {**base, **section}}))
+        assert not (tmp_path / "run").exists()
+
+    def test_repeated_cluster_id_rejected_before_any_cell(self, tmp_path, monkeypatch):
+        """Each cell of a repeated id would read the last entry's records:
+        the manifest is rejected, naming the id, before any cell runs."""
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40)
+        manifest = tmp_path / "clusters.jsonl"
+        manifest.write_text("".join(json.dumps({"cluster_id": cid, "record_indices": idx}) + "\n"
+                                    for cid, idx in [(0, list(range(0, 20))),
+                                                     (1, list(range(20, 30))),
+                                                     (0, list(range(30, 40)))]))
+        spec = ExperimentSpec(kind="cluster-regression", ratios=[0.5], seeds=[0],
                               out_dir=str(tmp_path / "run"), corpus_path=corpus,
                               cluster_manifest=str(manifest),
-                              params={_SECTIONS[kind]: {**base, **section}})
-        with pytest.raises(InvalidConfigError, match=message):
+                              params={"chain": {"generations": 2, "initial_human": 10,
+                                                "per_gen_total": 10, "eval_sample": 5}})
+        monkeypatch.setattr(_pool, "outcomes", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(str(manifest))}: cluster_id 0 appears more "
+                                 "than once$"):
             run_experiment(spec)
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("config", [toy.ToyConfig(ratio=0.5, seed=-1),
-                                        ChainConfig(ratio=0.5, seed=-1)])
+    @pytest.mark.parametrize("config", [toy.ToyConfig, ChainConfig])
     def test_negative_seed_rejected_by_a_direct_config(self, config):
         """numpy refuses a negative seed in every cell; the config refuses it
         first, for callers that build a config without a spec."""
         with pytest.raises(InvalidConfigError, match="^seed must be >= 0$"):
-            config.validate()
+            config(ratio=0.5, seed=-1)
 
     def test_lean_partition_too_small_fails_per_cell(self, tmp_path):
         """A mixture larger than a partition depends on the data, so it fails
@@ -378,6 +402,9 @@ class TestSpecLoading:
         ({"ratios": [0.5, None]}, r"ratios must be a list of numbers in \[0, 1\]$"),
         ({"ratios": [0.5, 1.5]}, r"ratios must be a list of numbers in \[0, 1\]$"),
         ({"ratios": []}, "^ratios must not be empty$"),
+        ({"ratios": [0.5, 0.5]}, r"^ratios must be distinct, got \[0.5, 0.5\]$"),
+        ({"ratios": [1, 0.5, 1.0]}, r"^ratios must be distinct, got \[1, 0.5, 1.0\]$"),
+        ({"seeds": [1, 1]}, r"^seeds must be distinct, got \[1, 1\]$"),
         ({"seeds": ["x"]}, "seeds must be a non-empty list of non-negative integers$"),
         ({"seeds": [0, 1.5]}, "seeds must be a non-empty list of non-negative integers$"),
         ({"seeds": [-1]}, "seeds must be a non-empty list of non-negative integers$"),

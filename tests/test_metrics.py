@@ -224,6 +224,18 @@ class TestTypeTokenRatio:
     def test_tokenizer_strips_punctuation(self):
         assert tokenize("The cat, the DOG!") == ["the", "cat", "the", "dog"]
 
+    def test_texts_without_tokens_excluded_with_one_warning(self):
+        """An empty text has no tokens, as whitespace or punctuation has:
+        each is left out of the mean, and one warning counts them."""
+        with pytest.warns(UserWarning) as caught:
+            assert type_token_ratio(["the cat the dog", "", "  ", "..."]) == pytest.approx(0.75)
+        assert [str(w.message) for w in caught] == [
+            "type_token_ratio: excluded 3 texts with no tokens"]
+
+    def test_batch_without_tokens_rejected(self):
+        with pytest.raises(InvalidInputError, match="^every text was empty after truncation"):
+            type_token_ratio(["", "  "])
+
 
 class TestAvgTextLength:
     def test_examples(self):

@@ -286,9 +286,9 @@ class TestRunToyChainOracle:
            steps=st.integers(1, 6), runs=st.integers(1, 6), seed=st.integers(0, 2**16))
     @settings(max_examples=200, deadline=None)
     def test_equals_sample_based_chain(self, **params):
+        assume(params["overlap"] or params["bias_period"] > 1)
+        assume(params["support_size"] >= params["bias_period"])
         cfg = ToyConfig(**params)
-        assume(cfg.overlap or cfg.bias_period > 1)
-        assume(cfg.support_size >= cfg.bias_period)
         trace = run_toy_chain(cfg)
         for run in range(cfg.runs):
             support, entropy = _reference_single(cfg, run)
