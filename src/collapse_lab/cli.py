@@ -86,7 +86,7 @@ def main(argv=None) -> int:
 
 def _cmd_run(args) -> int:
     spec = load_spec(args.config)
-    if args.out:
+    if args.out is not None:  # an empty --out is rejected, as an empty out_dir is
         spec = dataclasses.replace(spec, out_dir=args.out)
     store = run_experiment(spec)
     print(f"results in {store.out_dir}")

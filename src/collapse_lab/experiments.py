@@ -19,7 +19,7 @@ from .chain import (EVAL_METRICS, ChainConfig, HumanCorpus, record_columns,
                     relative_metrics, run_chain)
 from .errors import InvalidConfigError, InvalidInputError, InvalidTraceError
 from .generators import default_factory
-from .io import read_csv, read_jsonl, read_records_jsonl, write_csv, write_jsonl
+from .io import csv_text, read_csv, read_jsonl, read_records_jsonl, write_csv, write_jsonl
 
 __all__ = [
     "ExperimentSpec",
@@ -91,8 +91,14 @@ class ExperimentSpec:
             raise InvalidConfigError(f"unknown experiment kind {self.kind!r}")
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise InvalidConfigError(f"out_dir must be a path, not {self.out_dir!r}")
-        if os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
+        # the nearest existing path at or above out_dir: a file there fails the first write
+        target = nearest = os.path.abspath(self.out_dir)
+        while not os.path.exists(nearest):
+            nearest = os.path.dirname(nearest)
+        if nearest == target and not os.path.isdir(nearest):
             raise InvalidConfigError(f"out_dir is not a directory: {self.out_dir}")
+        if not os.path.isdir(nearest):
+            raise InvalidConfigError(f"out_dir lies below a file: {nearest}")
         for name in ("corpus_path", "cluster_manifest"):
             path = getattr(self, name)
             if not isinstance(path, (str, type(None))):
@@ -256,6 +262,17 @@ class ResultStore:
         self.artifacts[name] = path
         return path
 
+    def _add_csv_blocks(self, name: str, header: list[str], blocks: list[str]) -> str:
+        """A CSV artifact of row blocks that ``csv_text`` rendered. They are
+        written one at a time: a joined copy of the file would raise the
+        process's peak memory."""
+        path = self._new_file(name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(csv_text([header]))
+            fh.writelines(blocks)
+        self.artifacts[name] = path
+        return path
+
     def add_jsonl(self, name: str, rows) -> str:
         path = self._new_file(name)
         write_jsonl(path, rows)
@@ -301,14 +318,17 @@ def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
     # the costliest cells first: a run's synthetic draws cost more than its
     # human ones, and a cell draws floor(ratio * N) of them per run and step
     order = sorted(range(len(spec.ratios)), key=lambda i: -spec.ratios[i])
-    traces = _run_cells([{"ratio": r} for r in spec.ratios],
+    blocks = _run_cells([{"ratio": r} for r in spec.ratios],
                         functools.partial(_toy_cell, spec.params.get("toy", {})), failures, order)
-    store.add_csv("toy_trace.csv", toy.TRACE_HEADER, toy.trace_rows(traces))
-    store.add_csv("toy_aggregate.csv", toy.AGGREGATE_HEADER, toy.aggregate_rows(traces))
+    store._add_csv_blocks("toy_trace.csv", toy.TRACE_HEADER, [trace for trace, _ in blocks])
+    store._add_csv_blocks("toy_aggregate.csv", toy.AGGREGATE_HEADER, [agg for _, agg in blocks])
 
 
-def _toy_cell(params: dict, ratio):
-    return toy.run_toy_chain(toy.ToyConfig(ratio=ratio, **params))
+def _toy_cell(params: dict, ratio) -> tuple[str, str]:
+    """The cell's ``toy_trace.csv`` and ``toy_aggregate.csv`` rows, rendered
+    in the worker: a string crosses the pipe and joins its file cheaply."""
+    trace = toy.run_toy_chain(toy.ToyConfig(ratio=ratio, **params))
+    return csv_text(toy.trace_rows([trace])), csv_text(toy.aggregate_rows([trace]))
 
 
 def _chain_config(spec: ExperimentSpec, ratio: float, seed: int) -> ChainConfig:

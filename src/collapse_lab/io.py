@@ -1,15 +1,17 @@
 """File formats: JSONL rows and record corpora, the EMB1 binary embedding
-container, CSV embeddings, and tidy CSV reading and writing with round-trip
-float formatting. The corpus record type lives here, so that reading files
-loads no numpy until embeddings are read or written.
+container, CSV embeddings, and tidy CSV reading, rendering and writing with
+round-trip float formatting. The corpus record type lives here, so that
+reading files loads no numpy until embeddings are read or written.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import struct
 from dataclasses import dataclass
+from io import StringIO
 from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError
@@ -25,6 +27,7 @@ __all__ = [
     "read_embeddings",
     "write_embeddings_emb1",
     "read_csv",
+    "csv_text",
     "write_csv",
 ]
 
@@ -231,11 +234,17 @@ def read_csv(path) -> list[dict]:
         raise _not_utf8(path, exc) from exc
 
 
+def csv_text(rows) -> str:
+    """CSV rows rendered as ``write_csv`` writes them, with shortest
+    round-trip float formatting so reruns are byte-identical: ``csv`` writes
+    a float, numpy's included, as its ``str``, which is that form."""
+    out = StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
 def write_csv(path, header: list[str], rows) -> None:
-    """Write a tidy CSV with shortest round-trip float formatting so reruns
-    are byte-identical: ``csv`` writes a float, numpy's included, as its
-    ``str``, which is that form."""
+    """Write a tidy CSV: the header line, then the rows as ``csv_text``
+    renders them."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(csv_text(itertools.chain([header], rows)))

@@ -9,16 +9,21 @@ distribution is tracked per step.
 The chain only ever looks at the histogram of its samples, and ``run_toy_chain``
 advances all of its runs together, one step at a time. Each run keeps its own
 generator and draws as ``Generator.choice(..., p=probs)`` does: ``rng.random(k)``
-looked up with ``cdf.searchsorted(u, side="right")``. A run's synthetic draws
-are looked up in its own fitted CDF (the uniforms sorted first, which keeps the
-lookups' branches predictable). Its human draws land in one ``(runs, k)``
-matrix of uniforms, and one guide table of the true CDF, built once per chain,
-looks them all up with the same result. One ``np.bincount`` over bins offset by
-``run * (N + 1)`` then counts every run's draws, and the biased fit, its checks
-and the support fraction are computed on the ``(runs, N + 1)`` matrix. Counts
-are integers and each entropy is summed over its own row's nonzero entries, so
-the traces (and the CSVs written from them) are bit-identical to a sample-based
-loop over one run at a time.
+looked up with ``cdf.searchsorted(u, side="right")``. Each step one
+``rng.random(out=row)`` per run fills the run's row of a ``(runs, N)`` matrix of
+uniforms, its synthetic ones first and then its human ones, the values two
+calls would give. One sort orders every run's synthetic uniforms (which keeps
+the lookups' branches predictable), and each run looks them up in its own
+fitted CDF; those CDFs are built only when a later step reads them, so a
+ratio-0 chain builds none. One guide table of the true CDF, built once per
+chain, looks up every run's human uniforms with the same result. One
+``np.bincount`` over bins offset by ``run * (N + 1)`` then counts every run's
+draws, and the biased fit, its checks and the support fraction are computed on
+the ``(runs, N + 1)`` matrix. Counts are integers and each entropy is summed
+over its own row's nonzero entries, so the traces (and the CSVs written from
+them) are bit-identical to a sample-based loop over one run at a time. A toy
+experiment's cell renders its own CSV rows from its trace (``trace_rows`` and
+``aggregate_rows`` through ``io.csv_text``), in its worker.
 """
 
 from __future__ import annotations
@@ -213,16 +218,6 @@ class ToyTrace:
         return float(final.mean()), float(se)
 
 
-def _draw(cdf: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """``sample_discrete``'s k draws from the distribution with this CDF, in
-    ascending order. The synthetic draws take this path: their CDF is new for
-    every run and step, so no table would be used twice."""
-    u = rng.random(k)
-    # sorted keys keep searchsorted's branches predictable
-    u.sort()
-    return cdf.searchsorted(u, side="right")
-
-
 class _GuideTable:
     """``cdf.searchsorted(u, side="right")`` for uniforms u in [0, 1), exactly,
     through an indexed search (a guide table; Chen & Asau 1974).
@@ -272,30 +267,32 @@ def _run_group(cfg: ToyConfig, runs: range,
     support = np.empty((len(rngs), cfg.steps))
     entropy = np.empty((len(rngs), cfg.steps))
     uniforms = np.empty((len(rngs), n))
+    drawn = np.empty((len(rngs), n), dtype=np.intp)
 
-    for rng, u in zip(rngs, uniforms):
-        rng.random(out=u)
-    drawn = human.lookup(uniforms)
-    pool = _histograms(drawn, n + 1)
     for step in range(cfg.steps):
-        if step:
-            # a run's stream gives its synthetic draws first, then its human ones
-            for rng, row, u, cdf in zip(rngs, drawn, uniforms, cdfs):
-                if n_syn:
-                    row[:n_syn] = _draw(cdf, n_syn, rng)
-                rng.random(out=u[n_syn:])
-            drawn[:, n_syn:] = human.lookup(uniforms[:, n_syn:])
+        # step 0 fits on N human draws; a later step's stream gives its
+        # synthetic uniforms first, then its human ones
+        k = n_syn if step else 0
+        for rng, u in zip(rngs, uniforms):
+            rng.random(out=u)
+        if k:
+            keys = uniforms[:, :k]
+            keys.sort(axis=1)  # sorted keys keep searchsorted's branches predictable
+            for row, u, cdf in zip(drawn, keys, cdfs):
+                row[:k] = cdf.searchsorted(u, side="right")
             if cfg.generation_prior:
-                syn = drawn[:, :n_syn]
+                syn = drawn[:, :k]
                 syn -= syn % period
-            new = _histograms(drawn, n + 1)
-            if cfg.accumulate:
-                pool += new
-            else:
-                pool = new
+        drawn[:, k:] = human.lookup(uniforms[:, k:])
+        new = _histograms(drawn, n + 1)
+        if step and cfg.accumulate:
+            pool += new
+        else:
+            pool = new
         probs = _biased_rows(pool, period, cfg.bias_strength)
         _check_rows(probs)
-        cdfs = _cdf_rows(probs)
+        if n_syn and step < cfg.steps - 1:  # only the next step's synthetic draws read them
+            cdfs = _cdf_rows(probs)
         mask = probs > 0
         support[:, step] = mask.sum(axis=1) / probs.shape[1]
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -146,22 +146,28 @@ def test_run_checks_the_spec_once(tmp_path, monkeypatch):
 
 
 def test_unusable_out_dir_is_one_line(tmp_path, capsys, monkeypatch):
-    """An empty out_dir, or one that names a file, from the spec or from
-    --out, fails in one line before any cell runs."""
+    """An empty out_dir, one that names a file or one below a file, from the
+    spec or from --out, fails in one line before any cell runs, and nothing
+    is written."""
+    monkeypatch.chdir(tmp_path)  # where the spec's default out_dir would go
     monkeypatch.setattr(_pool, "outcomes", lambda *args: pytest.fail("a cell ran"))
     taken = tmp_path / "taken"
     taken.write_text("a file\n")
     config = tmp_path / "toy.json"
     for body, args, message in [
         ({"out_dir": ""}, [], "out_dir must be a path, not ''"),
+        ({}, ["--out", ""], "out_dir must be a path, not ''"),
         ({"out_dir": str(taken)}, [], f"out_dir is not a directory: {taken}"),
         ({}, ["--out", str(taken)], f"out_dir is not a directory: {taken}"),
+        ({"out_dir": str(taken / "run")}, [], f"out_dir lies below a file: {taken}"),
+        ({}, ["--out", "taken/run"], f"out_dir lies below a file: {taken}"),
     ]:
         config.write_text(json.dumps({"kind": "toy", "ratios": [0.25], "seeds": [0], **body}))
         assert main(["run", "--config", str(config), *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"collapse-lab: error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "toy.json"]
     assert taken.read_text() == "a file\n"
 
 

@@ -25,6 +25,7 @@ from collapse_lab.experiments import (
 )
 from collapse_lab.io import (
     TextRecord,
+    csv_text,
     read_embeddings,
     read_records_jsonl,
     write_csv,
@@ -426,6 +427,22 @@ class TestSpecLoading:
             run_experiment(load_spec(f))
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("out_dir", ["afile/run", "afile/run/deeper", "{tmp}/afile/run"])
+    def test_out_dir_below_a_file_rejected(self, tmp_path, monkeypatch, out_dir):
+        """A file on the way to out_dir would fail the first write, after the
+        whole grid ran: the spec names it before any cell runs."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(_pool, "outcomes", lambda *args: pytest.fail("a cell ran"))
+        (tmp_path / "afile").write_text("a file\n")
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps({"kind": "toy", "ratios": [0.5], "seeds": [0],
+                                 "out_dir": out_dir.format(tmp=tmp_path)}))
+        with pytest.raises(InvalidConfigError,
+                           match=f"^out_dir lies below a file: {re.escape(str(tmp_path))}/afile$"):
+            run_experiment(load_spec(f))
+        assert (tmp_path / "afile").read_text() == "a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "spec.json"]
+
 
 class TestToyExperiment:
     def test_grid_shape_and_determinism(self, tmp_path):
@@ -624,6 +641,21 @@ class TestWriteCsv:
         assert path.read_bytes() == (b"f64,f32,float,int,bool,none,text\r\n"
                                      b'0.1,0.25,0.3333333333333333,7,True,,"a,b"\r\n'
                                      b"1e+16,0.1,1e-20,-2,False,,c\r\n")
+
+    def test_csv_text_is_what_write_csv_writes_after_its_header(self, tmp_path):
+        """Rows rendered on their own (as a toy cell renders its rows in its
+        worker) are the bytes write_csv writes for them after its header."""
+        rows = [[0, 0.1, -0.0, 1e-05, 1e16, float("nan"), float("inf"), -7],
+                [np.float64(0.1), np.float64(-0.0), None, "a,b", 'say "hi"', "cr\rlf\n", "",
+                 np.float64(1e-05)]]
+        path = tmp_path / "t.csv"
+        write_csv(path, list("abcdefgh"), rows)
+        header = b"a,b,c,d,e,f,g,h\r\n"
+        body = (b"0,0.1,-0.0,1e-05,1e+16,nan,inf,-7\r\n"
+                b'0.1,-0.0,,"a,b","say ""hi""","cr\rlf\n",,1e-05\r\n')
+        assert path.read_bytes() == header + body
+        assert csv_text(rows).encode() == body
+        assert csv_text([]) == ""
 
 
 class TestClusterRegressionExperiment:
