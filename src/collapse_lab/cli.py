@@ -204,7 +204,7 @@ def _cmd_regress(args) -> int:
             rows.append([f["group"], f["dependent"], name,
                          float(res.coefficients[i]), float(res.standard_errors[i]),
                          float(res.t_values[i]), float(res.p_values[i]),
-                         float(res.meta["bonferroni"][i]),
+                         float(res.p_bonferroni[i]),
                          res.significance(name), float(res.vif[i]),
                          float(res.r_squared)])
     write_csv(args.out, ["group", "dependent", "predictor", "coefficient",

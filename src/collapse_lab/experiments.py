@@ -150,7 +150,15 @@ class ExperimentSpec:
                 default_factory(kind, 0)  # raises InvalidConfigError on a name it does not know
             _check_param_types("chain", given, ChainConfig)
             for r in self.ratios:
-                _chain_config(self, r, self.seeds[0])
+                cfg = _chain_config(self, r, self.seeds[0])
+                # a cell's relative shift compares generation 0 with the last, in every domain
+                if self.kind == "cluster-regression" and (
+                        cfg.generations < 2 or cfg.synthetic_per_generation < len(cfg.domains)):
+                    raise InvalidConfigError(
+                        f"cluster-regression ratio {r} gives {cfg.generations} generation(s) of "
+                        f"{cfg.synthetic_per_generation} synthetic text(s) for {len(cfg.domains)} "
+                        "domain(s): a relative shift needs 2 generations and a synthetic text "
+                        "per domain")
         else:
             from .judge import LEAN_LEFT_FRACTIONS
 

@@ -4,7 +4,7 @@ the grouped property-to-shift regressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import stdtr
@@ -72,7 +72,7 @@ class RegressionResult:
     intercept: float
     vif: np.ndarray | None = None
     exact_fit: bool = False
-    meta: dict = field(default_factory=dict)
+    p_bonferroni: np.ndarray | None = None
 
     def significance(self, name: str) -> str:
         p = self.p_values[self.names.index(name)]
@@ -104,24 +104,12 @@ def ols_fit(dm: DesignMatrix, y) -> RegressionResult:
     y = np.asarray(y, dtype=float)
     if y.shape != (dm.n,):
         raise InvalidInputError("response length must match the design matrix")
-    X = np.column_stack([np.ones(dm.n), dm.X])
-    names_full = ["(intercept)"] + list(dm.names)
-
-    q, r = _qr_with_rank_check(X, names_full)
-    beta = np.linalg.solve(r, q.T @ y)
-
-    fitted = X @ beta
-    resid = y - fitted
-    df = dm.n - X.shape[1]
-    ssr = float(resid @ resid)
-    sst = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - ssr / sst if sst > 0 else float("nan")
-
-    exact = ssr <= 1e-12 * max(sst, 1.0)
+    beta, r, ssr, r2, exact = _least_squares(dm.X, y, dm.names)
+    df = dm.n - len(beta)
     if exact:
-        se = np.zeros(X.shape[1])
-        t = np.full(X.shape[1], np.inf)
-        p = np.full(X.shape[1], np.nan)
+        se = np.zeros(len(beta))
+        t = np.full(len(beta), np.inf)
+        p = np.full(len(beta), np.nan)
     else:
         sigma2 = ssr / df
         rinv = np.linalg.inv(r)
@@ -144,7 +132,10 @@ def ols_fit(dm: DesignMatrix, y) -> RegressionResult:
     )
 
 
-def _qr_with_rank_check(X: np.ndarray, names: list[str]):
+def _least_squares(X: np.ndarray, y: np.ndarray, names: list[str]):
+    """``y`` on an intercept and ``X`` via QR: the coefficients (intercept first),
+    R, the residual sum of squares, R-squared and whether the fit is exact."""
+    X = np.column_stack([np.ones(X.shape[0]), X])
     q, r = np.linalg.qr(X)
     diag = np.abs(np.diag(r))
     tol = (diag.max() if diag.size else 0.0) * max(X.shape) * np.finfo(float).eps * 10
@@ -154,31 +145,29 @@ def _qr_with_rank_check(X: np.ndarray, names: list[str]):
 
         _, rp, piv = sqr(X, pivoting=True, mode="economic")
         rank = int(np.sum(np.abs(np.diag(rp)) > tol))
-        dependent = [names[i] for i in piv[rank:]]
-        raise RankError(dependent)
-    return q, r
+        names = ["(intercept)"] + list(names)
+        raise RankError([names[i] for i in piv[rank:]])
+    beta = np.linalg.solve(r, q.T @ y)
+    resid = y - X @ beta
+    ssr = float(resid @ resid)
+    sst = float(((y - y.mean()) ** 2).sum())
+    r2 = 1.0 - ssr / sst if sst > 0 else float("nan")
+    return beta, r, ssr, r2, ssr <= 1e-12 * max(sst, 1.0)
 
 
 def vif(dm: DesignMatrix) -> np.ndarray:
     """Variance inflation factor per column: 1 / (1 - R^2 of regressing that
-    column on the others, with intercept). Perfect collinearity yields inf."""
-    if dm.p < 2:
-        raise InvalidInputError("VIF needs at least 2 predictors")
+    column on the others, with intercept). A lone column is regressed on the
+    intercept alone, so its VIF is 1. Perfect collinearity yields inf."""
     out = np.empty(dm.p)
     for j in range(dm.p):
-        others = np.delete(dm.X, j, axis=1)
-        names = [nm for i, nm in enumerate(dm.names) if i != j]
-        sub = DesignMatrix(others, names)
         try:
-            res = ols_fit(sub, dm.X[:, j])
-            r2 = res.r_squared
+            _, _, _, r2, exact = _least_squares(np.delete(dm.X, j, axis=1), dm.X[:, j],
+                                                dm.names[:j] + dm.names[j + 1:])
         except RankError:
             out[j] = np.inf
             continue
-        if res.exact_fit or r2 >= 1.0 - 1e-12:
-            out[j] = np.inf
-        else:
-            out[j] = 1.0 / (1.0 - r2)
+        out[j] = np.inf if exact or r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2)
     return out
 
 
@@ -201,8 +190,8 @@ def property_shift_regression(observations, grouping: str = "all",
 
     An observation without a dependent's key is left out of that dependent's
     fits, and one without a predictor's key out of every fit of its group.
-    Undersized groups, and groups whose dependent is constant, are skipped
-    with an explicit notice in the output.
+    A group that is too small, has a constant dependent or cannot be fitted is
+    skipped with an explicit notice in the output.
     Returns a list of {"group", "dependent", "result" | "skipped"}.
     """
     if grouping not in ("all", "per-dataset-per-ratio", "cross-domain-18"):
@@ -249,19 +238,24 @@ def _fit_group(rows, pred_names, dep_key, group):
     if np.all(y == y[0]):
         return {"group": group, "dependent": dep_key, "skipped":
                 f"dependent is constant ({float(y[0])!r}) in all {len(rows)} observations"}
-    dm = standardize(DesignMatrix(X, pred_names))
-    result = ols_fit(dm, y)
+    try:
+        dm = standardize(DesignMatrix(X, pred_names))
+        result = ols_fit(dm, y)
+    except InvalidInputError as exc:  # a constant or collinear predictor, or a non-finite value
+        return {"group": group, "dependent": dep_key, "skipped": str(exc)}
     result.vif = vif(dm)
-    result.meta["bonferroni"] = np.minimum(result.p_values * len(pred_names), 1.0)
+    result.p_bonferroni = np.minimum(result.p_values * len(pred_names), 1.0)
     return {"group": group, "dependent": dep_key, "result": result}
 
 
 def render_table(fits: list[dict]) -> str:
     """Plain-text coefficient table with significance stars, one column per
     (group, dependent) regression."""
+    skipped = [f"skipped {f['group']}:{f['dependent']}: {f['skipped']}"
+               for f in fits if "skipped" in f]
     cols = [f for f in fits if "result" in f]
     if not cols:
-        return "(no regressions ran)"
+        return "\n".join(["(no regressions ran)"] + skipped)
     names = cols[0]["result"].names
     width = max(len(n) for n in names) + 2
     header = " " * width + " | ".join(
@@ -277,7 +271,4 @@ def render_table(fits: list[dict]) -> str:
     lines.append("-" * len(header))
     lines.append("R^2".ljust(width) + " | ".join(
         f"{f['result'].r_squared:.3f}".rjust(24) for f in cols))
-    skipped = [f for f in fits if "skipped" in f]
-    for f in skipped:
-        lines.append(f"skipped {f['group']}:{f['dependent']}: {f['skipped']}")
-    return "\n".join(lines)
+    return "\n".join(lines + skipped)

@@ -522,6 +522,47 @@ def test_regress_without_fits_exits_nonzero(tmp_path, capsys):
     assert main(args) == 1  # one row: the group is skipped
 
 
+def test_regress_one_property_column(tmp_path):
+    """A lone predictor's VIF regresses it on the intercept alone, so it reads 1."""
+    rng = np.random.default_rng(7)
+    obs = tmp_path / "observations.csv"
+    obs.write_text("cluster_id,ratio,text_length,rel_word_entropy\n" + "".join(
+        f"{c},0.5,{x:.6f},{y:.6f}\n" for c, (x, y) in enumerate(rng.normal(size=(40, 2)))))
+    out = tmp_path / "reg.csv"
+    assert main(["regress", "--observations", str(obs), "--out", str(out)]) == 0
+    [row] = read_csv(out)
+    assert row["predictor"] == "text_length"
+    assert float(row["vif"]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("spoil, notice", [
+    (lambda c, x: (5.0, x), "zero-variance columns cannot be standardized: ['text_length']"),
+    (lambda c, x: (c, 2.0 * c), "design matrix is rank deficient; dependent columns: "),
+])
+def test_regress_skips_a_group_it_cannot_fit(tmp_path, capsys, spoil, notice):
+    """A group with a constant or a collinear predictor is skipped with the
+    error's text as its notice, and the other group's rows are written. A
+    file with no other group writes none and exits 1."""
+    rng = np.random.default_rng(8)
+    lines = []
+    for dataset in ("good", "bad"):
+        for c, (x, z, y) in enumerate(rng.normal(size=(20, 3))):
+            length, entropy = spoil(c, x) if dataset == "bad" else (x, z)
+            lines.append(f"{dataset}-{c},{dataset},0.5,{length:.6f},{entropy:.6f},{y:.6f}\n")
+    header = "cluster_id,dataset,ratio,text_length,word_entropy,rel_word_entropy\n"
+    obs, out = tmp_path / "observations.csv", tmp_path / "reg.csv"
+    obs.write_text(header + "".join(lines))
+    assert main(["regress", "--observations", str(obs), "--grouping", "per-dataset-per-ratio",
+                 "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert {(r["group"], r["predictor"]) for r in rows} == {
+        ("good@r=0.5", "text_length"), ("good@r=0.5", "word_entropy")}
+    assert f"skipped bad@r=0.5:rel_word_entropy: {notice}" in capsys.readouterr().out
+    obs.write_text(header + "".join(lines[20:]))
+    assert main(["regress", "--observations", str(obs), "--out", str(out)]) == 1
+    assert f"skipped all:rel_word_entropy: {notice}" in capsys.readouterr().out
+
+
 def test_emit_subcommand(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     write_records_jsonl([TextRecord(text=f"words and more words {i}") for i in range(300)],

@@ -161,6 +161,36 @@ class TestSpecLoading:
         assert not (tmp_path / "run").exists()
         ExperimentSpec(kind="chain", ratios=[0.0, 0.5], seeds=[0], corpus_path=corpus)
 
+    @pytest.mark.parametrize("ratios, chain, message", [
+        ([0.5], {"generations": 1},
+         "ratio 0.5 gives 1 generation(s) of 2000 synthetic text(s) for 1 "),
+        ([1 / 16, 0.5], {"per_gen_total": 12, "eval_sample": 5},
+         "ratio 0.0625 gives 20 generation(s) of 0 synthetic text(s) for 1 "),
+        ([0.25, 0.5], {"per_gen_total": 4, "domains": ["a", "b"], "eval_sample": 1},
+         "ratio 0.25 gives 20 generation(s) of 1 synthetic text(s) for 2 "),
+    ])
+    def test_cluster_regression_rejects_chain_without_relative_shift(
+            self, tmp_path, monkeypatch, ratios, chain, message):
+        """A chain of one generation, or one that leaves some domain without
+        synthetic text, has no relative shift to observe, so every
+        cluster-regression cell would fail: the spec is rejected before any
+        cell runs or any output is written. A chain spec keeps it."""
+        corpus = write_corpus(str(tmp_path / "corpus.jsonl"), n=40)
+        manifest = tmp_path / "clusters.jsonl"
+        manifest.write_text(json.dumps({"cluster_id": 0, "record_indices": [0, 1]}) + "\n")
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({
+            "kind": "cluster-regression", "ratios": ratios, "seeds": [0],
+            "out_dir": str(tmp_path / "run"), "corpus_path": corpus,
+            "cluster_manifest": str(manifest), "params": {"chain": chain}}))
+        monkeypatch.setattr(_pool, "outcomes", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(InvalidConfigError, match=re.escape(message) + r"domain\(s\): a "
+                           "relative shift needs 2 generations and a synthetic text per domain$"):
+            run_experiment(load_spec(config))
+        assert not (tmp_path / "run").exists()
+        ExperimentSpec(kind="chain", ratios=ratios, seeds=[0], corpus_path=corpus,
+                       params={"chain": chain})
+
     def test_cluster_regression_default_ratios_leave_out_zero(self, tmp_path):
         """A cluster-regression spec that leaves ratios unset gets the paper
         grid without 0, from a config file too, and validates."""

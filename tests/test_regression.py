@@ -26,6 +26,24 @@ def normal_equations_oracle(X, y, intercept=True):
     return beta, se
 
 
+def vif_reference(dm):
+    """Per-column formulation: each column's R^2 from a full ols_fit on the
+    other columns, with the same inf rules as vif."""
+    out = np.empty(dm.p)
+    for j in range(dm.p):
+        names = [nm for i, nm in enumerate(dm.names) if i != j]
+        try:
+            res = ols_fit(DesignMatrix(np.delete(dm.X, j, axis=1), names), dm.X[:, j])
+        except RankError:
+            out[j] = np.inf
+            continue
+        if res.exact_fit or res.r_squared >= 1.0 - 1e-12:
+            out[j] = np.inf
+        else:
+            out[j] = 1.0 / (1.0 - res.r_squared)
+    return out
+
+
 class TestStandardize:
     def test_simple_column(self):
         dm = DesignMatrix(np.array([[1.0], [2.0], [3.0]]), ["x"])
@@ -173,6 +191,40 @@ class TestVif:
         x2 = 0.8 * a + 0.6 * b  # unit variance, exact sample correlation 0.8
         out = vif(DesignMatrix(np.column_stack([a, x2]), ["a", "x2"]))
         np.testing.assert_allclose(out, [1.0 / (1.0 - 0.64)] * 2, atol=1e-6)
+
+    def test_lone_predictor_is_one(self):
+        """A lone column is regressed on the intercept alone: R^2 about 0."""
+        x = np.random.default_rng(11).normal(size=40)
+        out = vif(DesignMatrix(x[:, None], ["x"]))
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_per_column_ols_reference(self):
+        """vif equals the per-column ols_fit formulation bit for bit, on
+        random, near-collinear, exactly collinear and exact-fit columns."""
+        rng = np.random.default_rng(12)
+        kinds = {"random": 0, "near": 0, "collinear": 0, "exact": 0, "constant": 0}
+        for trial in range(240):
+            n = int(rng.integers(8, 301))
+            p = int(rng.integers(1, 7))
+            X = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e3], size=p)
+            kind = list(kinds)[trial % len(kinds)]
+            if p >= 2 and kind == "near":
+                X[:, 1] = X[:, 0] * (1.0 + rng.normal(scale=rng.choice([1e-9, 1e-6]), size=n))
+            elif p >= 2 and kind == "collinear":
+                X[:, -1] = 2.0 * X[:, 0]
+            elif p >= 3 and kind == "exact":
+                X[:, 2] = 1.5 - X[:, 0] + 0.25 * X[:, 1]
+            elif kind == "constant":
+                X[:, -1] = 3.0
+            else:
+                kind = "random"
+            kinds[kind] += 1
+            dm = DesignMatrix(X, [f"x{i}" for i in range(p)])
+            if trial % 2 and kind != "constant":  # as _fit_group passes it
+                dm = standardize(dm)
+            np.testing.assert_array_equal(vif(dm), vif_reference(dm))
+        assert min(kinds.values()) >= 20
 
 
 class TestPropertyShiftRegression:
