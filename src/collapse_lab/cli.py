@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -183,10 +184,11 @@ def _cmd_regress(args) -> int:
                 try:
                     obs[k] = float(v)
                 except (TypeError, ValueError):
-                    if k is not None and k.split(":", 1)[0] not in _IDENTIFIERS:
-                        raise InvalidInputError(f"{args.observations}: row {rownum}, column "
-                                                f"{k}: {v!r} is not a number") from None
                     obs[k] = v
+                if k is not None and k.split(":", 1)[0] not in _IDENTIFIERS and not (
+                        isinstance(obs[k], float) and math.isfinite(obs[k])):
+                    raise InvalidInputError(f"{args.observations}: row {rownum}, column {k}: "
+                                            f"{v!r} is not a finite number")
         obs.setdefault("dataset", obs.get("domain", "all"))
         observations.append(obs)
     columns = list(dict.fromkeys(k.split(":", 1)[0] for k in raw[0]))

@@ -10,7 +10,7 @@ import json
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,6 +53,8 @@ _PARAM_TYPES = {
 # ChainConfig's default without self_bleu: summary.csv stays byte-identical for
 # grid specs that leave eval_metrics unset, while a lone ChainConfig keeps self_bleu
 _GRID_EVAL_METRICS = tuple(name for name in EVAL_METRICS if name != "self_bleu")
+# the chain metrics a cluster-regression cell computes: observations.csv's rel_ columns
+_OBSERVED_METRICS = ("distinct_count", "word_entropy")
 _BINS = [f"bin_{i}" for i in range(metrics.LEAN_BINS)]
 # figure: (source artifact, columns, numeric columns, last generation only)
 _FIGURES = {
@@ -416,9 +418,7 @@ def _lean_cell(left: list, right: list, size: int, left_fraction, seed):
     mix = build_lean_mixture(left, right, left_fraction, size, seed=seed)
     scores = [r.annotations["lean"] for r in mix]
     bins = metrics.lean_bins(scores)
-    political = [s for s in scores if s != -1]
-    mean_lean = float(np.mean(political)) if political else ""
-    return ([float(left_fraction), seed, mean_lean, float(bins["neutral_fraction"]),
+    return ([float(left_fraction), seed, float(np.mean(scores)), float(bins["neutral_fraction"]),
              float(bins["non_political_fraction"])]
             + [float(x) for x in bins["proportions"]])
 
@@ -436,11 +436,23 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
     corpus = record_columns(read_records_jsonl(spec.corpus_path))
     clusters = read_jsonl(spec.cluster_manifest, required=("cluster_id", "record_indices"))
     indices: dict = {}
-    for c in clusters:
-        if c["cluster_id"] in indices:  # its cells would all read the last entry's records
-            raise InvalidInputError(
-                f"{spec.cluster_manifest}: cluster_id {c['cluster_id']!r} appears more than once")
-        indices[c["cluster_id"]] = c["record_indices"]
+    positions = range(len(corpus[0]))
+    for c in clusters:  # a bad entry would fail its cells, or silently read other records
+        cid, members = c["cluster_id"], c["record_indices"]
+        if not (isinstance(cid, str) or _is_number(cid, numbers.Integral)):
+            fault = "is not a string or an integer"
+        elif indices and type(cid) is not type(next(iter(indices))):  # rows are sorted by id
+            fault = "is not of the first cluster_id's type"
+        elif cid in indices:
+            fault = "appears more than once"
+        elif not (isinstance(members, list)
+                  and all(_is_number(i, numbers.Integral) and i in positions for i in members)
+                  and len(set(members)) == len(members)):
+            fault = f"needs record_indices of distinct integers in [0, {len(positions)})"
+        else:
+            indices[cid] = members
+            continue
+        raise InvalidInputError(f"{spec.cluster_manifest}: cluster_id {cid!r} {fault}")
     property_tasks = [{"cluster_id": c, "seed": s} for c in indices for s in spec.seeds]
     cells = [{"cluster_id": c["cluster_id"], "ratio": r, "seed": s}
              for c in clusters for r in spec.ratios for s in spec.seeds]
@@ -458,26 +470,25 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
     store.add_csv("observations.csv",
                   ["cluster_id", "ratio", "seed", "lexical_diversity",
                    "word_entropy", "type_token_ratio", "text_length",
-                   "rel_distinct_count", "rel_word_entropy"],
+                   *(f"rel_{name}" for name in _OBSERVED_METRICS)],
                   sorted(rows, key=lambda r: (r[0], r[1], r[2])))
 
 
 def _cluster_task(spec: ExperimentSpec, corpus: tuple, indices: dict, cluster_id, seed,
                   ratio=None):
     """A cell's relative metrics, or without a ratio the cluster's properties."""
-    texts, sources, domains = corpus
+    texts, domains = corpus
     members = indices[cluster_id]
     member_texts = [texts[i] for i in members]
     if ratio is None:
         return [metrics.self_bleu(member_texts, seed=seed), metrics.word_entropy(member_texts),
                 metrics.type_token_ratio(member_texts), metrics.avg_text_length(member_texts)]
-    corpus = HumanCorpus.from_columns(member_texts, [sources[i] for i in members],
-                                      [domains[i] for i in members], seed=seed)
-    trace = run_chain(_chain_config(spec, ratio, seed), corpus, default_factory)
-    rel = relative_metrics(trace)
+    cfg = _chain_config(spec, ratio, seed)
+    cfg = replace(cfg, eval_metrics=tuple(m for m in cfg.eval_metrics if m in _OBSERVED_METRICS))
+    corpus = HumanCorpus.from_columns(member_texts, [domains[i] for i in members], seed=seed)
+    rel = relative_metrics(run_chain(cfg, corpus, default_factory))
     domain_rel = rel.get(None) or next(iter(rel.values()))
-    return [_or_blank(domain_rel.get("distinct_count")),
-            _or_blank(domain_rel.get("word_entropy"))]
+    return [_or_blank(domain_rel.get(name)) for name in _OBSERVED_METRICS]
 
 
 def _check_param_types(section: str, given: dict, config) -> None:

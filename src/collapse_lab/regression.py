@@ -181,7 +181,8 @@ def property_shift_regression(observations, grouping: str = "all",
     the property values, and the dependent variables. Grouping:
 
     - "all": one regression per dependent over every observation
-    - "per-dataset-per-ratio": one per (dataset, ratio) pair per dependent
+    - "per-dataset-per-ratio": one per (dataset, ratio) pair per dependent;
+      an observation without a dataset or a ratio raises InvalidInputError
     - "cross-domain-18": observations carry per-domain properties named
       "<property>:<domain>" plus per-domain dependents "<dep>:<domain>";
       the domains are the suffixes of the dependents' columns, and there is
@@ -190,8 +191,8 @@ def property_shift_regression(observations, grouping: str = "all",
 
     An observation without a dependent's key is left out of that dependent's
     fits, and one without a predictor's key out of every fit of its group.
-    A group that is too small, has a constant dependent or cannot be fitted is
-    skipped with an explicit notice in the output.
+    A group that is too small, has a constant or non-finite dependent or cannot
+    be fitted is skipped with an explicit notice in the output.
     Returns a list of {"group", "dependent", "result" | "skipped"}.
     """
     if grouping not in ("all", "per-dataset-per-ratio", "cross-domain-18"):
@@ -216,7 +217,10 @@ def property_shift_regression(observations, grouping: str = "all",
             yield "all", list(observations)
         else:
             seen = {}
-            for o in observations:
+            for n, o in enumerate(observations, 1):
+                if "dataset" not in o or "ratio" not in o:
+                    raise InvalidInputError(f"{grouping} grouping: observation {n} lacks "
+                                            f"{'a dataset' if 'ratio' in o else 'a ratio'}")
                 seen.setdefault((o["dataset"], o["ratio"]), []).append(o)
             for (ds, ratio), rows in sorted(seen.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
                 yield f"{ds}@r={ratio}", rows
@@ -235,6 +239,9 @@ def _fit_group(rows, pred_names, dep_key, group):
                 f"group has {len(rows)} observations, needs > {needed}"}
     X = np.array([[float(o[p]) for p in pred_names] for o in rows])
     y = np.array([float(o[dep_key]) for o in rows])
+    if not np.all(np.isfinite(y)):
+        return {"group": group, "dependent": dep_key, "skipped":
+                "dependent contains non-finite values"}
     if np.all(y == y[0]):
         return {"group": group, "dependent": dep_key, "skipped":
                 f"dependent is constant ({float(y[0])!r}) in all {len(rows)} observations"}

@@ -14,6 +14,7 @@ from collapse_lab.chain import (
     DataPool,
     HumanCorpus,
     evaluate_batch,
+    record_columns,
     relative_metrics,
     run_chain,
 )
@@ -137,6 +138,16 @@ class TestPoolAndCorpus:
     def test_corpus_rejects_synthetic_records(self):
         with pytest.raises(InvalidInputError, match="human records only"):
             HumanCorpus([TextRecord(text="x", source="synthetic", generation=0)])
+
+    def test_record_columns_name_the_first_synthetic_record(self):
+        records = [TextRecord(text="a", domain="d"),
+                   TextRecord(text="b", source="synthetic", generation=0),
+                   TextRecord(text="c", source="synthetic", generation=1)]
+        for make in (record_columns, HumanCorpus):
+            with pytest.raises(InvalidInputError, match="^corpus must contain human records "
+                                                        "only; record 1 is synthetic$"):
+                make(records)
+        assert record_columns(records[:1]) == (["a"], ["d"])
 
 
 class TestRunChain:

@@ -290,10 +290,24 @@ def _bad_input(tmp_path, case):
     header = "cluster_id,ratio,quality,rel_diversity\nc0,0.5,1.0,0.2\n"
     if case == "regress dependent":
         obs.write_text(header + "c1,0.5,1.0,x\n")
-        return regress, f"{obs}: row 2, column rel_diversity: 'x' is not a number"
+        return regress, f"{obs}: row 2, column rel_diversity: 'x' is not a finite number"
     if case == "regress predictor":
         obs.write_text(header + "c1,0.5,n/a,0.1\n")
-        return regress, f"{obs}: row 2, column quality: 'n/a' is not a number"
+        return regress, f"{obs}: row 2, column quality: 'n/a' is not a finite number"
+    for name, row, column, cell in [
+            ("regress nan dependent", "c1,0.5,1.0,nan", "rel_diversity", "nan"),
+            ("regress inf predictor", "c1,0.5,inf,0.1", "quality", "inf"),
+            ("regress -infinity predictor", "c1,0.5,-Infinity,0.1", "quality", "-Infinity")]:
+        if case == name:
+            obs.write_text(header + row + "\n")
+            return regress, f"{obs}: row 2, column {column}: {cell!r} is not a finite number"
+    by_ratio = [*regress, "--grouping", "per-dataset-per-ratio"]
+    if case == "regress no ratio column":
+        obs.write_text("cluster_id,quality,rel_diversity\nc0,1.0,0.2\n")
+        return by_ratio, "per-dataset-per-ratio grouping: observation 1 lacks a ratio"
+    if case == "regress blank ratio":
+        obs.write_text(header + "c1,,1.0,0.1\n")
+        return by_ratio, "per-dataset-per-ratio grouping: observation 2 lacks a ratio"
     if case == "regress not utf-8":
         obs.write_bytes(b"\xff\xfe" + header.encode())
         return regress, f"{obs}: not UTF-8 text (invalid start byte)"
@@ -323,7 +337,10 @@ def _bad_input(tmp_path, case):
                                   "human generation", "synthetic generation", "bool generation",
                                   "bool quality", "bool lean", "bool positivity",
                                   "regress dependent",
-                                  "regress predictor", "regress not utf-8", "judge cache",
+                                  "regress predictor", "regress nan dependent",
+                                  "regress inf predictor", "regress -infinity predictor",
+                                  "regress no ratio column", "regress blank ratio",
+                                  "regress not utf-8", "judge cache",
                                   "records missing", "projection missing",
                                   "annotate records missing", "judge cache directory"])
 def test_bad_input_file_is_one_line(tmp_path, capsys, case):

@@ -11,7 +11,7 @@ import pytest
 from conftest import only_pool_workers
 
 from collapse_lab import _pool, experiments, metrics, toy
-from collapse_lab.chain import ChainConfig
+from collapse_lab.chain import EVAL_METRICS, ChainConfig
 from collapse_lab.errors import InvalidConfigError, InvalidInputError
 from collapse_lab.cli import main
 from collapse_lab.experiments import (
@@ -26,10 +26,12 @@ from collapse_lab.experiments import (
 from collapse_lab.io import (
     TextRecord,
     csv_text,
+    read_csv,
     read_embeddings,
     read_records_jsonl,
     write_csv,
     write_embeddings_emb1,
+    write_jsonl,
     write_records_jsonl,
 )
 
@@ -712,6 +714,120 @@ class TestClusterRegressionExperiment:
                               cluster_manifest=manifest_path)
         with pytest.raises(InvalidInputError, match=f"^{manifest_path}:3: invalid JSON"):
             run_experiment(spec)
+
+
+class TestGridInputs:
+    """A grid checks its corpus and its cluster manifest once, in the calling
+    process, before any cell runs. A bad one ends the run with one error and
+    leaves nothing on disk; failures that depend on the data stay per cell."""
+
+    CHAIN = {"generations": 2, "initial_human": 10, "per_gen_total": 10, "eval_sample": 5}
+
+    def _config(self, tmp_path, kind, manifest=None, synthetic_at=None):
+        """A spec file over a 40-record corpus, its record ``synthetic_at``
+        synthetic, and a manifest of cluster 0 (records 0-19) and ``manifest``."""
+        records = [TextRecord(text=f"text number {i} here") for i in range(40)]
+        if synthetic_at is not None:
+            records[synthetic_at] = TextRecord(text="made", source="synthetic", generation=0)
+        write_records_jsonl(records, tmp_path / "corpus.jsonl")
+        write_jsonl(tmp_path / "clusters.jsonl",
+                    [{"cluster_id": 0, "record_indices": list(range(20))}, *(manifest or [])])
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({
+            "kind": kind, "ratios": [0.5], "seeds": [0], "out_dir": str(tmp_path / "run"),
+            "corpus_path": str(tmp_path / "corpus.jsonl"),
+            "cluster_manifest": str(tmp_path / "clusters.jsonl"), "params": {"chain": self.CHAIN}}))
+        return config
+
+    @staticmethod
+    def _rejected(tmp_path, monkeypatch, capsys, config, message):
+        """``run_experiment`` raises ``message`` before any cell runs, and
+        ``collapse-lab run`` prints it in one line and exits 2; neither writes."""
+        monkeypatch.setattr(_pool, "outcomes", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            run_experiment(load_spec(config))
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"collapse-lab: error: {message}\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["chain", "cluster-regression"])
+    def test_synthetic_record_rejected(self, tmp_path, monkeypatch, capsys, kind):
+        """Record 27 is in no cluster: the whole corpus must be human."""
+        config = self._config(tmp_path, kind, synthetic_at=27)
+        self._rejected(tmp_path, monkeypatch, capsys, config,
+                       "corpus must contain human records only; record 27 is synthetic")
+
+    @pytest.mark.parametrize("cluster_id, members", [
+        (1, [*range(20, 39), -1]),  # would read record 39 twice
+        (1, [True, *range(21, 40)]),  # would read record 1, in cluster 0
+        (1, [20.0, *range(21, 40)]),
+        (1, [20, 20, *range(21, 40)]),
+        (1, [*range(21, 40), 40]),
+        (1, "20-39"),
+        (1, None),
+    ])
+    def test_bad_record_indices_rejected(self, tmp_path, monkeypatch, capsys, cluster_id,
+                                         members):
+        config = self._config(tmp_path, "cluster-regression",
+                              [{"cluster_id": cluster_id, "record_indices": members}])
+        self._rejected(tmp_path, monkeypatch, capsys, config,
+                       f"{tmp_path / 'clusters.jsonl'}: cluster_id 1 needs record_indices of "
+                       "distinct integers in [0, 40)")
+
+    @pytest.mark.parametrize("cluster_id, fault", [
+        ([1], "is not a string or an integer"),
+        (True, "is not a string or an integer"),
+        (1.0, "is not a string or an integer"),
+        (None, "is not a string or an integer"),
+        ("1", "is not of the first cluster_id's type"),  # observations.csv sorts its ids
+    ])
+    def test_bad_cluster_id_rejected(self, tmp_path, monkeypatch, capsys, cluster_id, fault):
+        config = self._config(tmp_path, "cluster-regression",
+                              [{"cluster_id": cluster_id, "record_indices": list(range(20, 40))}])
+        self._rejected(tmp_path, monkeypatch, capsys, config,
+                       f"{tmp_path / 'clusters.jsonl'}: cluster_id {cluster_id!r} {fault}")
+
+    def test_undersized_clusters_fail_per_cell(self, tmp_path):
+        """The manifest check leaves a cluster's size alone: a cluster of 5
+        records, or of none, fails each of its cells with DataExhaustedError."""
+        config = self._config(tmp_path, "cluster-regression",
+                              [{"cluster_id": 1, "record_indices": list(range(20, 25))},
+                               {"cluster_id": 2, "record_indices": []}])
+        store = run_experiment(load_spec(config))
+        failures = json.loads(Path(store.path("manifest.json")).read_text())["failures"]
+        assert [f["cell"]["cluster_id"] for f in failures] == [1, 2]
+        assert all(f["error"].startswith("DataExhaustedError: ") for f in failures)
+        assert [row["cluster_id"] for row in read_csv(store.path("observations.csv"))] == ["0"]
+
+    def test_cells_compute_only_the_metrics_they_read(self, tmp_path, monkeypatch):
+        """observations.csv reads distinct_count and word_entropy from a cell's
+        chain. A spec listing all five metrics writes the default spec's bytes,
+        and self-BLEU runs only in the property tasks, once per (cluster, seed);
+        a read metric the spec leaves out leaves its column blank."""
+        self_bleu, sizes = metrics.self_bleu, []
+
+        def counted(texts, seed=0):
+            sizes.append(len(texts))
+            return self_bleu(texts, seed=seed)
+
+        monkeypatch.setattr(metrics, "self_bleu", counted)
+        monkeypatch.setattr(_pool, "_cpu_count", lambda: 1)  # every task in this process
+        corpus_path, manifest_path = write_cluster_grid(tmp_path)
+        runs = {}
+        for name, chosen in [("default", None), ("all", list(EVAL_METRICS)),
+                             ("one", ["word_entropy", "self_bleu"])]:
+            chain = {"generations": 2, "initial_human": 40, "per_gen_total": 20,
+                     "eval_sample": 5, **({"eval_metrics": chosen} if chosen else {})}
+            store = run_experiment(ExperimentSpec(
+                kind="cluster-regression", ratios=[0.25, 0.5], seeds=[0, 1],
+                out_dir=str(tmp_path / name), corpus_path=corpus_path,
+                cluster_manifest=manifest_path, params={"chain": chain}))
+            runs[name] = Path(store.path("observations.csv")).read_bytes()
+        assert runs["all"] == runs["default"]
+        assert sizes == [150] * 12  # 2 clusters x 2 seeds, in each of the 3 runs
+        default, one = (read_csv(tmp_path / name / "observations.csv")
+                        for name in ("default", "one"))
+        assert [{**row, "rel_distinct_count": ""} for row in default] == one
 
 
 class TestGridArtifactBytes:

@@ -280,6 +280,28 @@ class TestPropertyShiftRegression:
         fits = property_shift_regression(obs, grouping="per-dataset-per-ratio")
         assert all("skipped" in f for f in fits)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dependent_skips_its_group(self, bad):
+        """A non-finite dependent is skipped with a notice, as a non-finite
+        predictor is; the other dependent's fit is unchanged."""
+        obs = self._observations()
+        clean = property_shift_regression(obs, grouping="all")
+        obs[5]["rel_quality"] = bad
+        fits = property_shift_regression(obs, grouping="all")
+        assert fits[1] == {"group": "all", "dependent": "rel_quality",
+                           "skipped": "dependent contains non-finite values"}
+        np.testing.assert_array_equal(fits[0]["result"].coefficients,
+                                      clean[0]["result"].coefficients)
+
+    @pytest.mark.parametrize("key, missing", [("ratio", "a ratio"), ("dataset", "a dataset")])
+    def test_per_dataset_per_ratio_needs_both_keys(self, key, missing):
+        obs = self._observations()
+        del obs[2][key]
+        with pytest.raises(InvalidInputError, match=f"^per-dataset-per-ratio grouping: "
+                                                    f"observation 3 lacks {missing}$"):
+            property_shift_regression(obs, grouping="per-dataset-per-ratio")
+        assert all("result" in f for f in property_shift_regression(obs, grouping="all"))
+
     def test_render_table_smoke(self):
         fits = property_shift_regression(self._observations(), grouping="all")
         table = render_table(fits)
