@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -91,7 +92,7 @@ class JudgeConfig:
             raise InvalidConfigError("timeout must be a positive finite number of seconds")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     text_hash: str
     kind: str
@@ -106,7 +107,7 @@ class Annotation:
             raise InvalidInputError(f"{self.kind} score {self.score} out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationFailure:
     text_hash: str
     kind: str
@@ -143,17 +144,29 @@ def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
+def _cached(row: dict) -> Annotation | None:
+    """The Annotation a cache row makes, or None when it makes none. Its
+    ``kind`` is interned, so every cached annotation shares one string."""
+    try:
+        return Annotation(text_hash=row["text_hash"], kind=sys.intern(row["kind"]),
+                          score=row["score"], raw_response=row["raw_response"],
+                          timestamp=row["timestamp"])
+    except (KeyError, TypeError, InvalidInputError):
+        return None
+
+
 class _Cache:
     """Append-only JSONL cache of annotations keyed on
-    (prompt-template hash, text hash, model id).
+    (prompt-template hash, text hash, model id), read a line at a time into
+    one Annotation per key: that of the key's last row, or None (a miss)
+    when that row does not make a valid one.
 
     A crash mid-append can leave the last row without its newline. If that
     row still parses it is kept, and the next append starts a new line; if
     it does not, it is ignored, and the next append cuts it off first. Any
     other line that is not an object with a string ``key`` raises
-    InvalidInputError naming ``path:line``, and an unreadable file one
-    naming ``path``. A row that does not make a valid Annotation is a miss,
-    so a later row under its key replaces it.
+    InvalidInputError naming the first such ``path:line``, and an unreadable
+    file one naming ``path``.
 
     The first append opens the file; each row is flushed as it is written,
     and ``close`` closes the file.
@@ -162,54 +175,39 @@ class _Cache:
     def __init__(self, path: str | None):
         self._path = path
         self._fh = None
-        self._mem: dict = {}
+        self._mem: dict = {}  # key -> Annotation | None
         self._torn_at = None  # byte offset of an unparsable unfinished last row
         self._lead = ""  # what the next append writes before its row
         if path and os.path.exists(path):
             with _open_input(path, "rb") as fh:
-                data = fh.read()
-            *lines, tail = data.split(b"\n")
-            rows = []
-            for lineno, line in enumerate(lines, 1):
-                if line.strip():
-                    try:
-                        rows.append((lineno, json.loads(line)))
-                    except ValueError as exc:
-                        raise InvalidInputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if tail.strip():
-                try:
-                    rows.append((len(lines) + 1, json.loads(tail)))
-                    self._lead = "\n"
-                except ValueError:
-                    self._torn_at = len(data) - len(tail)
-            for lineno, row in rows:
-                if not (isinstance(row, dict) and isinstance(row.get("key"), str)):
-                    raise InvalidInputError(f"{path}:{lineno}: not an object with a key")
-                self._mem[row["key"]] = row
+                for lineno, line in enumerate(fh, 1):
+                    unfinished = not line.endswith(b"\n")  # only the last line can be
+                    if line.strip():
+                        try:
+                            row = json.loads(line)
+                        except ValueError as exc:
+                            if not unfinished:
+                                raise InvalidInputError(
+                                    f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                            self._torn_at = fh.tell() - len(line)
+                            break
+                        if not (isinstance(row, dict) and isinstance(row.get("key"), str)):
+                            raise InvalidInputError(f"{path}:{lineno}: not an object with a key")
+                        self._mem[row["key"]] = _cached(row)
+                        if unfinished:
+                            self._lead = "\n"
 
     def get(self, key: str) -> Annotation | None:
         """The annotation cached under ``key``, or None when there is none or
         its row does not make a valid one."""
-        row = self._mem.get(key)
-        if row is None:
-            return None
-        try:
-            return Annotation(text_hash=row["text_hash"], kind=row["kind"], score=row["score"],
-                              raw_response=row["raw_response"], timestamp=row["timestamp"])
-        except (KeyError, TypeError, InvalidInputError):
-            return None
+        return self._mem.get(key)
 
     def put(self, key: str, annotation: Annotation) -> None:
-        row = {
-            "key": key,
-            "text_hash": annotation.text_hash,
-            "kind": annotation.kind,
-            "score": annotation.score,
-            "raw_response": annotation.raw_response,
-            "timestamp": annotation.timestamp,
-        }
-        self._mem[key] = row
+        self._mem[key] = annotation
         if self._path:
+            row = {"key": key, "text_hash": annotation.text_hash, "kind": annotation.kind,
+                   "score": annotation.score, "raw_response": annotation.raw_response,
+                   "timestamp": annotation.timestamp}
             if self._fh is None:
                 self._fh = open(self._path, "a")
                 if self._torn_at is not None:

@@ -4,6 +4,8 @@ the grouped property-to-shift regressions.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +184,8 @@ def property_shift_regression(observations, grouping: str = "all",
 
     - "all": one regression per dependent over every observation
     - "per-dataset-per-ratio": one per (dataset, ratio) pair per dependent;
-      an observation without a dataset or a ratio raises InvalidInputError
+      an observation without a dataset or a ratio, or whose ratio is not a
+      finite number, raises InvalidInputError
     - "cross-domain-18": observations carry per-domain properties named
       "<property>:<domain>" plus per-domain dependents "<dep>:<domain>";
       the domains are the suffixes of the dependents' columns, and there is
@@ -221,7 +224,12 @@ def property_shift_regression(observations, grouping: str = "all",
                 if "dataset" not in o or "ratio" not in o:
                     raise InvalidInputError(f"{grouping} grouping: observation {n} lacks "
                                             f"{'a dataset' if 'ratio' in o else 'a ratio'}")
-                seen.setdefault((o["dataset"], o["ratio"]), []).append(o)
+                ratio = o["ratio"]
+                if (isinstance(ratio, bool) or not isinstance(ratio, numbers.Real)
+                        or not math.isfinite(ratio)):
+                    raise InvalidInputError(f"{grouping} grouping: observation {n} has ratio "
+                                            f"{ratio!r}, not a finite number")
+                seen.setdefault((o["dataset"], ratio), []).append(o)
             for (ds, ratio), rows in sorted(seen.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
                 yield f"{ds}@r={ratio}", rows
 

@@ -308,6 +308,12 @@ def _bad_input(tmp_path, case):
     if case == "regress blank ratio":
         obs.write_text(header + "c1,,1.0,0.1\n")
         return by_ratio, "per-dataset-per-ratio grouping: observation 2 lacks a ratio"
+    for name, cell, shown in [("regress word ratio", "half", "'half'"),
+                              ("regress nan ratio", "nan", "nan")]:
+        if case == name:
+            obs.write_text(header + f"c1,{cell},1.0,0.1\n")
+            return by_ratio, (f"per-dataset-per-ratio grouping: observation 2 has ratio "
+                              f"{shown}, not a finite number")
     if case == "regress not utf-8":
         obs.write_bytes(b"\xff\xfe" + header.encode())
         return regress, f"{obs}: not UTF-8 text (invalid start byte)"
@@ -340,6 +346,7 @@ def _bad_input(tmp_path, case):
                                   "regress predictor", "regress nan dependent",
                                   "regress inf predictor", "regress -infinity predictor",
                                   "regress no ratio column", "regress blank ratio",
+                                  "regress word ratio", "regress nan ratio",
                                   "regress not utf-8", "judge cache",
                                   "records missing", "projection missing",
                                   "annotate records missing", "judge cache directory"])

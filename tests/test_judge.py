@@ -4,11 +4,13 @@ import functools
 import gc
 import json
 import os
+import pickle
 import socket
 import socketserver
 import select
 import ssl
 import threading
+import tracemalloc
 
 import pytest
 from conftest import (
@@ -39,6 +41,12 @@ from collapse_lab.judge import (
 
 def cfg(endpoint="http://test.invalid/v1/chat", **kw):
     return JudgeConfig(endpoint=endpoint, model="judge-model", **kw)
+
+
+def cache_row(key, score=10, **fields):
+    """A judge cache row under ``key`` with the given score and fields."""
+    return {"key": key, "text_hash": "h", "kind": "quality", "score": score,
+            "raw_response": str(score), "timestamp": 1.0, **fields}
 
 
 def fail_parse_on_boom(monkeypatch):
@@ -370,6 +378,79 @@ class TestCache:
             again = annotate_quality(["good", "bad"], cfg(url, cache_path=str(path)))
         assert again.scores == [11, 33] and again.cache_hits == 2
         assert len(server.requests) == 1
+
+    def test_load_peak_is_the_entries_kept(self, tmp_path):
+        # a 20,000-row cache (5 MiB): holding the file's bytes, its split
+        # lines and every row's dict at once peaked at about 32 MiB; one
+        # Annotation per key, read a line at a time, at about 8 MiB
+        path = tmp_path / "cache.jsonl"
+        with path.open("w") as fh:
+            for i in range(20_000):
+                text_hash = judge._sha(str(i))
+                fh.write(json.dumps(cache_row(f"f8b1132cc0b88125:{text_hash}:judge-model",
+                                              i % 101, text_hash=text_hash)) + "\n")
+        tracemalloc.start()
+        try:
+            cache = judge._Cache(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 2**20
+        assert len(cache._mem) == 20_000
+        assert cache.get(f"f8b1132cc0b88125:{judge._sha('7')}:judge-model").score == 7
+
+    def test_hit_is_the_stored_annotation(self, tmp_path):
+        """A hit is served without building a new Annotation: a loaded key
+        and a put one each return the same object every time."""
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(cache_row("k")) + "\n")
+        cache = judge._Cache(str(path))
+        assert cache.get("k") is cache.get("k")
+        fresh = Annotation(text_hash="h", kind="quality", score=20, raw_response="20",
+                           timestamp=2.0)
+        cache.put("j", fresh)
+        cache.close()
+        assert cache.get("j") is fresh
+        assert judge._Cache(str(path)).get("j") == fresh
+
+    def test_crlf_rows_load(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(b"".join(json.dumps(cache_row(k, score)).encode() + b"\r\n"
+                                  for k, score in [("k", 10), ("j", 20)]))
+        cache = judge._Cache(str(path))
+        assert (cache.get("k").score, cache.get("j").score) == (10, 20)
+
+    def test_blank_lines_load_empty_then_a_clean_row_follows(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("\n  \n\n")
+        cache = judge._Cache(str(path))
+        assert cache._mem == {}
+        annotation = Annotation(text_hash="h", kind="quality", score=10, raw_response="10",
+                                timestamp=1.0)
+        cache.put("k", annotation)
+        cache.close()
+        assert path.read_text() == "\n  \n\n" + json.dumps(cache_row("k"), sort_keys=True) + "\n"
+        assert judge._Cache(str(path)).get("k") == annotation
+
+    def test_later_invalid_row_turns_a_hit_into_a_miss(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(cache_row("k")) + "\n" + json.dumps(cache_row("j")) + "\n"
+                        + json.dumps(cache_row("k", 500)) + "\n")
+        cache = judge._Cache(str(path))
+        assert cache.get("k") is None and cache.get("j").score == 10
+
+    def test_first_faulty_line_is_reported(self, tmp_path):
+        """A keyless row at line 2 is reported ahead of invalid JSON at line 4."""
+        path = tmp_path / "cache.jsonl"
+        path.write_text(f'{json.dumps(cache_row("k"))}\n{{"score": 1}}\n\n{{"key": \n')
+        with pytest.raises(InvalidInputError, match=f"^{path}:2: not an object with a key$"):
+            judge._Cache(str(path))
+
+    def test_annotations_survive_pickling(self):
+        for entry in (Annotation(text_hash="h", kind="lean", score=-1, raw_response=" -1",
+                                 timestamp=1.5),
+                      judge.AnnotationFailure(text_hash="h", kind="quality", error="parse: x")):
+            assert pickle.loads(pickle.dumps(entry)) == entry
 
 
 class TestTransportFaults:

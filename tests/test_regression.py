@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -299,6 +301,18 @@ class TestPropertyShiftRegression:
         del obs[2][key]
         with pytest.raises(InvalidInputError, match=f"^per-dataset-per-ratio grouping: "
                                                     f"observation 3 lacks {missing}$"):
+            property_shift_regression(obs, grouping="per-dataset-per-ratio")
+        assert all("result" in f for f in property_shift_regression(obs, grouping="all"))
+
+    @pytest.mark.parametrize("ratio", ["half", float("nan"), float("inf"), True, None])
+    def test_per_dataset_per_ratio_needs_a_finite_ratio(self, ratio):
+        """A ratio that is not a finite number (a bool is not one) is named,
+        instead of failing the group sort or making a group of one."""
+        obs = self._observations()
+        obs[2]["ratio"] = ratio
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"per-dataset-per-ratio grouping: observation 3 has ratio {ratio!r}, "
+                f"not a finite number")):
             property_shift_regression(obs, grouping="per-dataset-per-ratio")
         assert all("result" in f for f in property_shift_regression(obs, grouping="all"))
 
