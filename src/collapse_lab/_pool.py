@@ -1,6 +1,6 @@
-"""Independent tasks on forked worker processes: the experiment grids' cells
-(``experiments._run_cells``), the cluster-regression grid's property tasks
-and cells (``experiments._run_cluster_grid``) and the cluster suite's fits
+"""Independent tasks on forked worker processes: every experiment grid's
+tasks, the cluster-regression grid's property tasks among them
+(``experiments._run_cells``), and the cluster suite's fits
 (``clustering.build_cluster_suite``).
 
 The workers outlive a round. The first round that needs two of them forks one

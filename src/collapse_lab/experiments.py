@@ -239,7 +239,8 @@ def _load_with_includes(path, loading: tuple) -> dict:
 
 
 class ResultStore:
-    """Run directory with a manifest and tidy CSV/JSONL artifacts. The
+    """Run directory with a manifest and tidy CSV/JSONL artifacts; each CSV
+    is written by ``add_csv``, from rows that ``csv_text`` rendered. The
     directory is made when the first artifact is written, so a run that fails
     before that leaves nothing on disk."""
 
@@ -266,28 +267,18 @@ class ResultStore:
         with open(self._new_file("manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
-    def add_csv(self, name: str, header: list[str], rows) -> str:
-        path = self._new_file(name)
-        write_csv(path, header, rows)
-        self.artifacts[name] = path
-        return path
-
-    def _add_csv_blocks(self, name: str, header: list[str], blocks: list[str]) -> str:
-        """A CSV artifact of row blocks that ``csv_text`` rendered. They are
-        written one at a time: a joined copy of the file would raise the
-        process's peak memory."""
-        path = self._new_file(name)
+    def add_csv(self, name: str, header: list[str], blocks: list[str]) -> None:
+        """A CSV artifact: the header, then row blocks that ``csv_text``
+        rendered. They are written one at a time: a joined copy of the file
+        would raise the process's peak memory."""
+        self.artifacts[name] = path = self._new_file(name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text([header]))
             fh.writelines(blocks)
-        self.artifacts[name] = path
-        return path
 
-    def add_jsonl(self, name: str, rows) -> str:
-        path = self._new_file(name)
+    def add_jsonl(self, name: str, rows) -> None:
+        self.artifacts[name] = path = self._new_file(name)
         write_jsonl(path, rows)
-        self.artifacts[name] = path
-        return path
 
 
 # ---------------------------------------------------------------------------
@@ -304,34 +295,31 @@ def run_experiment(spec: ExperimentSpec) -> ResultStore:
     return store
 
 
-def _run_cells(cells: list[dict], run_cell, failures: list, order=None) -> list:
-    """Call ``run_cell(**cell)`` for each cell and return, in cell order, the
-    results of those that finish. A cell that raises is recorded in
-    ``failures`` and the grid goes on (cell isolation by contract). The cells
-    run on forked worker processes, submitted in ``order``, as
-    ``_pool.outcomes`` says."""
-    results = []
-    for cell, (finished, value) in zip(cells, _pool.outcomes(run_cell, cells, order)):
-        if finished:
-            results.append(value)
-        else:
-            failures.append(_failure(cell, value))
-    return results
+def _run_cells(tasks: list[dict], run_task, order=None) -> list:
+    """``run_task(**task)``'s result for each task, or the exception it
+    raised, in task order: a task that raises does not stop the others (cell
+    isolation by contract). The tasks run on forked worker processes,
+    submitted in ``order``, as ``_pool.outcomes`` says."""
+    return [value for _, value in _pool.outcomes(run_task, tasks, order)]
 
 
-def _failure(cell: dict, exc: Exception) -> dict:
-    """The manifest's record of a cell that failed with ``exc``."""
-    return {"cell": cell, "error": _pool.describe(exc)}
+def _kept(cells: list[dict], results: list, failures: list) -> list:
+    """The results that are not exceptions, in cell order. Each exception is
+    recorded in ``failures`` as the manifest's record of its cell."""
+    failures.extend({"cell": cell, "error": _pool.describe(value)}
+                    for cell, value in zip(cells, results) if isinstance(value, Exception))
+    return [value for value in results if not isinstance(value, Exception)]
 
 
 def _run_toy(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
     # the costliest cells first: a run's synthetic draws cost more than its
     # human ones, and a cell draws floor(ratio * N) of them per run and step
     order = sorted(range(len(spec.ratios)), key=lambda i: -spec.ratios[i])
-    blocks = _run_cells([{"ratio": r} for r in spec.ratios],
-                        functools.partial(_toy_cell, spec.params.get("toy", {})), failures, order)
-    store._add_csv_blocks("toy_trace.csv", toy.TRACE_HEADER, [trace for trace, _ in blocks])
-    store._add_csv_blocks("toy_aggregate.csv", toy.AGGREGATE_HEADER, [agg for _, agg in blocks])
+    cells = [{"ratio": r} for r in spec.ratios]
+    blocks = _kept(cells, _run_cells(
+        cells, functools.partial(_toy_cell, spec.params.get("toy", {})), order), failures)
+    store.add_csv("toy_trace.csv", toy.TRACE_HEADER, [trace for trace, _ in blocks])
+    store.add_csv("toy_aggregate.csv", toy.AGGREGATE_HEADER, [agg for _, agg in blocks])
 
 
 def _toy_cell(params: dict, ratio) -> tuple[str, str]:
@@ -352,7 +340,7 @@ def _run_chain_grid(spec: ExperimentSpec, store: ResultStore, failures: list) ->
     corpus = record_columns(read_records_jsonl(spec.corpus_path))
     run_cell = functools.partial(_chain_cell, spec, corpus)
     summary, relative_rows, trace_lines = [], [], []
-    for rows, rel_rows, lines in _run_cells(cells, run_cell, failures):
+    for rows, rel_rows, lines in _kept(cells, _run_cells(cells, run_cell), failures):
         summary += rows
         relative_rows += rel_rows
         trace_lines += lines
@@ -360,10 +348,10 @@ def _run_chain_grid(spec: ExperimentSpec, store: ResultStore, failures: list) ->
         trace_lines, key=lambda L: (L["ratio"], L["seed"], L["generation"], L["domain"])))
     store.add_csv("summary.csv",
                   ["seed", "generation", "domain", "ratio", "metric", "value"],
-                  sorted(summary, key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4])))
+                  [csv_text(sorted(summary, key=lambda r: (r[0], r[1], str(r[2]), r[3], r[4])))])
     store.add_csv("relative.csv",
                   ["seed", "domain", "ratio", "metric", "value"],
-                  sorted(relative_rows, key=lambda r: (r[0], str(r[1]), r[2], r[3])))
+                  [csv_text(sorted(relative_rows, key=lambda r: (r[0], str(r[1]), r[2], r[3])))])
 
 
 def _chain_cell(spec: ExperimentSpec, corpus: tuple, ratio, seed):
@@ -404,12 +392,16 @@ def _run_lean(spec: ExperimentSpec, store: ResultStore, failures: list) -> None:
     left, right = partition_by_lean(read_records_jsonl(spec.corpus_path))
     p = spec.params.get("lean", {})
     size = p.get("mixture_size", min(len(left), len(right)))
+    if not size:  # the default size, of an empty wing, would fail every cell alike
+        raise InvalidInputError(
+            f"{spec.corpus_path}: a lean grid without params.lean.mixture_size needs records "
+            f"in both wings; the corpus has {len(left)} left and {len(right)} right")
     fractions = p.get("left_fractions", LEAN_LEFT_FRACTIONS)
     cells = [{"left_fraction": f, "seed": s} for f in fractions for s in spec.seeds]
     header = (["left_fraction", "seed", "mean_lean", "neutral_fraction",
                "non_political_fraction"] + _BINS)
-    store.add_csv("lean_mixtures.csv", header, _run_cells(
-        cells, functools.partial(_lean_cell, left, right, size), failures))
+    rows = _run_cells(cells, functools.partial(_lean_cell, left, right, size))
+    store.add_csv("lean_mixtures.csv", header, [csv_text(_kept(cells, rows, failures))])
 
 
 def _lean_cell(left: list, right: list, size: int, left_fraction, seed):
@@ -429,7 +421,7 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
 
     A cluster's properties do not depend on the ratio, so they are a task of
     their own per (cluster, seed), and only self-BLEU's subsample reads the
-    seed. The property tasks and the chain cells run in one ``_pool.outcomes``
+    seed. The property tasks and the chain cells run in one ``_run_cells``
     round, property tasks first. A cell is recorded in ``failures`` with its
     chain's error if the chain raised, else with its properties' error if
     those raised, in cell order."""
@@ -456,22 +448,21 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
     property_tasks = [{"cluster_id": c, "seed": s} for c in indices for s in spec.seeds]
     cells = [{"cluster_id": c["cluster_id"], "ratio": r, "seed": s}
              for c in clusters for r in spec.ratios for s in spec.seeds]
-    outcomes = _pool.outcomes(functools.partial(_cluster_task, spec, corpus, indices),
-                              property_tasks + cells)
-    properties = {(task["cluster_id"], task["seed"]): outcome
-                  for task, outcome in zip(property_tasks, outcomes)}
+    results = _run_cells(property_tasks + cells,
+                         functools.partial(_cluster_task, spec, corpus, indices))
+    properties = {(task["cluster_id"], task["seed"]): props
+                  for task, props in zip(property_tasks, results)}
     rows = []
-    for cell, (finished, value) in zip(cells, outcomes[len(property_tasks):]):
-        computed, props = properties[cell["cluster_id"], cell["seed"]]
-        if not (finished and computed):
-            failures.append(_failure(cell, props if finished else value))
-        else:
-            rows.append([cell["cluster_id"], float(cell["ratio"]), cell["seed"], *props, *value])
+    for cell, rel in zip(cells, results[len(property_tasks):]):
+        props = properties[cell["cluster_id"], cell["seed"]]
+        failed = [value for value in (rel, props) if isinstance(value, Exception)]
+        rows.append(failed[0] if failed
+                    else [cell["cluster_id"], float(cell["ratio"]), cell["seed"], *props, *rel])
     store.add_csv("observations.csv",
                   ["cluster_id", "ratio", "seed", "lexical_diversity",
                    "word_entropy", "type_token_ratio", "text_length",
                    *(f"rel_{name}" for name in _OBSERVED_METRICS)],
-                  sorted(rows, key=lambda r: (r[0], r[1], r[2])))
+                  [csv_text(sorted(_kept(cells, rows, failures), key=lambda r: (r[0], r[1], r[2])))])
 
 
 def _cluster_task(spec: ExperimentSpec, corpus: tuple, indices: dict, cluster_id, seed,

@@ -101,6 +101,14 @@ class Annotation:
     timestamp: float
 
     def __post_init__(self):
+        # a cache row is checked here too: one that fails is a miss
+        if not all(isinstance(v, str) for v in (self.text_hash, self.kind, self.raw_response)):
+            raise InvalidInputError("text_hash, kind and raw_response must be strings")
+        if not (isinstance(self.timestamp, (int, float)) and not isinstance(self.timestamp, bool)
+                and math.isfinite(self.timestamp)):
+            raise InvalidInputError(f"timestamp {self.timestamp!r} is not a finite number")
+        if not isinstance(self.score, int) or isinstance(self.score, bool):
+            raise InvalidInputError(f"{self.kind} score {self.score!r} is not an integer")
         lo, hi, allow_minus_one = _RANGES[self.kind]
         ok = lo <= self.score <= hi or (allow_minus_one and self.score == -1)
         if not ok:

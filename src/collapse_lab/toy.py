@@ -43,7 +43,6 @@ __all__ = [
     "make_true_distribution",
     "fit_biased_histogram",
     "sample_discrete",
-    "discrete_diversity",
     "run_toy_chain",
 ]
 
@@ -140,16 +139,6 @@ def sample_discrete(dist: DiscreteDistribution, n: int, rng: np.random.Generator
     if n < 1:
         raise InvalidInputError("sample size must be >= 1")
     return dist.cdf.searchsorted(rng.random(n), side="right")
-
-
-def discrete_diversity(dist: DiscreteDistribution) -> dict:
-    """Support fraction and Shannon entropy (nats) of a distribution."""
-    probs = dist.probs
-    nz = probs[probs > 0]
-    return {
-        "support_fraction": float(nz.size / probs.size),
-        "shannon_entropy": float(-(nz * np.log(nz)).sum()),
-    }
 
 
 @dataclass
@@ -297,7 +286,7 @@ def _run_group(cfg: ToyConfig, runs: range,
         support[:, step] = mask.sum(axis=1) / probs.shape[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = probs * np.log(probs)
-        # summed over each row's own nonzero entries, as discrete_diversity sums
+        # Shannon entropy (nats), summed over each row's own nonzero entries
         entropy[:, step] = [-(row[nz]).sum() for row, nz in zip(plogp, mask)]
 
     return support, entropy

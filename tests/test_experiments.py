@@ -787,6 +787,19 @@ class TestGridInputs:
         self._rejected(tmp_path, monkeypatch, capsys, config,
                        f"{tmp_path / 'clusters.jsonl'}: cluster_id {cluster_id!r} {fault}")
 
+    def test_lean_corpus_with_an_empty_wing_rejected(self, tmp_path, monkeypatch, capsys):
+        """Leans of 10, 50 and -1 leave the right wing empty, so the default
+        mixture size, the smaller wing's, is 0 and would fail every cell."""
+        write_records_jsonl([TextRecord(text=f"t{i}", annotations={"lean": [10, 50, -1][i % 3]})
+                             for i in range(30)], tmp_path / "lean.jsonl")
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"kind": "lean", "seeds": [0],
+                                      "out_dir": str(tmp_path / "run"),
+                                      "corpus_path": str(tmp_path / "lean.jsonl")}))
+        self._rejected(tmp_path, monkeypatch, capsys, config,
+                       f"{tmp_path / 'lean.jsonl'}: a lean grid without params.lean.mixture_size "
+                       "needs records in both wings; the corpus has 10 left and 0 right")
+
     def test_undersized_clusters_fail_per_cell(self, tmp_path):
         """The manifest check leaves a cluster's size alone: a cluster of 5
         records, or of none, fails each of its cells with DataExhaustedError."""
@@ -969,6 +982,16 @@ def _artifacts(store: ResultStore) -> dict:
     out = {name: Path(path).read_bytes() for name, path in store.artifacts.items()}
     out["failures"] = json.loads(Path(store.path("manifest.json")).read_text())["failures"]
     return out
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_each_kind_runs_its_grid_in_one_pool_round(tmp_path, monkeypatch, kind):
+    """Every task of a grid, the cluster grid's property tasks too, goes to
+    the pool in one round: the one place where a grid task's result arrives."""
+    rounds, outcomes = [], _pool.outcomes
+    monkeypatch.setattr(_pool, "outcomes", lambda *args: rounds.append(args) or outcomes(*args))
+    run_experiment(_grid_spec(tmp_path, kind))
+    assert len(rounds) == 1
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

