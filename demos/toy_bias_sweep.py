@@ -62,7 +62,7 @@ def main():
 
     if len(sys.argv) > 1:
         out = f"{sys.argv[1].rstrip('/')}/toy_aggregate.csv"
-        io.write_csv(out, toy.AGGREGATE_HEADER, toy.aggregate_rows(biased))
+        io.write_csv(out, toy.AGGREGATE_HEADER, [io.csv_text(toy.aggregate_rows(biased))])
         print(f"\nper-step aggregate curves written to {out}")
     print(f"\n[{time.time() - t0:.1f}s]")
 

@@ -21,7 +21,8 @@ import numpy as np
 from . import metrics
 from .errors import CollapseLabError, InvalidInputError
 from .experiments import FIGURE_KINDS, ResultStore, emit_plot_data, load_spec, run_experiment
-from .io import SCORE_KEYS, read_csv, read_embeddings, read_records_jsonl, write_csv, write_jsonl
+from .io import (SCORE_KEYS, csv_text, read_csv, read_embeddings, read_records_jsonl, write_csv,
+                 write_jsonl)
 from .judge import JudgeConfig, annotate_lean, annotate_quality
 
 ENV_TOKEN = "COLLAPSE_LAB_JUDGE_TOKEN"
@@ -139,7 +140,7 @@ def _cmd_metrics(args) -> int:
                 gauss = metrics.gaussianity_aic(proj)
                 row("gaussianity_aic", gauss["aic"], n=gauss["n"])
 
-    write_csv(args.out, ["metric", "value", "params", "sample_size"], rows)
+    write_csv(args.out, ["metric", "value", "params", "sample_size"], [csv_text(rows)])
     print(args.out)
     return 0
 
@@ -211,7 +212,7 @@ def _cmd_regress(args) -> int:
                          float(res.r_squared)])
     write_csv(args.out, ["group", "dependent", "predictor", "coefficient",
                          "std_error", "t", "p", "p_bonferroni", "stars", "vif",
-                         "r_squared"], rows)
+                         "r_squared"], [csv_text(rows)])
     print(regression.render_table(fits))
     print(args.out)
     return 0 if rows else 1

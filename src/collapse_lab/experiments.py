@@ -19,7 +19,7 @@ from .chain import (EVAL_METRICS, ChainConfig, HumanCorpus, record_columns,
                     relative_metrics, run_chain)
 from .errors import InvalidConfigError, InvalidInputError, InvalidTraceError
 from .generators import default_factory
-from .io import csv_text, read_csv, read_jsonl, read_records_jsonl, write_csv, write_jsonl
+from .io import _jsonl_rows, csv_text, read_csv, read_records_jsonl, write_csv, write_jsonl
 
 __all__ = [
     "ExperimentSpec",
@@ -240,7 +240,7 @@ def _load_with_includes(path, loading: tuple) -> dict:
 
 class ResultStore:
     """Run directory with a manifest and tidy CSV/JSONL artifacts; each CSV
-    is written by ``add_csv``, from rows that ``csv_text`` rendered. The
+    artifact is recorded by ``add_csv`` and written by ``write_csv``. The
     directory is made when the first artifact is written, so a run that fails
     before that leaves nothing on disk."""
 
@@ -268,13 +268,10 @@ class ResultStore:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
     def add_csv(self, name: str, header: list[str], blocks: list[str]) -> None:
-        """A CSV artifact: the header, then row blocks that ``csv_text``
-        rendered. They are written one at a time: a joined copy of the file
-        would raise the process's peak memory."""
+        """A CSV artifact, written by ``write_csv`` from row blocks that
+        ``csv_text`` rendered."""
         self.artifacts[name] = path = self._new_file(name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text([header]))
-            fh.writelines(blocks)
+        write_csv(path, header, blocks)
 
     def add_jsonl(self, name: str, rows) -> None:
         self.artifacts[name] = path = self._new_file(name)
@@ -426,28 +423,10 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
     chain's error if the chain raised, else with its properties' error if
     those raised, in cell order."""
     corpus = record_columns(read_records_jsonl(spec.corpus_path))
-    clusters = read_jsonl(spec.cluster_manifest, required=("cluster_id", "record_indices"))
-    indices: dict = {}
-    positions = range(len(corpus[0]))
-    for c in clusters:  # a bad entry would fail its cells, or silently read other records
-        cid, members = c["cluster_id"], c["record_indices"]
-        if not (isinstance(cid, str) or _is_number(cid, numbers.Integral)):
-            fault = "is not a string or an integer"
-        elif indices and type(cid) is not type(next(iter(indices))):  # rows are sorted by id
-            fault = "is not of the first cluster_id's type"
-        elif cid in indices:
-            fault = "appears more than once"
-        elif not (isinstance(members, list)
-                  and all(_is_number(i, numbers.Integral) and i in positions for i in members)
-                  and len(set(members)) == len(members)):
-            fault = f"needs record_indices of distinct integers in [0, {len(positions)})"
-        else:
-            indices[cid] = members
-            continue
-        raise InvalidInputError(f"{spec.cluster_manifest}: cluster_id {cid!r} {fault}")
+    indices = _read_cluster_manifest(spec.cluster_manifest, len(corpus[0]))
     property_tasks = [{"cluster_id": c, "seed": s} for c in indices for s in spec.seeds]
-    cells = [{"cluster_id": c["cluster_id"], "ratio": r, "seed": s}
-             for c in clusters for r in spec.ratios for s in spec.seeds]
+    cells = [{"cluster_id": c, "ratio": r, "seed": s}
+             for c in indices for r in spec.ratios for s in spec.seeds]
     results = _run_cells(property_tasks + cells,
                          functools.partial(_cluster_task, spec, corpus, indices))
     properties = {(task["cluster_id"], task["seed"]): props
@@ -463,6 +442,33 @@ def _run_cluster_grid(spec: ExperimentSpec, store: ResultStore, failures: list) 
                    "word_entropy", "type_token_ratio", "text_length",
                    *(f"rel_{name}" for name in _OBSERVED_METRICS)],
                   [csv_text(sorted(_kept(cells, rows, failures), key=lambda r: (r[0], r[1], r[2])))])
+
+
+def _read_cluster_manifest(path, n_records: int) -> dict:
+    """Each cluster's ``record_indices`` by its ``cluster_id``, in file order.
+    An entry whose id is not a string or an integer, not of the first id's
+    type, or repeated, or whose indices are not distinct integers in
+    [0, n_records), raises InvalidInputError naming ``path:line``: it would
+    fail its cells, or silently read other records."""
+    indices: dict = {}
+    positions = range(n_records)
+    for lineno, c in _jsonl_rows(path, required=("cluster_id", "record_indices")):
+        cid, members = c["cluster_id"], c["record_indices"]
+        if not (isinstance(cid, str) or _is_number(cid, numbers.Integral)):
+            fault = "is not a string or an integer"
+        elif indices and type(cid) is not type(next(iter(indices))):  # rows are sorted by id
+            fault = "is not of the first cluster_id's type"
+        elif cid in indices:
+            fault = "appears more than once"
+        elif not (isinstance(members, list)
+                  and all(_is_number(i, numbers.Integral) and i in positions for i in members)
+                  and len(set(members)) == len(members)):
+            fault = f"needs record_indices of distinct integers in [0, {n_records})"
+        else:
+            indices[cid] = members
+            continue
+        raise InvalidInputError(f"{path}:{lineno}: cluster_id {cid!r} {fault}")
+    return indices
 
 
 def _cluster_task(spec: ExperimentSpec, corpus: tuple, indices: dict, cluster_id, seed,
@@ -534,6 +540,6 @@ def emit_plot_data(store: ResultStore, figure_kind: str, out_path=None) -> str:
     out_path = out_path or store.path(f"plot_{figure_kind}.csv")
     # a blank numeric cell (an undefined relative metric) stays blank
     write_csv(out_path, columns,
-              [[(float(r[c]) if r[c] != "" else "") if c in numeric else r[c] for c in columns]
-               for r in rows])
+              [csv_text([(float(r[c]) if r[c] != "" else "") if c in numeric else r[c]
+                         for c in columns] for r in rows)])
     return out_path

@@ -7,9 +7,9 @@ reading files loads no numpy until embeddings are read or written.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import struct
+import sys
 from dataclasses import dataclass
 from io import StringIO
 from typing import TYPE_CHECKING
@@ -35,6 +35,9 @@ HUMAN = "human"
 SYNTHETIC = "synthetic"
 # the annotation scores a record may carry
 SCORE_KEYS = ("quality", "lean", "positivity")
+# (lo, hi, -1 allowed) of each judge score: a lean judge replies -1 for a text
+# that is not political
+_SCORE_RANGES = {"quality": (0, 100, False), "lean": (0, 100, True)}
 
 
 @dataclass(frozen=True)
@@ -111,11 +114,20 @@ def write_jsonl(path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _score_in_range(kind: str, value) -> bool:
+    """Whether a number lies in the ``kind`` judge's range; a kind without
+    one raises KeyError."""
+    lo, hi, allow_minus_one = _SCORE_RANGES[kind]
+    return lo <= value <= hi or (allow_minus_one and value == -1)
+
+
 def read_records_jsonl(path) -> list[TextRecord]:
     """One record per line: {"text": str, "source"?: str, "generation"?: int,
-    "domain"?: str, "quality"?, "lean"?, "positivity"?: number}. A field of
-    another type (a bool is not a number) or an invalid TextRecord raises
-    InvalidInputError naming ``path:line``."""
+    "domain"?: str, "quality"?, "lean"?, "positivity"?: number or null}. A
+    field of another type (a bool is not a number), a quality or lean score
+    out of its judge's range (a lean may be -1), a positivity score that is
+    not a finite float, or an invalid TextRecord raises InvalidInputError
+    naming ``path:line``."""
     records = []
     for lineno, row in _jsonl_rows(path, required=("text",)):
         for key, value in row.items():
@@ -123,6 +135,10 @@ def read_records_jsonl(path) -> list[TextRecord]:
                                          or not isinstance(value, _RECORD_TYPES[key])):
                 raise InvalidInputError(f"{path}:{lineno}: {key} of the wrong type: {value!r}")
         annotations = {k: row[k] for k in SCORE_KEYS if k in row}
+        for key, value in annotations.items():
+            if value is not None and not (_score_in_range(key, value) if key in _SCORE_RANGES
+                                          else abs(value) <= sys.float_info.max):
+                raise InvalidInputError(f"{path}:{lineno}: {key} score out of range: {value!r}")
         source = row.get("source", HUMAN)
         try:
             records.append(TextRecord(
@@ -243,8 +259,10 @@ def csv_text(rows) -> str:
     return out.getvalue()
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write a tidy CSV: the header line, then the rows as ``csv_text``
-    renders them."""
+def write_csv(path, header: list[str], blocks) -> None:
+    """Write a tidy CSV: the header line, then blocks of rows that
+    ``csv_text`` rendered, one at a time (a joined copy would raise peak
+    memory). Every CSV file is written here."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(itertools.chain([header], rows)))
+        fh.write(csv_text([header]))
+        fh.writelines(blocks)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._http import _json_body, _Loop, post_json
 from .errors import InvalidConfigError, InvalidInputError
-from .io import _open_input
+from .io import _open_input, _score_in_range
 
 __all__ = [
     "QUALITY_PROMPT",
@@ -58,7 +58,6 @@ LEAN_PROMPT = (
     "with text.  Here is the text: {text}"
 )
 
-_RANGES = {"quality": (0, 100, False), "lean": (0, 100, True)}
 _SCORE = re.compile("[+-]?[0-9]+")
 # the left-wing shares a lean mixture may take
 LEAN_LEFT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -109,9 +108,7 @@ class Annotation:
             raise InvalidInputError(f"timestamp {self.timestamp!r} is not a finite number")
         if not isinstance(self.score, int) or isinstance(self.score, bool):
             raise InvalidInputError(f"{self.kind} score {self.score!r} is not an integer")
-        lo, hi, allow_minus_one = _RANGES[self.kind]
-        ok = lo <= self.score <= hi or (allow_minus_one and self.score == -1)
-        if not ok:
+        if not _score_in_range(self.kind, self.score):
             raise InvalidInputError(f"{self.kind} score {self.score} out of range")
 
 
@@ -250,12 +247,11 @@ def _parse_score(raw: str, kind: str) -> int:
     """The score in ``raw``: an optional sign and ASCII digits, with
     whitespace around them, in the ``kind``'s range; anything else raises
     ValueError."""
-    lo, hi, allow_minus_one = _RANGES[kind]
     stripped = raw.strip()
     if not _SCORE.fullmatch(stripped):
         raise ValueError(f"non-integer response {raw!r}")
     value = int(stripped)
-    if lo <= value <= hi or (allow_minus_one and value == -1):
+    if _score_in_range(kind, value):
         return value
     raise ValueError(f"score {value} outside the {kind} range")
 

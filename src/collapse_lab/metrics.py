@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .io import SCORE_KEYS
+from .io import _SCORE_RANGES, SCORE_KEYS
 
 __all__ = [
     "MetricReport",
@@ -415,8 +415,8 @@ def lean_bins(scores) -> dict:
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise InvalidInputError("at least one score is required")
-    valid = (scores == -1) | ((scores >= 0) & (scores <= 100))
-    if not np.all(valid):
+    lo, hi, _ = _SCORE_RANGES["lean"]
+    if not np.all((scores == -1) | ((scores >= lo) & (scores <= hi))):
         raise InvalidInputError("lean scores must be -1 or in [0, 100]")
 
     non_political = scores == -1

@@ -278,7 +278,13 @@ def _bad_input(tmp_path, case):
             ("bool generation", '{"text": "x", "source": "synthetic", "generation": true}',
              "generation of the wrong type: True"),
             *((f"bool {key}", f'{{"text": "x", "{key}": true}}', f"{key} of the wrong type: True")
-              for key in ("quality", "lean", "positivity"))]:
+              for key in ("quality", "lean", "positivity")),
+            *((f"{key} {value}", f'{{"text": "x", "{key}": {value}}}',
+               f"{key} score out of range: {shown}")
+              for key, value, shown in [("lean", "NaN", "nan"), ("lean", "1e9", "1000000000.0"),
+                                        ("lean", "-5", "-5"), ("lean", "Infinity", "inf"),
+                                        ("quality", "-5", "-5"),
+                                        ("positivity", "-Infinity", "-inf")])]:
         if case == name:
             records.write_text('{"text": "fine"}\n' + row + "\n")
             return ["metrics", "--records", str(records)], f"{records}:2: {error}"
@@ -342,6 +348,8 @@ def _bad_input(tmp_path, case):
                                   "record text", "records not utf-8", "record source",
                                   "human generation", "synthetic generation", "bool generation",
                                   "bool quality", "bool lean", "bool positivity",
+                                  "lean NaN", "lean 1e9", "lean -5", "lean Infinity",
+                                  "quality -5", "positivity -Infinity",
                                   "regress dependent",
                                   "regress predictor", "regress nan dependent",
                                   "regress inf predictor", "regress -infinity predictor",

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import only_pool_workers
 
-from collapse_lab import _pool, experiments, metrics, toy
+from collapse_lab import _pool, experiments, io, metrics, toy
 from collapse_lab.chain import EVAL_METRICS, ChainConfig
 from collapse_lab.errors import InvalidConfigError, InvalidInputError
 from collapse_lab.cli import main
@@ -385,7 +386,7 @@ class TestSpecLoading:
                                                 "per_gen_total": 10, "eval_sample": 5}})
         monkeypatch.setattr(_pool, "outcomes", lambda *args: pytest.fail("a cell ran"))
         with pytest.raises(InvalidInputError,
-                           match=f"^{re.escape(str(manifest))}: cluster_id 0 appears more "
+                           match=f"^{re.escape(str(manifest))}:3: cluster_id 0 appears more "
                                  "than once$"):
             run_experiment(spec)
         assert not (tmp_path / "run").exists()
@@ -598,24 +599,38 @@ class TestLeanExperiment:
 
 
     def test_failing_mixture_cells_isolated(self, tmp_path):
-        """Record 1 carries an out-of-range lean of 150; every mixture that
-        draws it fails in lean_bins, and the other cells are still written."""
-        records = [TextRecord(text=f"item {i}", annotations={"lean": [10, 90][i % 2]})
+        """The right wing holds 10 records; every mixture that needs more of
+        them fails, and the other cells are still written."""
+        records = [TextRecord(text=f"item {i}", annotations={"lean": [10, 10, 10, 90][i % 4]})
                    for i in range(40)]
-        records[1] = TextRecord(text="item 1", annotations={"lean": 150})
         write_records_jsonl(records, tmp_path / "lean.jsonl")
         spec = ExperimentSpec(kind="lean", seeds=[0, 1, 2], out_dir=str(tmp_path / "run"),
                               corpus_path=str(tmp_path / "lean.jsonl"),
-                              params={"lean": {"mixture_size": 8}})
+                              params={"lean": {"mixture_size": 16}})
         run_experiment(spec)
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         failures = manifest["failures"]
-        assert failures and all(f["error"] == "InvalidInputError: lean scores must be -1 "
-                                              "or in [0, 100]" for f in failures)
+        assert failures and all(f["error"].startswith("InvalidInputError: right partition "
+                                                      "too small") for f in failures)
         assert all(f["cell"]["left_fraction"] < 1.0 for f in failures)
         rows = (tmp_path / "run" / "lean_mixtures.csv").read_text().strip().splitlines()
         assert len(rows) - 1 + len(failures) == 5 * 3
         assert any(row.startswith("1.0,") for row in rows)
+
+    def test_out_of_range_lean_rejected_before_any_cell(self, tmp_path, monkeypatch):
+        """A lean of 150 would fail, in lean_bins, only the cells whose
+        mixtures draw it: the corpus reader rejects it, naming its line."""
+        records = [TextRecord(text=f"item {i}", annotations={"lean": [10, 90][i % 2]})
+                   for i in range(40)]
+        records[1] = TextRecord(text="item 1", annotations={"lean": 150})
+        write_records_jsonl(records, tmp_path / "lean.jsonl")
+        monkeypatch.setattr(_pool, "outcomes", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(tmp_path))}/lean.jsonl:2: "
+                                                    "lean score out of range: 150$"):
+            run_experiment(ExperimentSpec(kind="lean", seeds=[0], out_dir=str(tmp_path / "run"),
+                                          corpus_path=str(tmp_path / "lean.jsonl"),
+                                          params={"lean": {"mixture_size": 8}}))
+        assert not (tmp_path / "run").exists()
 
 
 class TestEmbeddingIo:
@@ -668,20 +683,21 @@ class TestWriteCsv:
         Python floats are; None is blank, and a comma is quoted."""
         path = tmp_path / "t.csv"
         write_csv(path, ["f64", "f32", "float", "int", "bool", "none", "text"],
-                  [[np.float64(0.1), np.float32(0.25), 1 / 3, 7, True, None, "a,b"],
-                   [np.float64(1e16), np.float32(0.1), 1e-20, -2, False, "", "c"]])
+                  [csv_text([[np.float64(0.1), np.float32(0.25), 1 / 3, 7, True, None, "a,b"],
+                             [np.float64(1e16), np.float32(0.1), 1e-20, -2, False, "", "c"]])])
         assert path.read_bytes() == (b"f64,f32,float,int,bool,none,text\r\n"
                                      b'0.1,0.25,0.3333333333333333,7,True,,"a,b"\r\n'
                                      b"1e+16,0.1,1e-20,-2,False,,c\r\n")
 
     def test_csv_text_is_what_write_csv_writes_after_its_header(self, tmp_path):
-        """Rows rendered on their own (as a toy cell renders its rows in its
-        worker) are the bytes write_csv writes for them after its header."""
+        """Rows rendered a block at a time (as a toy cell renders its rows in
+        its worker) are the bytes of the rows rendered at once, and write_csv
+        writes them after its header."""
         rows = [[0, 0.1, -0.0, 1e-05, 1e16, float("nan"), float("inf"), -7],
                 [np.float64(0.1), np.float64(-0.0), None, "a,b", 'say "hi"', "cr\rlf\n", "",
                  np.float64(1e-05)]]
         path = tmp_path / "t.csv"
-        write_csv(path, list("abcdefgh"), rows)
+        write_csv(path, list("abcdefgh"), [csv_text(rows[:1]), csv_text(rows[1:])])
         header = b"a,b,c,d,e,f,g,h\r\n"
         body = (b"0,0.1,-0.0,1e-05,1e+16,nan,inf,-7\r\n"
                 b'0.1,-0.0,,"a,b","say ""hi""","cr\rlf\n",,1e-05\r\n')
@@ -771,7 +787,7 @@ class TestGridInputs:
         config = self._config(tmp_path, "cluster-regression",
                               [{"cluster_id": cluster_id, "record_indices": members}])
         self._rejected(tmp_path, monkeypatch, capsys, config,
-                       f"{tmp_path / 'clusters.jsonl'}: cluster_id 1 needs record_indices of "
+                       f"{tmp_path / 'clusters.jsonl'}:2: cluster_id 1 needs record_indices of "
                        "distinct integers in [0, 40)")
 
     @pytest.mark.parametrize("cluster_id, fault", [
@@ -785,7 +801,7 @@ class TestGridInputs:
         config = self._config(tmp_path, "cluster-regression",
                               [{"cluster_id": cluster_id, "record_indices": list(range(20, 40))}])
         self._rejected(tmp_path, monkeypatch, capsys, config,
-                       f"{tmp_path / 'clusters.jsonl'}: cluster_id {cluster_id!r} {fault}")
+                       f"{tmp_path / 'clusters.jsonl'}:2: cluster_id {cluster_id!r} {fault}")
 
     def test_lean_corpus_with_an_empty_wing_rejected(self, tmp_path, monkeypatch, capsys):
         """Leans of 10, 50 and -1 leave the right wing empty, so the default
@@ -952,14 +968,13 @@ def _grid_spec(tmp_path, kind) -> ExperimentSpec:
                               corpus_path=write_corpus(str(tmp_path / "corpus.jsonl"), n=100),
                               params={"chain": {**chain, "initial_human": 60,
                                                 "per_gen_total": 30}})
-    if kind == "lean":  # record 1's lean of 150 fails every mixture that draws it
+    if kind == "lean":  # 13 right-wing records cannot fill a mixture of 14 of them
         records = [TextRecord(text=f"item {i}", annotations={"lean": [10, 90, -1][i % 3]})
                    for i in range(40)]
-        records[1] = TextRecord(text="item 1", annotations={"lean": 150})
         write_records_jsonl(records, tmp_path / "lean.jsonl")
         return ExperimentSpec(kind="lean", seeds=[0, 1, 2], out_dir=str(tmp_path / "run"),
                               corpus_path=str(tmp_path / "lean.jsonl"),
-                              params={"lean": {"mixture_size": 8}})
+                              params={"lean": {"mixture_size": 14}})
     corpus_path, manifest_path = write_cluster_grid(tmp_path)
     with open(manifest_path, "a") as fh:  # 10 texts cannot seed 40 initial ones
         fh.write(json.dumps({"cluster_id": 2, "method": "kmeans", "params": {},
@@ -992,6 +1007,28 @@ def test_each_kind_runs_its_grid_in_one_pool_round(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(_pool, "outcomes", lambda *args: rounds.append(args) or outcomes(*args))
     run_experiment(_grid_spec(tmp_path, kind))
     assert len(rounds) == 1
+
+
+def test_every_csv_is_written_by_write_csv(tmp_path, monkeypatch):
+    """io.write_csv is the one CSV writer: with every collapse_lab binding of
+    it wrapped, as the benchmark's traced run wraps it, a grid of each kind
+    and a plot file write exactly the .csv artifacts the manifests list,
+    and the plot file, through it."""
+    written, original = [], io.write_csv
+    for module in [m for name, m in list(sys.modules.items())
+                   if m is not None and name.split(".")[0] == "collapse_lab"]:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, lambda path, *args: (
+                    written.append(str(path)) or original(path, *args)))
+    listed, stores = [], {}
+    for kind in experiments.KINDS:
+        (tmp_path / kind).mkdir()
+        stores[kind] = store = run_experiment(_grid_spec(tmp_path / kind, kind))
+        manifest = json.loads(Path(store.path("manifest.json")).read_text())
+        listed += [store.path(name) for name in manifest["artifacts"] if name.endswith(".csv")]
+    listed.append(emit_plot_data(stores["lean"], "lean-stacked"))
+    assert sorted(written) == sorted(listed)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -327,19 +327,19 @@ class TestRunToyChainOracle:
 class TestCsvEmission:
     def test_trace_csv_rows(self, tmp_path):
         from collapse_lab.experiments import ExperimentSpec, run_experiment
-        from collapse_lab.io import write_csv
+        from collapse_lab.io import csv_text, write_csv
         from collapse_lab.toy import AGGREGATE_HEADER, TRACE_HEADER, aggregate_rows, trace_rows
 
         cfg = ToyConfig(ratio=0.25, support_size=100, steps=4, runs=3, seed=0)
         trace = run_toy_chain(cfg)
         trace_path = tmp_path / "trace.csv"
-        write_csv(trace_path, TRACE_HEADER, trace_rows([trace]))
+        write_csv(trace_path, TRACE_HEADER, [csv_text(trace_rows([trace]))])
         lines = trace_path.read_text().strip().splitlines()
         assert lines[0] == "run,step,r,support_fraction,shannon_entropy"
         assert len(lines) == 1 + cfg.runs * cfg.steps
 
         agg_path = tmp_path / "agg.csv"
-        write_csv(agg_path, AGGREGATE_HEADER, aggregate_rows([trace]))
+        write_csv(agg_path, AGGREGATE_HEADER, [csv_text(aggregate_rows([trace]))])
         lines = agg_path.read_text().strip().splitlines()
         assert len(lines) == 1 + cfg.steps
 
